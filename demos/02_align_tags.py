@@ -1,7 +1,8 @@
 """Locating label timestamps inside an event stream.
 
-The search widens its tolerance until a probe on the binary-descent path
-qualifies, so it stays logarithmic even when the tag falls in a gap.
+The search runs one binary descent and keeps the probe closest to the tag,
+so it costs at most ceil(log2 N) + 1 probes even when the tag falls in a
+long quiet gap; alpha is one more than that probe's distance to the tag.
 
 Run: python3 demos/02_align_tags.py
 """
@@ -11,8 +12,7 @@ import numpy as np
 from gestemo.align import SearchTrace, find_position, segment_events, split_indices
 from gestemo.events import Geometry, StreamSpec, synth_stream
 
-# a dense recording: mean gap of a few microseconds keeps the widened
-# tolerance small and the probe count near the plain binary-search cost
+# a dense recording: a mean gap of a few microseconds keeps alpha small
 stream = synth_stream(StreamSpec(Geometry(32, 32), 30_000, 5_000), seed=3)
 times = stream.t
 

@@ -1,13 +1,17 @@
 """Locate frame-annotation timestamps inside an event time sequence and cut
 streams into labeled segments.
 
-The search is a binary descent with an absolute tolerance alpha: probe the
-midpoint, succeed if it lies within alpha of the tag, otherwise recurse on
-(lo, mid) when the midpoint is above the tag and on (mid, hi) when below,
-stopping when the range no longer shrinks.  find_position clamps tags that
-fall outside the list, then retries the descent with alpha = 1, 2, 3, ...
-until it succeeds.  The result is guaranteed within alpha_final of the tag
-but is NOT necessarily the globally nearest timestamp.
+The search is a binary descent: probe the midpoint, recurse on (lo, mid)
+when the midpoint is above the tag and on (mid, hi) otherwise, stopping when
+the range no longer shrinks.  scaling_binary_search stops early at the first
+probe within an absolute tolerance alpha of the tag.  find_position clamps
+tags that fall outside the list and otherwise runs the descent once,
+returning the first probe at the smallest distance d seen on the path with
+alpha_final = d + 1: the index and tolerance that retrying the tolerance
+descent with alpha = 1, 2, 3, ... would reach, since the path never depends
+on alpha.  A search therefore costs at most ceil(log2 N) + 1 probes, however
+far the tag sits from its neighbours.  The result lies within alpha_final of
+the tag but is NOT necessarily the globally nearest timestamp.
 
 All indices here are 0-based; clamps return 0 and N-1.
 """
@@ -33,9 +37,9 @@ from .events import EventStream
 class SearchTrace:
     """Instrumentation for one find_position call.
 
-    comparisons counts midpoint probes (one list element examined per probe,
-    summed over every alpha attempt); visited records the probe indices of
-    the final attempt in descent order.
+    comparisons counts midpoint probes (one list element examined per probe;
+    a reused trace keeps counting); visited records the probe indices of the
+    last descent in order.
     """
 
     comparisons: int = 0
@@ -69,6 +73,20 @@ def validate_tags(tags) -> np.ndarray:
     return a
 
 
+def _descent(a: np.ndarray, lo: int, hi: int, tag: int):
+    """Yield the midpoints the descent over a[lo..hi] probes, in order."""
+    while True:
+        mid = lo + (hi - lo) // 2
+        yield mid
+        if a[mid] > tag:
+            new_lo, new_hi = lo, mid
+        else:
+            new_lo, new_hi = mid, hi
+        if (new_lo, new_hi) == (lo, hi):  # range stopped shrinking
+            return
+        lo, hi = new_lo, new_hi
+
+
 def scaling_binary_search(times, lo: int, hi: int, tag: int, alpha: int,
                           trace: Optional[SearchTrace] = None) -> Optional[int]:
     """One tolerance-alpha descent over times[lo..hi] (inclusive bounds).
@@ -82,29 +100,23 @@ def scaling_binary_search(times, lo: int, hi: int, tag: int, alpha: int,
         raise BadRangeError(f"range [{lo},{hi}] invalid for list of length {n}")
     if alpha < 1:
         raise BadRangeError(f"alpha must be >= 1, got {alpha}")
-    while True:
-        mid = lo + (hi - lo) // 2
+    for mid in _descent(a, lo, hi, tag):
         if trace is not None:
             trace.comparisons += 1
             trace.visited.append(mid)
         if abs(int(a[mid]) - tag) < alpha:
             return mid
-        if a[mid] > tag:
-            new_lo, new_hi = lo, mid
-        else:
-            new_lo, new_hi = mid, hi
-        if (new_lo, new_hi) == (lo, hi):  # range stopped shrinking: give up
-            return None
-        lo, hi = new_lo, new_hi
+    return None
 
 
 def find_position(tag: int, times, trace: Optional[SearchTrace] = None) -> int:
     """Index of a timestamp near tag.
 
-    Below-range tags return 0, above-range tags return N-1.  In-range tags
-    run the descent with alpha escalating by +1 per retry until it succeeds;
-    termination is guaranteed because the descent always probes a neighbor
-    of the tag's insertion point, so alpha eventually exceeds that gap.
+    Below-range tags return 0, above-range tags return N-1.  An in-range tag
+    takes one descent over the whole list, which returns the first probe at
+    the smallest distance d seen on the path and sets alpha_final = d + 1.
+    The descent stops early on an exact hit and otherwise takes at most
+    ceil(log2 N) + 1 probes, whatever the gap around the tag.
     """
     a = _as_times(times)
     n = a.shape[0]
@@ -118,14 +130,18 @@ def find_position(tag: int, times, trace: Optional[SearchTrace] = None) -> int:
     if tag > a[n - 1]:
         trace.clamped = True
         return n - 1
-    alpha = 1
-    while True:
-        trace.visited.clear()
-        found = scaling_binary_search(a, 0, n - 1, tag, alpha, trace)
-        if found is not None:
-            trace.alpha_final = alpha
-            return found
-        alpha += 1
+    trace.visited.clear()
+    best, best_d = 0, None
+    for mid in _descent(a, 0, n - 1, tag):
+        trace.comparisons += 1
+        trace.visited.append(mid)
+        d = abs(int(a[mid]) - tag)
+        if best_d is None or d < best_d:
+            best, best_d = mid, d
+            if d == 0:
+                break
+    trace.alpha_final = best_d + 1
+    return best
 
 
 def split_indices(tags, times) -> np.ndarray:

@@ -40,13 +40,10 @@ from .events import DAVIS346, EmotionClass, Geometry, GestureClass
 from .fusion import FusionConfig, predict
 from .snn import LifConfig, default_architecture
 from .stats import (
-    class_counts,
     class_counts_csv,
-    event_time_sum,
     frame_histogram_csv,
-    frame_length_histogram,
     polarity_box_csv,
-    polarity_box_stats,
+    summarize,
     time_sum_csv,
 )
 from .synth import DatasetSpec, build_dataset
@@ -123,7 +120,12 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
             raise _UsageError(
                 f"config file {ns.config}: unknown keys {', '.join(unknown)}")
         for k, v in doc.items():
-            merged[k] = type(defaults[k])(v)
+            kind = type(defaults[k])
+            try:
+                merged[k] = kind(v)
+            except (TypeError, ValueError):
+                raise _UsageError(f"config file {ns.config}: {k} must be "
+                                  f"{kind.__name__}, got {v!r}")
     for k in defaults:
         flag = getattr(ns, k, None)
         if flag is not None:
@@ -228,49 +230,33 @@ def cmd_encode(ns) -> int:
 
 
 def cmd_stats(ns) -> int:
+    if ns.bin_width < 1:
+        raise _UsageError(f"--bin-width must be >= 1, got {ns.bin_width}")
     manifest = read_manifest(ns.manifest)
-    readable: List[ManifestEntry] = []
+    samples = []
     for e in manifest.entries:
         try:
-            read_events_file(manifest.path_of(e.events))
-            if e.features is not None:
-                read_feature_file(manifest.path_of(e.features))
+            samples.append(load_sample(manifest, e.id))
         except (GestemoError, OSError) as exc:
             print(f"warning: skipping sample {e.id!r}: {exc}", file=sys.stderr)
-            continue
-        readable.append(e)
-    if not readable:
+    if not samples:
         raise DataError("no readable samples in manifest")
-    kept = SplitManifest(root=manifest.root, entries=readable)
-    os.makedirs(ns.out, exist_ok=True)
-    with_features = SplitManifest(
-        root=kept.root, entries=[e for e in kept.entries if e.features])
-    if with_features.entries:
-        hist = frame_length_histogram(with_features, ns.bin_width)
-    else:
+    if all(s.features is None for s in samples):
         print("warning: no feature files; frame histogram empty", file=sys.stderr)
-        hist = {"bin_edges": [], "counts": []}
-    counts = class_counts(kept)
-    sums = event_time_sum(kept)
-    boxes = polarity_box_stats(kept)
-    doc = {
-        "n_samples": len(kept.entries),
-        "frame_histogram": hist,
-        "class_counts": counts,
-        "event_time_sum_s": sums,
-        "polarity_boxes": {k: v.to_dict() for k, v in boxes.items()},
-    }
+    summary = summarize(samples, ns.bin_width)
+    os.makedirs(ns.out, exist_ok=True)
+
     def emit(name: str, lines: List[str]) -> None:
         with open(os.path.join(ns.out, name), "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
     with open(os.path.join(ns.out, "stats.json"), "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(summary.to_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
-    emit("frame_hist.csv", frame_histogram_csv(hist))
-    emit("class_counts.csv", class_counts_csv(counts))
-    emit("time_sum.csv", time_sum_csv(sums))
-    emit("polarity_box.csv", polarity_box_csv(boxes))
-    print(f"wrote stats for {len(kept.entries)} samples to {os.path.abspath(ns.out)}")
+    emit("frame_hist.csv", frame_histogram_csv(summary.frame_histogram))
+    emit("class_counts.csv", class_counts_csv(summary.class_counts))
+    emit("time_sum.csv", time_sum_csv(summary.event_time_sum_s))
+    emit("polarity_box.csv", polarity_box_csv(summary.polarity_boxes))
+    print(f"wrote stats for {len(samples)} samples to {os.path.abspath(ns.out)}")
     return EXIT_OK
 
 

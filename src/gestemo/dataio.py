@@ -18,7 +18,9 @@ real frames.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -104,38 +106,51 @@ def read_events_file(path) -> EventStream:
 def write_events_file(stream: EventStream, path) -> None:
     """Inverse of read_events_file: round-trips to an equal stream."""
     g = stream.geometry
+    cols = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(),
+            stream.p.tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"t,x,y,p geometry={g.width}x{g.height}\n")
-        for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.p):
-            f.write(f"{t},{x},{y},{p}\n")
+        f.write("".join(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(*cols)))
 
 
 def read_feature_file(path) -> FrameFeatureSequence:
-    """Parse a feature file; D comes from the header, rows must all match."""
+    """Parse a feature file; D comes from the header, rows must all match and
+    every value must be finite."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         m = _FEATURE_HEADER.match(header)
         if not m:
             raise ParseError(f"{path}: bad feature header {header!r}", line=1)
         dim = int(m.group(1))
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                row = [float(v) for v in parts]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric value", line=lineno)
-            if len(row) != dim:
-                raise RaggedRowsError(
-                    f"{path}:{lineno}: row has {len(row)} values, expected {dim}",
-                    line=lineno)
-            rows.append(row)
-    if not rows:
+        body = f.read()
+    if not body.strip():
         raise ParseError(f"{path}: feature file has no rows")
-    return FrameFeatureSequence(dim, np.asarray(rows, dtype=np.float64))
+    rows = _fast_rows(body, np.float64, dim, None)
+    if rows is None:
+        rows = _parse_feature_rows_slow(body, path, dim)
+    return FrameFeatureSequence(dim, rows)
+
+
+def _parse_feature_rows_slow(body: str, path, dim: int) -> np.ndarray:
+    """Row-by-row parse of a feature body: the reference the fast path must
+    agree with, and the source of line-numbered errors."""
+    rows = []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            row = [float(v) for v in parts]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric value", line=lineno)
+        if len(row) != dim:
+            raise RaggedRowsError(
+                f"{path}:{lineno}: row has {len(row)} values, expected {dim}",
+                line=lineno)
+        if not all(math.isfinite(v) for v in row):
+            raise ParseError(f"{path}:{lineno}: non-finite value", line=lineno)
+        rows.append(row)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def write_feature_file(seq: FrameFeatureSequence, path) -> None:
@@ -146,27 +161,58 @@ def write_feature_file(seq: FrameFeatureSequence, path) -> None:
             f.write(" ".join(format(v, ".17g") for v in row) + "\n")
 
 
-def _parse_int_rows(body: str, path, n_cols: int, delimiter: str) -> np.ndarray:
-    lines = [ln for ln in body.splitlines() if ln.strip()]
-    if not lines:
-        return np.zeros((0, n_cols), dtype=np.int64)
+def _fast_rows(body: str, dtype, n_cols: int, delimiter) -> Optional[np.ndarray]:
+    """One C-level parse of a non-blank file body into an (N, n_cols) array
+    of finite values, or None where it refuses; the caller then parses row
+    by row, which either accepts the body or names the offending line.
+    comments=None keeps a row that starts with '#' from being skipped."""
     try:
-        return np.array([[int(v) for v in ln.split(delimiter)] for ln in lines],
-                        dtype=np.int64)
+        rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=delimiter,
+                          ndmin=2, comments=None)
     except ValueError:
-        pass
-    # slow path only to locate the offending line for the error message
-    for i, ln in enumerate(lines, start=2):
-        parts = ln.split(delimiter)
-        if len(parts) != n_cols:
-            raise ParseError(f"{path}:{i}: expected {n_cols} fields, got {len(parts)}",
-                             line=i)
-        for v in parts:
-            try:
-                int(v)
-            except ValueError:
-                raise ParseError(f"{path}:{i}: non-integer value {v!r}", line=i)
-    raise ParseError(f"{path}: malformed rows")
+        return None
+    if rows.shape[1] != n_cols or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _parse_int_rows(body: str, path, n_cols: int, delimiter: str) -> np.ndarray:
+    """Integer rows of a file body that starts on line 2; blank lines are
+    skipped."""
+    if not body.strip():
+        return np.zeros((0, n_cols), dtype=np.int64)
+    rows = _fast_rows(body, np.int64, n_cols, delimiter)
+    if rows is None:
+        rows = _parse_int_rows_slow(body, path, n_cols, delimiter)
+    return rows
+
+
+def _parse_int_rows_slow(body: str, path, n_cols: int, delimiter: str) -> np.ndarray:
+    """Row-by-row parse: the reference the fast path must agree with, and the
+    source of errors that name the offending file line."""
+    rows = []
+    # rows end wherever str.splitlines ends a line; errors count file lines
+    for lineno, physical in enumerate(body.split("\n"), start=2):
+        for ln in physical.splitlines():
+            if not ln.strip():
+                continue
+            parts = ln.split(delimiter)
+            if len(parts) != n_cols:
+                raise ParseError(
+                    f"{path}:{lineno}: expected {n_cols} fields, got {len(parts)}",
+                    line=lineno)
+            row = []
+            for v in parts:
+                try:
+                    row.append(int(v))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-integer value {v!r}",
+                                     line=lineno)
+            rows.append(row)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, n_cols)
+    except OverflowError:
+        raise ParseError(f"{path}: integer value outside the int64 range")
 
 
 @dataclass(frozen=True)

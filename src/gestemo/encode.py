@@ -56,20 +56,29 @@ def group_sizes(n_events: int, k: int) -> np.ndarray:
     return sizes
 
 
-def dense_spike_planes(stream: EventStream, k: int) -> DenseSpikePlanes:
-    """Count-based compression of a stream into K planes."""
+def dense_spike_planes(stream: EventStream, k: int,
+                       factor: int = 1) -> DenseSpikePlanes:
+    """Count-based compression of a stream into K planes.
+
+    factor > 1 bins each event straight into its factor x factor pixel
+    block, which equals downsample_planes(dense_spike_planes(stream, k),
+    factor) without building the full-resolution planes.
+    """
     if k < 1:
         raise BadKError(f"K must be >= 1, got {k}")
+    if factor < 1:
+        raise BadFactorError(f"factor must be >= 1, got {factor}")
     n = len(stream)
     if n == 0:
         raise EmptyStreamError("cannot encode an empty stream")
     g = stream.geometry
+    h, w = -(-g.height // factor), -(-g.width // factor)
     sizes = group_sizes(n, k)
     group = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    flat = ((group * 2 + stream.p) * g.height + stream.y) * g.width + stream.x
-    counts = np.bincount(flat, minlength=k * 2 * g.height * g.width)
-    counts = counts.reshape(k, 2, g.height, g.width).astype(np.int64)
-    return DenseSpikePlanes(k=k, geometry=g, counts=counts)
+    flat = ((group * 2 + stream.p) * h + stream.y // factor) * w + stream.x // factor
+    counts = np.bincount(flat, minlength=k * 2 * h * w)
+    counts = counts.reshape(k, 2, h, w).astype(np.int64)
+    return DenseSpikePlanes(k=k, geometry=Geometry(w, h), counts=counts)
 
 
 def downsample_planes(planes: DenseSpikePlanes, factor: int) -> DenseSpikePlanes:

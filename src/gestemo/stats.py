@@ -2,7 +2,9 @@
 per-class event-time sums, and per-polarity box summaries.
 
 Everything here is a pure function of the manifest contents, so reruns on
-the same data are identical.  Quartiles use linear interpolation between
+the same data are identical.  summarize computes every analysis from
+samples already loaded, so dataset_stats and the stats command read each
+sample's files once.  Quartiles use linear interpolation between
 order statistics and outliers follow the standard 1.5*IQR box rule.
 """
 
@@ -14,9 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataio import SplitManifest, read_events_file, read_feature_file
+from .dataio import SplitManifest, load_sample, read_feature_file
 from .errors import EmptyStreamError, MissingFeaturesError
-from .events import GestureClass
+from .events import GestureClass, SampleRecord
 
 MICROS_PER_SECOND = 1_000_000.0
 
@@ -79,14 +81,87 @@ def frame_length_histogram(manifest: SplitManifest,
 
     Raises MissingFeaturesError when an entry has no feature file.
     """
-    if bin_width < 1:
-        raise ValueError(f"bin width must be >= 1, got {bin_width}")
-    lengths = []
+    _require_features(manifest)
+    return _length_histogram(
+        [len(read_feature_file(manifest.path_of(e.features)))
+         for e in manifest.entries], bin_width)
+
+
+def class_counts(manifest: SplitManifest) -> Dict[str, int]:
+    """Exact sample counts for every gesture class, zeros included."""
+    return _class_counts(manifest.entries)
+
+
+def event_time_sum(manifest: SplitManifest) -> Dict[str, float]:
+    """Per class, the sum over samples of (t_last - t_first) in seconds.
+
+    Zero-event streams contribute nothing and raise a warning.
+    """
+    return _time_sums(_load_all(manifest))
+
+
+def polarity_box_stats(manifest: SplitManifest) -> Dict[str, ClassStats]:
+    """Per class and polarity, box summaries of per-sample event counts.
+
+    Only classes with at least one sample appear in the result.
+    """
+    return _polarity_boxes(_load_all(manifest))
+
+
+@dataclass(frozen=True)
+class DatasetSummary:
+    """Every analysis of one set of loaded samples."""
+
+    n_samples: int
+    frame_histogram: Dict[str, List[int]]
+    class_counts: Dict[str, int]
+    event_time_sum_s: Dict[str, float]
+    polarity_boxes: Dict[str, ClassStats]
+
+    def to_dict(self) -> dict:
+        return {
+            "n_samples": self.n_samples,
+            "frame_histogram": self.frame_histogram,
+            "class_counts": self.class_counts,
+            "event_time_sum_s": self.event_time_sum_s,
+            "polarity_boxes": {k: v.to_dict()
+                               for k, v in self.polarity_boxes.items()},
+        }
+
+
+def summarize(samples: Sequence[SampleRecord], bin_width: int = 100) -> DatasetSummary:
+    """All analyses in one pass over samples already in memory.  The frame
+    histogram covers the samples that carry features."""
+    lengths = [len(s.features) for s in samples if s.features is not None]
+    return DatasetSummary(
+        n_samples=len(samples),
+        frame_histogram=_length_histogram(lengths, bin_width),
+        class_counts=_class_counts(samples),
+        event_time_sum_s=_time_sums(samples),
+        polarity_boxes=_polarity_boxes(samples),
+    )
+
+
+def dataset_stats(manifest: SplitManifest, bin_width: int = 100) -> dict:
+    """One JSON-ready document bundling every analysis; each sample is read
+    once.  Raises MissingFeaturesError when an entry has no feature file."""
+    _require_features(manifest)
+    return summarize(_load_all(manifest), bin_width).to_dict()
+
+
+def _require_features(manifest: SplitManifest) -> None:
     for e in manifest.entries:
         if e.features is None:
             raise MissingFeaturesError(f"sample {e.id!r} has no feature file")
-        seq = read_feature_file(manifest.path_of(e.features))
-        lengths.append(len(seq))
+
+
+def _load_all(manifest: SplitManifest) -> List[SampleRecord]:
+    return [load_sample(manifest, e.id) for e in manifest.entries]
+
+
+def _length_histogram(lengths: Sequence[int], bin_width: int) -> Dict[str, List[int]]:
+    if bin_width < 1:
+        raise ValueError(f"bin width must be >= 1, got {bin_width}")
     if not lengths:
         return {"bin_edges": [], "counts": []}
     n_bins = max(lengths) // bin_width + 1
@@ -95,38 +170,29 @@ def frame_length_histogram(manifest: SplitManifest,
     return {"bin_edges": edges, "counts": counts.tolist()}
 
 
-def class_counts(manifest: SplitManifest) -> Dict[str, int]:
-    """Exact sample counts for every gesture class, zeros included."""
+def _class_counts(items) -> Dict[str, int]:
+    """items: anything with a .gesture (manifest entries or samples)."""
     counts = {g.value: 0 for g in GestureClass}
-    for e in manifest.entries:
-        counts[e.gesture.value] += 1
+    for item in items:
+        counts[item.gesture.value] += 1
     return counts
 
 
-def event_time_sum(manifest: SplitManifest) -> Dict[str, float]:
-    """Per class, the sum over samples of (t_last - t_first) in seconds.
-
-    Zero-event streams contribute nothing and raise a warning.
-    """
+def _time_sums(samples: Sequence[SampleRecord]) -> Dict[str, float]:
     sums = {g.value: 0.0 for g in GestureClass}
-    for e in manifest.entries:
-        stream = read_events_file(manifest.path_of(e.events))
-        if len(stream) == 0:
-            warnings.warn(f"sample {e.id!r}: empty event stream skipped")
+    for s in samples:
+        if len(s.events) == 0:
+            warnings.warn(f"sample {s.id!r}: empty event stream skipped")
             continue
-        sums[e.gesture.value] += stream.duration_us() / MICROS_PER_SECOND
+        sums[s.gesture.value] += s.events.duration_us() / MICROS_PER_SECOND
     return sums
 
 
-def polarity_box_stats(manifest: SplitManifest) -> Dict[str, ClassStats]:
-    """Per class and polarity, box summaries of per-sample event counts.
-
-    Only classes with at least one sample appear in the result.
-    """
+def _polarity_boxes(samples: Sequence[SampleRecord]) -> Dict[str, ClassStats]:
     per_class: Dict[str, dict] = {}
-    for e in manifest.entries:
-        stream = read_events_file(manifest.path_of(e.events))
-        d = per_class.setdefault(e.gesture.value,
+    for s in samples:
+        stream = s.events
+        d = per_class.setdefault(s.gesture.value,
                                  {"count": 0, "time": 0.0, "pos": [], "neg": []})
         d["count"] += 1
         if len(stream):
@@ -146,18 +212,6 @@ def polarity_box_stats(manifest: SplitManifest) -> Dict[str, ClassStats]:
             negative=FiveNumber.from_values(d["neg"]),
         )
     return out
-
-
-def dataset_stats(manifest: SplitManifest, bin_width: int = 100) -> dict:
-    """One JSON-ready document bundling every analysis."""
-    return {
-        "n_samples": len(manifest.entries),
-        "frame_histogram": frame_length_histogram(manifest, bin_width),
-        "class_counts": class_counts(manifest),
-        "event_time_sum_s": event_time_sum(manifest),
-        "polarity_boxes": {k: v.to_dict()
-                           for k, v in polarity_box_stats(manifest).items()},
-    }
 
 
 # -- CSV emitters (one per analysis) ----------------------------------------------

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .encode import dense_spike_planes, downsample_planes, scale_planes
+from .encode import dense_spike_planes, scale_planes
 from .errors import (
     DimMismatchError,
     DivergedLossError,
@@ -251,9 +251,7 @@ def prepare_tensors(samples: Sequence[SampleRecord], k: int, *,
             continue
         labels.append(index[key])
         if with_planes:
-            p = dense_spike_planes(s.events, k)
-            if downsample > 1:
-                p = downsample_planes(p, downsample)
+            p = dense_spike_planes(s.events, k, factor=max(downsample, 1))
             planes_list.append(scale_planes(p, scale_mode))
         if with_features:
             if s.features is None:

@@ -114,8 +114,8 @@ def test_find_position_matches_oracle_randomized():
 
 
 def test_comparison_count_within_bound():
-    # total probes across escalation stay within alpha_final*ceil(log2 N) + 4
-    # when inter-event gaps are small (alpha_final <= 3 for gaps in {0,1,2})
+    # probes stay within alpha_final*ceil(log2 N) + 4 when inter-event gaps
+    # are small (alpha_final <= 3 for gaps in {0,1,2})
     rng = np.random.default_rng(5)
     for _ in range(100):
         n = int(rng.integers(2, 5000))
@@ -127,6 +127,38 @@ def test_comparison_count_within_bound():
             continue
         bound = tr.alpha_final * int(np.ceil(np.log2(n))) + 4
         assert tr.comparisons <= bound
+
+
+def test_find_position_in_quiet_gaps_matches_oracle_within_one_descent():
+    # bursts of dense events separated by quiet gaps of up to 5 s, with tags
+    # anywhere inside the gaps: the result matches the escalating-tolerance
+    # oracle and the cost stays one descent, whatever the gap length
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        bursts = [np.cumsum(rng.integers(0, 4, size=int(rng.integers(1, 3000))))
+                  for _ in range(int(rng.integers(1, 6)))]
+        gaps = rng.integers(1, 5_000_001, size=len(bursts))
+        times, offset = [], 0
+        for burst, gap in zip(bursts, gaps):
+            times.append(burst + offset)
+            offset = int(times[-1][-1]) + int(gap)
+        times = np.concatenate(times)
+        n = times.size
+        edges = np.nonzero(np.diff(times) > 4)[0]
+        for _ in range(5):
+            if edges.size and rng.random() < 0.8:
+                i = int(rng.choice(edges))
+                tag = int(rng.integers(times[i], times[i + 1] + 1))
+            else:
+                tag = int(rng.integers(times[0] - 3, times[-1] + 4))
+            tr = SearchTrace()
+            got = find_position(tag, times, tr)
+            want_idx, want_alpha, want_clamp = oracle_find(times, tag)
+            assert (got, tr.clamped) == (want_idx, want_clamp)
+            if not want_clamp:
+                assert tr.alpha_final == want_alpha
+                assert tr.comparisons <= int(np.ceil(np.log2(n))) + 1
+                assert tr.comparisons == len(tr.visited)
 
 
 def test_alpha_final_near_optimal():

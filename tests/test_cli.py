@@ -297,6 +297,49 @@ def test_train_config_invalid_json(tmp_path, capsys):
                  "--out", str(tmp_path / "m.ckpt")]) == 1
 
 
+def run_cli(*args):
+    """Run the command line in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["gestemo.cli"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gestemo.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_train_config_bad_value_type_is_usage_error(tmp_path):
+    manifest = small_corpus(tmp_path)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"epochs": "abc"}))
+    proc = run_cli("train", manifest, "--config", str(cfg),
+                   "--out", str(tmp_path / "m.ckpt"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().endswith("epochs must be int, got 'abc'")
+
+
+def test_stats_bad_bin_width_is_usage_error(tmp_path, capsys):
+    manifest = small_corpus(tmp_path)
+    assert main(["stats", manifest, "--bin-width", "0",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert "--bin-width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_features_are_data_errors(tmp_path, capsys, value):
+    manifest = small_corpus(tmp_path)
+    m = read_manifest(manifest)
+    for e in m.entries:
+        with open(m.path_of(e.features), "a") as f:
+            f.write(f"{value} 0 0\n")
+    assert main(["stats", manifest, "--out", str(tmp_path / "s")]) == 2
+    assert main(["train", manifest, *FAST_TRAIN,
+                 "--out", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite value" in err
+    assert err.strip().splitlines()[-1].startswith("error: ")
+
+
 def test_train_divergence_exit_code(tmp_path, capsys):
     manifest = small_corpus(tmp_path)
     assert main(["train", manifest, "--out", str(tmp_path / "m.ckpt"),

@@ -2,9 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gestemo.dataio import (
     FrameFeatureSequence,
+    _parse_feature_rows_slow,
+    _parse_int_rows,
+    _parse_int_rows_slow,
     ManifestEntry,
     SplitManifest,
     load_sample,
@@ -23,7 +28,15 @@ from gestemo.errors import (
     UnknownIdError,
     UnknownLabelError,
 )
-from gestemo.events import DAVIS346, EmotionClass, GestureClass, StreamSpec, synth_stream
+from gestemo.events import (
+    DAVIS346,
+    EmotionClass,
+    EventStream,
+    Geometry,
+    GestureClass,
+    StreamSpec,
+    synth_stream,
+)
 
 
 def test_events_file_roundtrip_empty(tmp_path):
@@ -58,6 +71,90 @@ def test_events_file_bad_cell(tmp_path):
     with pytest.raises(ParseError) as ei:
         read_events_file(p)
     assert ei.value.line == 2
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,1,1", "expected 4 fields, got 3"),
+    ("2,1,x,1", "non-integer value 'x'"),
+])
+def test_events_file_error_names_file_line_after_blank_lines(tmp_path, row, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"t,x,y,p geometry=346x260\n0,1,1,1\n\n  \n{row}\n")
+    with pytest.raises(ParseError) as ei:
+        read_events_file(p)
+    assert ei.value.line == 5
+    assert str(ei.value) == f"{p}:5: {message}"
+
+
+def test_events_file_refuses_hash_rows(tmp_path):
+    p = tmp_path / "e.csv"
+    p.write_text("t,x,y,p geometry=346x260\n0,1,1,1\n#1,1,1,1\n")
+    with pytest.raises(ParseError) as ei:
+        read_events_file(p)
+    assert ei.value.line == 3
+
+
+@st.composite
+def event_streams(draw):
+    g = Geometry(draw(st.integers(1, 400)), draw(st.integers(1, 300)))
+    n = draw(st.integers(0, 40))
+    t = sorted(draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)))
+    x = draw(st.lists(st.integers(0, g.width - 1), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, g.height - 1), min_size=n, max_size=n))
+    p = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return EventStream.from_arrays(t, x, y, p, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(event_streams())
+def test_events_file_write_read_property(tmp_path_factory, stream):
+    p = tmp_path_factory.mktemp("ev") / "e.csv"
+    write_events_file(stream, p)
+    assert read_events_file(p) == stream
+
+
+def _outcome(parse, *args):
+    try:
+        return "ok", parse(*args).tolist()
+    except ParseError as e:
+        return type(e).__name__, str(e), e.line
+
+
+def _bodies(fields, sep):
+    """File bodies built from rows of the given fields, plus free text."""
+    row = st.lists(st.sampled_from(fields), min_size=1, max_size=5).map(sep.join)
+    lines = st.lists(row | st.sampled_from(["", "  "]), max_size=6).map("\n".join)
+    return lines | st.text(alphabet="".join(set("".join(fields) + sep + "\n")),
+                           max_size=40)
+
+
+_INT_BODY = _bodies(["0", "17", "-3", "+4", " 5 ", "\t6", "", "x", "#1", "1.0",
+                     "1_0", "99999999999999999999"], ",")
+_FLOAT_BODY = _bodies(["1", "-2.5", "+.5e-3", "nan", "inf", "-inf", "1e400",
+                       "1_0", "x", "#"], " ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INT_BODY)
+def test_fast_int_parse_matches_row_by_row(body):
+    fast = _outcome(_parse_int_rows, body, "f.csv", 4, ",")
+    slow = _outcome(_parse_int_rows_slow, body, "f.csv", 4, ",")
+    if body.strip():
+        assert fast == slow
+    else:
+        assert fast == ("ok", [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLOAT_BODY, st.integers(1, 3))
+def test_fast_feature_parse_matches_row_by_row(tmp_path_factory, body, dim):
+    p = tmp_path_factory.mktemp("ft") / "f.txt"
+    p.write_text(f"D={dim}\n{body}")
+    fast = _outcome(lambda: read_feature_file(p).vectors)
+    if body.strip():
+        assert fast == _outcome(_parse_feature_rows_slow, body, p, dim)
+    else:
+        assert fast[0] == "ParseError" and "no rows" in fast[1]
 
 
 def test_events_file_bad_header(tmp_path):
@@ -96,6 +193,16 @@ def test_feature_file_ragged(tmp_path):
     p.write_text("D=3\n1 0 0\n0 1\n")
     with pytest.raises(RaggedRowsError):
         read_feature_file(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_feature_file_refuses_non_finite(tmp_path, value):
+    p = tmp_path / "f.txt"
+    p.write_text(f"D=2\n1 2\n\n0.5 {value}\n")
+    with pytest.raises(ParseError) as ei:
+        read_feature_file(p)
+    assert ei.value.line == 4
+    assert str(ei.value) == f"{p}:4: non-finite value"
 
 
 def test_normalized_front_and_back_padding():

@@ -11,7 +11,17 @@ from gestemo.encode import (
     write_planes_file,
 )
 from gestemo.errors import BadFactorError, BadKError, EmptyStreamError
-from gestemo.events import DAVIS346, EventStream, Geometry, StreamSpec, synth_stream
+from gestemo.events import (
+    DAVIS346,
+    EmotionClass,
+    EventStream,
+    Geometry,
+    GestureClass,
+    SampleRecord,
+    StreamSpec,
+    synth_stream,
+)
+from gestemo.training import prepare_tensors
 
 
 def brute_force_planes(stream, k):
@@ -121,11 +131,33 @@ def test_downsample_pads_and_conserves():
     assert down.total == planes.total
 
 
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 5])
+def test_pooled_encoding_equals_downsampled_full_planes(factor):
+    samples = [SampleRecord(id=str(i), gesture=GestureClass.OK,
+                            emotion=EmotionClass.NEUTRAL,
+                            events=synth_stream(StreamSpec(g, 50_000, n), seed=i))
+               for i, (g, n) in enumerate([(Geometry(11, 7), 300),
+                                           (Geometry(11, 7), 5)])]
+    data = prepare_tensors(samples, 4, downsample=factor, scale_mode="none",
+                           target="emotion", with_features=False)
+    for s, got in zip(samples, data.planes):
+        want = downsample_planes(dense_spike_planes(s.events, 4), factor)
+        assert np.array_equal(got, want.counts.astype(np.float64))
+    for g in (Geometry(13, 9), DAVIS346):
+        s = synth_stream(StreamSpec(g, 50_000, 400), seed=factor)
+        direct = dense_spike_planes(s, 3, factor=factor)
+        pooled = downsample_planes(dense_spike_planes(s, 3), factor)
+        assert direct.geometry == pooled.geometry
+        assert np.array_equal(direct.counts, pooled.counts)
+
+
 def test_downsample_bad_factor():
     s = synth_stream(StreamSpec(DAVIS346, 1000, 4), seed=0)
     planes = dense_spike_planes(s, k=1)
     with pytest.raises(BadFactorError):
         downsample_planes(planes, 0)
+    with pytest.raises(BadFactorError):
+        dense_spike_planes(s, 1, factor=0)
 
 
 def test_scale_modes():
