@@ -32,7 +32,6 @@ from .dataio import (
 from .encode import (
     DenseSpikePlanes,
     dense_spike_planes,
-    downsample_planes,
     write_planes_file,
 )
 from .errors import DataError, DivergedLossError, GestemoError
@@ -174,6 +173,11 @@ def cmd_synth(ns) -> int:
     return EXIT_OK
 
 
+def _check_downsample(factor: int) -> None:
+    if factor < 1:
+        raise _UsageError(f"downsample must be >= 1, got {factor}")
+
+
 def _read_tags(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as f:
         vals = [line.strip() for line in f if line.strip()]
@@ -212,10 +216,9 @@ def cmd_encode(ns) -> int:
         raise _UsageError(
             f"scale mode {ns.scale_mode!r} does not produce integer planes; "
             "use none or clip01 for file output")
+    _check_downsample(ns.downsample)
     stream = read_events_file(ns.events)
-    planes = dense_spike_planes(stream, ns.k)
-    if ns.downsample and ns.downsample > 1:
-        planes = downsample_planes(planes, ns.downsample)
+    planes = dense_spike_planes(stream, ns.k, factor=ns.downsample)
     if ns.scale_mode == "clip01":
         planes = DenseSpikePlanes(planes.k, planes.geometry,
                                   np.minimum(planes.counts, 1))
@@ -233,17 +236,20 @@ def cmd_stats(ns) -> int:
     if ns.bin_width < 1:
         raise _UsageError(f"--bin-width must be >= 1, got {ns.bin_width}")
     manifest = read_manifest(ns.manifest)
-    samples = []
-    for e in manifest.entries:
-        try:
-            samples.append(load_sample(manifest, e.id))
-        except (GestemoError, OSError) as exc:
-            print(f"warning: skipping sample {e.id!r}: {exc}", file=sys.stderr)
-    if not samples:
+
+    def readable():
+        for e in manifest.entries:
+            try:
+                sample = load_sample(manifest, e.id)
+            except (GestemoError, OSError) as exc:
+                print(f"warning: skipping sample {e.id!r}: {exc}", file=sys.stderr)
+                continue
+            yield sample
+    summary = summarize(readable(), ns.bin_width)
+    if summary.n_samples == 0:
         raise DataError("no readable samples in manifest")
-    if all(s.features is None for s in samples):
+    if not summary.frame_histogram["counts"]:
         print("warning: no feature files; frame histogram empty", file=sys.stderr)
-    summary = summarize(samples, ns.bin_width)
     os.makedirs(ns.out, exist_ok=True)
 
     def emit(name: str, lines: List[str]) -> None:
@@ -256,7 +262,7 @@ def cmd_stats(ns) -> int:
     emit("class_counts.csv", class_counts_csv(summary.class_counts))
     emit("time_sum.csv", time_sum_csv(summary.event_time_sum_s))
     emit("polarity_box.csv", polarity_box_csv(summary.polarity_boxes))
-    print(f"wrote stats for {len(samples)} samples to {os.path.abspath(ns.out)}")
+    print(f"wrote stats for {summary.n_samples} samples to {os.path.abspath(ns.out)}")
     return EXIT_OK
 
 
@@ -281,6 +287,7 @@ def _load_split(manifest: SplitManifest, split: str, cfg: Dict[str, object],
 
 def cmd_train(ns) -> int:
     cfg = merge_config(ns, TRAIN_DEFAULTS)
+    _check_downsample(int(cfg["downsample"]))
     _set_threads(int(cfg["threads"]))
     manifest = read_manifest(ns.manifest)
     target = str(cfg["target"])

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -46,6 +47,10 @@ from .events import (
 
 #: default frame-count normalization for feature sequences
 DEFAULT_FRAME_LIMIT = 100
+
+#: rows per write in write_events_file, so the file text never sits whole
+#: in memory
+_WRITE_CHUNK = 65_536
 
 _EVENT_HEADER = re.compile(r"^t,x,y,p geometry=(\d+)x(\d+)$")
 _FEATURE_HEADER = re.compile(r"^D=(\d+)$")
@@ -106,11 +111,13 @@ def read_events_file(path) -> EventStream:
 def write_events_file(stream: EventStream, path) -> None:
     """Inverse of read_events_file: round-trips to an equal stream."""
     g = stream.geometry
-    cols = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(),
-            stream.p.tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"t,x,y,p geometry={g.width}x{g.height}\n")
-        f.write("".join(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(*cols)))
+        for lo in range(0, len(stream), _WRITE_CHUNK):
+            part = slice(lo, lo + _WRITE_CHUNK)
+            cols = (stream.t[part].tolist(), stream.x[part].tolist(),
+                    stream.y[part].tolist(), stream.p[part].tolist())
+            f.write("".join(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(*cols)))
 
 
 def read_feature_file(path) -> FrameFeatureSequence:
@@ -165,11 +172,15 @@ def _fast_rows(body: str, dtype, n_cols: int, delimiter) -> Optional[np.ndarray]
     """One C-level parse of a non-blank file body into an (N, n_cols) array
     of finite values, or None where it refuses; the caller then parses row
     by row, which either accepts the body or names the offending line.
-    comments=None keeps a row that starts with '#' from being skipped."""
+    comments=None keeps a row that starts with '#' from being skipped.  A
+    warning counts as a refusal: some numpy versions parse an integer field
+    such as '1.5' through float, truncating it, and only warn."""
     try:
-        rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=delimiter,
-                          ndmin=2, comments=None)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=delimiter,
+                              ndmin=2, comments=None)
+    except (ValueError, Warning):
         return None
     if rows.shape[1] != n_cols or not np.isfinite(rows).all():
         return None

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataio import SplitManifest, load_sample, read_feature_file
+from .dataio import SplitManifest, load_sample, read_events_file, read_feature_file
 from .errors import EmptyStreamError, MissingFeaturesError
-from .events import GestureClass, SampleRecord
+from .events import EventStream, GestureClass, SampleRecord
 
 MICROS_PER_SECOND = 1_000_000.0
 
@@ -97,7 +97,8 @@ def event_time_sum(manifest: SplitManifest) -> Dict[str, float]:
 
     Zero-event streams contribute nothing and raise a warning.
     """
-    return _time_sums(_load_all(manifest))
+    return _time_sums([_facts(e.id, e.gesture, _read_events(manifest, e))
+                       for e in manifest.entries])
 
 
 def polarity_box_stats(manifest: SplitManifest) -> Dict[str, ClassStats]:
@@ -105,7 +106,8 @@ def polarity_box_stats(manifest: SplitManifest) -> Dict[str, ClassStats]:
 
     Only classes with at least one sample appear in the result.
     """
-    return _polarity_boxes(_load_all(manifest))
+    return _polarity_boxes([_facts(e.id, e.gesture, _read_events(manifest, e))
+                            for e in manifest.entries])
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,19 @@ class DatasetSummary:
         }
 
 
-def summarize(samples: Sequence[SampleRecord], bin_width: int = 100) -> DatasetSummary:
-    """All analyses in one pass over samples already in memory.  The frame
-    histogram covers the samples that carry features."""
-    lengths = [len(s.features) for s in samples if s.features is not None]
+def summarize(samples: Iterable[SampleRecord], bin_width: int = 100) -> DatasetSummary:
+    """All analyses in one pass over samples.  Each sample is reduced to a
+    few numbers as it arrives, so a generator that loads samples one at a
+    time keeps only one sample's events in memory.  The frame histogram
+    covers the samples that carry features."""
+    facts = [_facts(s.id, s.gesture, s.events, s.features) for s in samples]
     return DatasetSummary(
-        n_samples=len(samples),
-        frame_histogram=_length_histogram(lengths, bin_width),
-        class_counts=_class_counts(samples),
-        event_time_sum_s=_time_sums(samples),
-        polarity_boxes=_polarity_boxes(samples),
+        n_samples=len(facts),
+        frame_histogram=_length_histogram(
+            [f.n_frames for f in facts if f.n_frames is not None], bin_width),
+        class_counts=_class_counts(facts),
+        event_time_sum_s=_time_sums(facts),
+        polarity_boxes=_polarity_boxes(facts),
     )
 
 
@@ -146,17 +151,40 @@ def dataset_stats(manifest: SplitManifest, bin_width: int = 100) -> dict:
     """One JSON-ready document bundling every analysis; each sample is read
     once.  Raises MissingFeaturesError when an entry has no feature file."""
     _require_features(manifest)
-    return summarize(_load_all(manifest), bin_width).to_dict()
+    return summarize((load_sample(manifest, e.id) for e in manifest.entries),
+                     bin_width).to_dict()
+
+
+@dataclass(frozen=True)
+class _Facts:
+    """What the analyses need of one sample."""
+
+    id: str
+    gesture: GestureClass
+    n_frames: Optional[int]      # None without features
+    duration_s: Optional[float]  # None for an empty stream
+    n_pos: int
+    n_neg: int
+
+
+def _facts(sample_id: str, gesture: GestureClass, stream: EventStream,
+           features=None) -> _Facts:
+    return _Facts(
+        id=sample_id, gesture=gesture,
+        n_frames=None if features is None else len(features),
+        duration_s=(stream.duration_us() / MICROS_PER_SECOND
+                    if len(stream) else None),
+        n_pos=int((stream.p == 1).sum()), n_neg=int((stream.p == 0).sum()))
+
+
+def _read_events(manifest: SplitManifest, entry) -> EventStream:
+    return read_events_file(manifest.path_of(entry.events))
 
 
 def _require_features(manifest: SplitManifest) -> None:
     for e in manifest.entries:
         if e.features is None:
             raise MissingFeaturesError(f"sample {e.id!r} has no feature file")
-
-
-def _load_all(manifest: SplitManifest) -> List[SampleRecord]:
-    return [load_sample(manifest, e.id) for e in manifest.entries]
 
 
 def _length_histogram(lengths: Sequence[int], bin_width: int) -> Dict[str, List[int]]:
@@ -171,34 +199,33 @@ def _length_histogram(lengths: Sequence[int], bin_width: int) -> Dict[str, List[
 
 
 def _class_counts(items) -> Dict[str, int]:
-    """items: anything with a .gesture (manifest entries or samples)."""
+    """items: anything with a .gesture (manifest entries or sample facts)."""
     counts = {g.value: 0 for g in GestureClass}
     for item in items:
         counts[item.gesture.value] += 1
     return counts
 
 
-def _time_sums(samples: Sequence[SampleRecord]) -> Dict[str, float]:
+def _time_sums(facts: Sequence[_Facts]) -> Dict[str, float]:
     sums = {g.value: 0.0 for g in GestureClass}
-    for s in samples:
-        if len(s.events) == 0:
-            warnings.warn(f"sample {s.id!r}: empty event stream skipped")
+    for f in facts:
+        if f.duration_s is None:
+            warnings.warn(f"sample {f.id!r}: empty event stream skipped")
             continue
-        sums[s.gesture.value] += s.events.duration_us() / MICROS_PER_SECOND
+        sums[f.gesture.value] += f.duration_s
     return sums
 
 
-def _polarity_boxes(samples: Sequence[SampleRecord]) -> Dict[str, ClassStats]:
+def _polarity_boxes(facts: Sequence[_Facts]) -> Dict[str, ClassStats]:
     per_class: Dict[str, dict] = {}
-    for s in samples:
-        stream = s.events
-        d = per_class.setdefault(s.gesture.value,
+    for f in facts:
+        d = per_class.setdefault(f.gesture.value,
                                  {"count": 0, "time": 0.0, "pos": [], "neg": []})
         d["count"] += 1
-        if len(stream):
-            d["time"] += stream.duration_us() / MICROS_PER_SECOND
-        d["pos"].append(int((stream.p == 1).sum()))
-        d["neg"].append(int((stream.p == 0).sum()))
+        if f.duration_s is not None:
+            d["time"] += f.duration_s
+        d["pos"].append(f.n_pos)
+        d["neg"].append(f.n_neg)
     out: Dict[str, ClassStats] = {}
     for g in GestureClass:
         d = per_class.get(g.value)

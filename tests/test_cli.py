@@ -14,7 +14,7 @@ from gestemo.checkpoint import load_checkpoint
 from gestemo.cli import main
 from gestemo.dataio import read_manifest, write_events_file, write_feature_file
 from gestemo.dataio import FrameFeatureSequence
-from gestemo.encode import dense_spike_planes, read_planes_file
+from gestemo.encode import dense_spike_planes, downsample_planes, read_planes_file
 from gestemo.events import EventStream, Geometry, GestureClass, StreamSpec, synth_stream
 from gestemo.synth import DatasetSpec, build_dataset
 
@@ -131,6 +131,33 @@ def test_encode_reports_conservation(tmp_path, capsys):
     assert main(["encode", str(ev), "--out", str(tmp_path / "p.txt"),
                  "--k", "5", "--downsample", "2"]) == 0
     assert "conserved=yes" in capsys.readouterr().out
+
+
+def test_encode_downsample_equals_pooled_full_planes(tmp_path, capsys):
+    stream = synth_stream(StreamSpec(Geometry(12, 10), 80_000, 50), seed=1)
+    ev = tmp_path / "events.csv"
+    write_events_file(stream, ev)
+    assert main(["encode", str(ev), "--out", str(tmp_path / "p.txt"),
+                 "--k", "5", "--downsample", "3"]) == 0
+    want = downsample_planes(dense_spike_planes(stream, 5), 3)
+    back = read_planes_file(tmp_path / "p.txt")
+    assert back.geometry == want.geometry
+    assert np.array_equal(back.counts, want.counts)
+
+
+def test_downsample_below_one_is_usage_error(tmp_path, capsys):
+    stream = synth_stream(StreamSpec(Geometry(12, 10), 80_000, 50), seed=1)
+    ev = tmp_path / "events.csv"
+    write_events_file(stream, ev)
+    assert main(["encode", str(ev), "--out", str(tmp_path / "p.txt"),
+                 "--downsample", "0"]) == 1
+    manifest = small_corpus(tmp_path)
+    assert main(["train", manifest, *FAST_TRAIN, "--downsample", "-3",
+                 "--out", str(tmp_path / "m.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert "downsample must be >= 1, got 0" in err
+    assert "downsample must be >= 1, got -3" in err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_encode_clip01_planes_are_binary(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gestemo import dataio
 from gestemo.dataio import (
     FrameFeatureSequence,
     _parse_feature_rows_slow,
@@ -92,6 +94,41 @@ def test_events_file_refuses_hash_rows(tmp_path):
     with pytest.raises(ParseError) as ei:
         read_events_file(p)
     assert ei.value.line == 3
+
+
+@pytest.mark.parametrize("cell", ["1.0", "1e3", "1.5"])
+def test_events_file_refuses_float_text(tmp_path, cell):
+    p = tmp_path / "e.csv"
+    p.write_text(f"t,x,y,p geometry=346x260\n{cell},1,1,1\n")
+    with pytest.raises(ParseError) as ei:
+        read_events_file(p)
+    assert str(ei.value) == f"{p}:2: non-integer value {cell!r}"
+
+
+def test_loadtxt_warning_falls_back_to_row_by_row(tmp_path, monkeypatch):
+    # numpy versions that parse '1.5' into an int64 column through float
+    # warn instead of refusing; the warning must not let the value through
+    def lenient_loadtxt(*args, **kwargs):
+        warnings.warn("Parsing an integer via a float is deprecated",
+                      DeprecationWarning)
+        return np.array([[1, 1, 1, 1]])
+    monkeypatch.setattr(dataio.np, "loadtxt", lenient_loadtxt)
+    p = tmp_path / "e.csv"
+    p.write_text("t,x,y,p geometry=346x260\n1.5,1,1,1\n")
+    with pytest.raises(ParseError) as ei:
+        read_events_file(p)
+    assert ei.value.line == 2
+
+
+def test_events_file_written_in_chunks_is_byte_identical(tmp_path, monkeypatch):
+    stream = synth_stream(StreamSpec(Geometry(20, 10), 9_000, 10), seed=3)
+    monkeypatch.setattr(dataio, "_WRITE_CHUNK", 3)
+    p = tmp_path / "e.csv"
+    write_events_file(stream, p)
+    rows = "".join(f"{t},{x},{y},{q}\n" for t, x, y, q in
+                   zip(stream.t, stream.x, stream.y, stream.p))
+    assert p.read_text() == "t,x,y,p geometry=20x10\n" + rows
+    assert read_events_file(p) == stream
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Quartiles, histograms, and per-class rollups against hand-checked
 fixtures written through the normal file formats."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gestemo.dataio import (
     FrameFeatureSequence,
     ManifestEntry,
     SplitManifest,
+    load_sample,
     write_events_file,
     write_feature_file,
 )
@@ -30,6 +33,7 @@ from gestemo.stats import (
     frame_length_histogram,
     polarity_box_csv,
     polarity_box_stats,
+    summarize,
     time_sum_csv,
 )
 
@@ -182,6 +186,25 @@ def test_dataset_stats_deterministic(tmp_path):
     second = dataset_stats(m)
     assert first == second
     assert first["n_samples"] == 2
+
+
+def test_summarize_holds_one_sample_at_a_time(tmp_path):
+    m = build_corpus(tmp_path, [
+        (sid, GestureClass.OK, stream_with_duration(1000, 8, i), 12)
+        for i, sid in enumerate("abcd")
+    ])
+    refs = []
+
+    def samples():
+        for e in m.entries:
+            # only the sample being summarized may still be alive
+            assert sum(r() is not None for r in refs) <= 1
+            s = load_sample(m, e.id)
+            refs.append(weakref.ref(s.events.t))
+            yield s
+            del s
+    assert summarize(samples()).to_dict() == dataset_stats(m)
+    assert len(refs) == 4 and all(r() is None for r in refs)
 
 
 def test_csv_emitters(tmp_path):
