@@ -14,13 +14,18 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import GestemoError, ParseError
 from .fusion import FusionConfig, HeadParams, RecurrentParams
 from .snn import LifConfig, SnnArchitecture
 from .training import ModelParams
 
 FORMAT_TAG = "gestemo.ckpt"
 FORMAT_VERSION = 1
+
+#: header keys every checkpoint carries beside format and version, with
+#: their JSON types
+_HEADER_TYPES = {"seed": int, "arch": dict, "lif": dict, "fusion": dict,
+                 "label_space": list, "tensors": list, "extra": dict}
 
 _LSTM_KEYS = ("lstm.wx", "lstm.wh", "lstm.b")
 _HEAD_KEYS = ("head.w1", "head.b1", "head.w2", "head.b2")
@@ -61,6 +66,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             f.write(np.ascontiguousarray(tensors[n], dtype="<f8").tobytes())
 
 
+def _is_tensor_spec(t) -> bool:
+    return (isinstance(t, dict) and isinstance(t.get("name"), str)
+            and isinstance(t.get("shape"), list)
+            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
+                    for d in t["shape"]))
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         data = f.read()
@@ -71,11 +83,27 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(data[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: bad header ({e})")
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: header is not a JSON object")
     if header.get("format") != FORMAT_TAG:
         raise ParseError(f"{path}: not a checkpoint file "
                          f"(format={header.get('format')!r})")
     if header.get("version") != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported version {header.get('version')!r}")
+    for key, kind in _HEADER_TYPES.items():
+        value = header.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ParseError(f"{path}: header key {key!r} must be a JSON "
+                             f"{kind.__name__}, got {value!r}")
+    if not all(map(_is_tensor_spec, header["tensors"])) \
+            or not all(isinstance(v, str) for v in header["label_space"]):
+        raise ParseError(f"{path}: malformed tensor list or label space in header")
+    try:
+        arch = SnnArchitecture.from_dict(header["arch"])
+        lif = LifConfig.from_dict(header["lif"])
+        fusion = FusionConfig.from_dict(header["fusion"])
+    except (KeyError, TypeError, ValueError, GestemoError) as e:
+        raise ParseError(f"{path}: bad model description in header ({e!r})")
     blob = data[nl + 1:]
     sizes = [int(np.prod(t["shape"], dtype=np.int64)) for t in header["tensors"]]
     if len(blob) != 8 * sum(sizes):
@@ -98,12 +126,6 @@ def load_checkpoint(path) -> Checkpoint:
     if all(k in arrays for k in _HEAD_KEYS):
         model.head = HeadParams(arrays["head.w1"], arrays["head.b1"],
                                 arrays["head.w2"], arrays["head.b2"])
-    return Checkpoint(
-        model=model,
-        arch=SnnArchitecture.from_dict(header["arch"]),
-        lif=LifConfig.from_dict(header["lif"]),
-        fusion=FusionConfig.from_dict(header["fusion"]),
-        seed=header["seed"],
-        label_space=tuple(header["label_space"]),
-        extra=header.get("extra", {}),
-    )
+    return Checkpoint(model=model, arch=arch, lif=lif, fusion=fusion,
+                      seed=header["seed"], label_space=tuple(header["label_space"]),
+                      extra=header["extra"])

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .dataio import (
     write_manifest,
 )
 from .encode import (
+    SCALE_MODES,
     DenseSpikePlanes,
     dense_spike_planes,
     write_planes_file,
@@ -37,7 +39,7 @@ from .encode import (
 from .errors import DataError, DivergedLossError, GestemoError
 from .events import DAVIS346, EmotionClass, Geometry, GestureClass
 from .fusion import FusionConfig, predict
-from .snn import LifConfig, default_architecture
+from .snn import RESET_MODES, LifConfig, default_architecture
 from .stats import (
     class_counts_csv,
     frame_histogram_csv,
@@ -47,6 +49,8 @@ from .stats import (
 )
 from .synth import DatasetSpec, build_dataset
 from .training import (
+    BRANCHES,
+    MODES,
     TrainConfig,
     TrainData,
     emotion_report,
@@ -92,7 +96,6 @@ TRAIN_DEFAULTS: Dict[str, object] = {
     "head_mid": 64,
     "frame_limit": 100,
     "seed": 0,
-    "threads": 1,
     "split": "train",
     "target": "emotion",
     "lif_beta": 0.9,
@@ -132,15 +135,45 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
     return merged
 
 
-def _set_threads(n: int) -> None:
-    """Best-effort BLAS thread cap; harmless no-op when unavailable."""
-    if n <= 0:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass
+#: valid range of each numeric training option, as (test, wording); NaN
+#: fails every test
+TRAIN_RANGES: Dict[str, Tuple[Callable[[float], bool], str]] = {
+    "k": (lambda v: v >= 1, ">= 1"),
+    "downsample": (lambda v: v >= 1, ">= 1"),
+    "epochs": (lambda v: v >= 0, ">= 0"),
+    "batch_size": (lambda v: v >= 0, ">= 0 (0 means full batch)"),
+    "hidden": (lambda v: v >= 1, ">= 1"),
+    "head_mid": (lambda v: v >= 1, ">= 1"),
+    "frame_limit": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "lr": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    "lam": (math.isfinite, "finite"),
+    "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "surrogate_width": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    "lif_beta": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "lif_theta": (lambda v: 0 < v < math.inf, "finite and > 0"),
+}
+
+#: allowed values of each string training option
+TRAIN_CHOICES: Dict[str, Tuple[str, ...]] = {
+    "scale_mode": SCALE_MODES,
+    "branch": BRANCHES,
+    "mode": MODES,
+    "target": ("emotion", "gesture"),
+    "lif_reset": RESET_MODES,
+}
+
+
+def check_options(cfg: Dict[str, object]) -> None:
+    """The one validation point for option values: a value out of range or
+    not among its choices is a usage error."""
+    for key, (ok, wording) in TRAIN_RANGES.items():
+        if key in cfg and not ok(cfg[key]):
+            raise _UsageError(f"{key} must be {wording}, got {cfg[key]!r}")
+    for key, choices in TRAIN_CHOICES.items():
+        if key in cfg and cfg[key] not in choices:
+            raise _UsageError(f"{key} must be one of {', '.join(choices)}, "
+                              f"got {cfg[key]!r}")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -171,11 +204,6 @@ def cmd_synth(ns) -> int:
           f"({len(manifest.ids('train'))} train / {len(manifest.ids('test'))} test) "
           f"under {os.path.abspath(ns.out)}")
     return EXIT_OK
-
-
-def _check_downsample(factor: int) -> None:
-    if factor < 1:
-        raise _UsageError(f"downsample must be >= 1, got {factor}")
 
 
 def _read_tags(path) -> np.ndarray:
@@ -216,7 +244,7 @@ def cmd_encode(ns) -> int:
         raise _UsageError(
             f"scale mode {ns.scale_mode!r} does not produce integer planes; "
             "use none or clip01 for file output")
-    _check_downsample(ns.downsample)
+    check_options({"downsample": ns.downsample})
     stream = read_events_file(ns.events)
     planes = dense_spike_planes(stream, ns.k, factor=ns.downsample)
     if ns.scale_mode == "clip01":
@@ -287,12 +315,9 @@ def _load_split(manifest: SplitManifest, split: str, cfg: Dict[str, object],
 
 def cmd_train(ns) -> int:
     cfg = merge_config(ns, TRAIN_DEFAULTS)
-    _check_downsample(int(cfg["downsample"]))
-    _set_threads(int(cfg["threads"]))
+    check_options(cfg)
     manifest = read_manifest(ns.manifest)
     target = str(cfg["target"])
-    if target not in ("emotion", "gesture"):
-        raise _UsageError(f"target must be emotion or gesture, not {target!r}")
     label_space = _label_space(manifest, target)
     if not label_space:
         raise DataError("manifest has no trainable gesture classes")
@@ -493,7 +518,6 @@ def build_parser() -> _Parser:
     p.add_argument("--downsample", type=int, default=1)
     p.add_argument("--scale-mode", dest="scale_mode", default=None,
                    help="none or clip01 (counts stay integers in files)")
-    p.add_argument("--threads", type=int, default=0)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("stats",
@@ -501,7 +525,6 @@ def build_parser() -> _Parser:
     p.add_argument("manifest", help="manifest.json path")
     p.add_argument("--out", default="stats_out", help="output directory")
     p.add_argument("--bin-width", type=int, default=100)
-    p.add_argument("--threads", type=int, default=0)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train",
@@ -510,16 +533,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="model.ckpt", help="checkpoint path")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--downsample", type=int, default=None)
     p.add_argument("--scale-mode", dest="scale_mode", default=None,
-                   choices=("none", "clip01", "divide_by_max"))
+                   choices=TRAIN_CHOICES["scale_mode"])
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--branch", default=None,
-                   choices=("snn_only", "video_only", "fused"))
-    p.add_argument("--mode", default=None, choices=("joint", "separate"))
-    p.add_argument("--target", default=None, choices=("emotion", "gesture"))
+    p.add_argument("--branch", default=None, choices=TRAIN_CHOICES["branch"])
+    p.add_argument("--mode", default=None, choices=TRAIN_CHOICES["mode"])
+    p.add_argument("--target", default=None, choices=TRAIN_CHOICES["target"])
     p.add_argument("--split", default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -533,7 +554,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lif-beta", dest="lif_beta", type=float, default=None)
     p.add_argument("--lif-theta", dest="lif_theta", type=float, default=None)
     p.add_argument("--lif-reset", dest="lif_reset", default=None,
-                   choices=("to_zero", "subtract_theta"))
+                   choices=TRAIN_CHOICES["lif_reset"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval",

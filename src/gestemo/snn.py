@@ -22,6 +22,7 @@ finite-difference tests check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -35,6 +36,10 @@ from .errors import (
 )
 
 DEFAULT_SURROGATE_WIDTH = 0.5
+RESET_MODES = ("to_zero", "subtract_theta")
+
+#: taped spike dtype per spike function; binary spikes are exactly 0 or 1
+_SPIKE_DTYPE = {"binary": np.bool_, "relaxed": np.float64}
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ class LifConfig:
             raise ShapeMismatchError(f"beta must be in (0,1], got {self.beta}")
         if self.theta <= 0.0:
             raise ShapeMismatchError(f"theta must be > 0, got {self.theta}")
-        if self.reset not in ("to_zero", "subtract_theta"):
+        if self.reset not in RESET_MODES:
             raise ShapeMismatchError(f"unknown reset mode {self.reset!r}")
 
     def to_dict(self) -> dict:
@@ -102,6 +107,9 @@ class SnnArchitecture:
     num_classes: int
 
     def __post_init__(self):
+        # tuples keep the architecture hashable, so its plan can be cached
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
         shapes = self.output_shapes()  # raises on incompatibility
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ShapeMismatchError("architecture must end with a Dense layer")
@@ -237,29 +245,53 @@ def lif_step(potential: np.ndarray, input_current: np.ndarray,
     Returns (new_potential, spikes); spikes are exactly 0.0 or 1.0 and fire
     on v' >= theta (threshold equality fires).
     """
-    v = np.asarray(potential, dtype=np.float64)
+    v = np.array(potential, dtype=np.float64)
     i = np.asarray(input_current, dtype=np.float64)
     if v.shape != i.shape:
         raise ShapeMismatchError(f"potential {v.shape} vs current {i.shape}")
-    vp = cfg.beta * v + i
-    s = (vp >= cfg.theta).astype(np.float64)
-    if cfg.reset == "to_zero":
-        v_new = vp * (1.0 - s)
+    s = np.empty(v.shape, dtype=bool)
+    _lif_forward(v, i, np.empty_like(v), s, cfg, DEFAULT_SURROGATE_WIDTH)
+    return v, s.astype(np.float64)
+
+
+def _lif_forward(v: np.ndarray, current: np.ndarray, vp: np.ndarray,
+                 s: np.ndarray, cfg: LifConfig, width: float) -> None:
+    """One step in place: vp = beta*v + current, s = spikes of vp (bool for
+    binary spikes, float for relaxed), v = reset(vp, s)."""
+    np.multiply(v, cfg.beta, out=vp)
+    vp += current
+    if s.dtype == bool:
+        np.greater_equal(vp, cfg.theta, out=s)
     else:
-        v_new = vp - cfg.theta * s
-    return v_new, s
+        s[...] = np.clip((vp - cfg.theta + width) / (2.0 * width), 0.0, 1.0)
+    if cfg.reset == "to_zero":
+        np.multiply(vp, ~s if s.dtype == bool else 1.0 - s, out=v)
+    else:
+        np.multiply(s, cfg.theta, out=v)
+        np.subtract(vp, v, out=v)
 
 
-def _spike(vp: np.ndarray, cfg: LifConfig, fn: str, width: float) -> np.ndarray:
-    if fn == "binary":
-        return (vp >= cfg.theta).astype(np.float64)
-    if fn == "relaxed":
-        return np.clip((vp - cfg.theta + width) / (2.0 * width), 0.0, 1.0)
-    raise ValueError(f"unknown spike function {fn!r}")
-
-
-def _surrogate_deriv(vp: np.ndarray, cfg: LifConfig, width: float) -> np.ndarray:
-    return np.where(np.abs(vp - cfg.theta) < width, 1.0 / (2.0 * width), 0.0)
+def _lif_backward(vp: np.ndarray, s: np.ndarray, d_s: np.ndarray,
+                  dv_carry: np.ndarray, cfg: LifConfig, width: float,
+                  fp: np.ndarray, g_v: np.ndarray) -> np.ndarray:
+    """Gradient with respect to vp for one step, written into the scratch
+    array fp (g_v is scratch too); dv_carry, the gradient reaching this
+    step's v, becomes beta times it."""
+    np.subtract(vp, cfg.theta, out=fp)
+    np.abs(fp, out=fp)
+    np.multiply(fp < width, 1.0 / (2.0 * width), out=fp)   # surrogate d(spike)/dv'
+    if cfg.reset == "to_zero":
+        # d(v'*(1-s))/dv' with s = f(v'), product rule
+        np.multiply(vp, fp, out=g_v)
+        np.subtract(~s if s.dtype == bool else 1.0 - s, g_v, out=g_v)
+    else:
+        np.multiply(fp, cfg.theta, out=g_v)
+        np.subtract(1.0, g_v, out=g_v)
+    g_v *= dv_carry
+    fp *= d_s
+    fp += g_v
+    np.multiply(fp, cfg.beta, out=dv_carry)
+    return fp
 
 
 # -- layer plumbing ---------------------------------------------------------------
@@ -285,6 +317,9 @@ class _Plan:
         self.in_shapes: List[tuple] = []
         self.out_shapes = arch.output_shapes()
         self.col_idx: List[Optional[np.ndarray]] = []
+        # per conv layer: (batch size, row-offset scatter indices) of the
+        # last backward pass
+        self._scatter: Dict[int, Tuple[int, np.ndarray]] = {}
         shape = tuple(arch.input_shape)
         for layer in arch.layers:
             self.in_shapes.append(shape)
@@ -296,27 +331,64 @@ class _Plan:
                 self.col_idx.append(None)
             shape = self.out_shapes[len(self.in_shapes) - 1]
 
+    def cols(self, li: int, x: np.ndarray) -> np.ndarray:
+        """im2col of x (B, C, H, W) for conv layer li: (B, P, K) float64,
+        C-contiguous."""
+        return np.take(_as_float(x).reshape(x.shape[0], -1), self.col_idx[li], axis=1)
+
+    def scatter_index(self, li: int, b: int) -> np.ndarray:
+        """Flat indices into (B * n_in) that col2im adds each column entry to."""
+        hit = self._scatter.get(li)
+        if hit is None or hit[0] != b:
+            n_in = int(np.prod(self.in_shapes[li]))
+            rows = np.arange(b, dtype=np.int64)[:, None] * n_in
+            hit = (b, (rows + self.col_idx[li].ravel()[None, :]).ravel())
+            self._scatter[li] = hit
+        return hit[1]
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(arch: SnnArchitecture) -> _Plan:
+    return _Plan(arch)
+
+
+def _as_float(x: np.ndarray) -> np.ndarray:
+    """Spikes as float64 for a GEMM operand; a bool operand would be cast
+    inside the GEMM, which is slower."""
+    return x.astype(np.float64, copy=False)
+
 
 def _layer_forward(plan: _Plan, li: int, x: np.ndarray,
                    params: Dict[str, np.ndarray]) -> np.ndarray:
     layer = plan.arch.layers[li]
     b = x.shape[0]
     if isinstance(layer, Conv):
-        idx = plan.col_idx[li]
-        cols = x.reshape(b, -1)[:, idx]                         # (B, P, K)
         w2 = params[f"conv{li}.w"].reshape(layer.out_channels, -1)
-        out = cols @ w2.T + params[f"conv{li}.b"]               # (B, P, Cout)
+        out = plan.cols(li, x) @ w2.T                           # (B, P, Cout)
         co, h, w = plan.out_shapes[li]
-        return out.transpose(0, 2, 1).reshape(b, co, h, w)
+        res = np.empty((b, co, h * w))
+        np.add(out.transpose(0, 2, 1), params[f"conv{li}.b"][:, None], out=res)
+        return res.reshape(b, co, h, w)
     if isinstance(layer, Pool):
         c, h, w = plan.in_shapes[li]
         win = layer.window
         hc, wc = (h // win) * win, (w // win) * win
+        if x.dtype == bool:
+            # binary spikes: add (or max) the win*win strided slices as
+            # integers, which is exact
+            u = x.view(np.uint8)
+            parts = [u[:, :, i:hc:win, j:wc:win] for i in range(win) for j in range(win)]
+            if layer.mode == "max":
+                return functools.reduce(np.maximum, parts)
+            acc = parts[0].astype(np.min_scalar_type(win * win))
+            for part in parts[1:]:
+                acc += part
+            return acc
         blocks = x[:, :, :hc, :wc].reshape(b, c, h // win, win, w // win, win)
         if layer.mode == "sum":
             return blocks.sum(axis=(3, 5))
         return blocks.max(axis=(3, 5))
-    flat = x.reshape(b, -1)
+    flat = _as_float(x).reshape(b, -1)
     return flat @ params[f"fc{li}.w"].T + params[f"fc{li}.b"]
 
 
@@ -329,22 +401,19 @@ def _layer_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
     layer = plan.arch.layers[li]
     b = x.shape[0]
     if isinstance(layer, Conv):
-        idx = plan.col_idx[li]
-        cols = x.reshape(b, -1)[:, idx]
         co = layer.out_channels
         d2 = d_out.reshape(b, co, -1).transpose(0, 2, 1)        # (B, P, Cout)
-        grads[f"conv{li}.w"] += np.tensordot(d2, cols, axes=([0, 1], [0, 1])) \
+        grads[f"conv{li}.w"] += np.tensordot(d2, plan.cols(li, x),
+                                             axes=([0, 1], [0, 1])) \
             .reshape(params[f"conv{li}.w"].shape)
         grads[f"conv{li}.b"] += d2.sum(axis=(0, 1))
         if not need_d_in:
             return None
         d_cols = d2 @ params[f"conv{li}.w"].reshape(co, -1)     # (B, P, K)
         n_in = int(np.prod(plan.in_shapes[li]))
-        flat_idx = idx.ravel()
-        d_in = np.empty((b, n_in))
-        for bi in range(b):  # scatter-add overlapping windows back
-            d_in[bi] = np.bincount(flat_idx, weights=d_cols[bi].ravel(),
-                                   minlength=n_in)
+        # scatter-add overlapping windows back, one bin per (sample, input)
+        d_in = np.bincount(plan.scatter_index(li, b), weights=d_cols.ravel(),
+                           minlength=b * n_in)
         return d_in.reshape((b,) + plan.in_shapes[li])
     if isinstance(layer, Pool):
         if not need_d_in:
@@ -354,8 +423,8 @@ def _layer_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
         nh, nw = h // win, w // win
         d_in = np.zeros((b, c, h, w))
         if layer.mode == "sum":
-            d_in[:, :, :nh * win, :nw * win] = np.repeat(
-                np.repeat(d_out, win, axis=2), win, axis=3)
+            d_in[:, :, :nh * win, :nw * win].reshape(b, c, nh, win, nw, win)[...] = \
+                d_out[:, :, :, None, :, None]
         else:
             blocks = x[:, :, :nh * win, :nw * win] \
                 .reshape(b, c, nh, win, nw, win).transpose(0, 1, 2, 4, 3, 5) \
@@ -369,7 +438,7 @@ def _layer_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
                 .reshape(b, c, nh, nw, win, win).transpose(0, 1, 2, 4, 3, 5) \
                 .reshape(b, c, nh * win, nw * win)
         return d_in
-    flat = x.reshape(b, -1)
+    flat = _as_float(x).reshape(b, -1)
     grads[f"fc{li}.w"] += d_out.T @ flat
     grads[f"fc{li}.b"] += d_out.sum(axis=0)
     if not need_d_in:
@@ -381,7 +450,10 @@ def _layer_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
 
 @dataclass
 class SnnTape:
-    """Recorded forward pass: everything the backward pass needs."""
+    """Recorded forward pass: everything the backward pass needs.
+
+    Spikes are taped as bool for binary spikes (exactly 0/1, one byte
+    each) and as float64 for relaxed ones."""
 
     plan: _Plan
     cfg: LifConfig
@@ -405,6 +477,8 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     (and the tape when record=True); membranes always start at zero.
     """
     _require_params(arch, params)
+    if spike_fn not in _SPIKE_DTYPE:
+        raise ValueError(f"unknown spike function {spike_fn!r}")
     x = np.asarray(planes, dtype=np.float64)
     single = x.ndim == 4
     if single:
@@ -413,32 +487,24 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
         raise ShapeMismatchError(
             f"planes shape {x.shape} incompatible with input {arch.input_shape}")
     b, k = x.shape[0], x.shape[1]
-    plan = _Plan(arch)
-    n_layers = len(arch.layers)
+    plan = _plan(arch)
+    sdtype = _SPIKE_DTYPE[spike_fn]
     v = [np.zeros((b,) + shp) for shp in plan.out_shapes]
-    tape = SnnTape(plan, cfg, spike_fn, surrogate_width, x) if record else None
-    if record:
-        tape.vpre = [np.empty((k, b) + shp) for shp in plan.out_shapes]
-        tape.spikes = [np.empty((k, b) + shp) for shp in plan.out_shapes]
+    steps = k if record else 1   # without a tape, one step's buffers are reused
+    vpre = [np.empty((steps, b) + shp) for shp in plan.out_shapes]
+    spikes = [np.empty((steps, b) + shp, dtype=sdtype) for shp in plan.out_shapes]
     out_sum = np.zeros((b, arch.num_classes))
     for t in range(k):
         cur = x[:, t]
-        for li in range(n_layers):
+        slot = t if record else 0
+        for li in range(len(arch.layers)):
             current = _layer_forward(plan, li, cur, params)
-            vp = cfg.beta * v[li] + current
-            s = _spike(vp, cfg, spike_fn, surrogate_width)
-            if cfg.reset == "to_zero":
-                v[li] = vp * (1.0 - s)
-            else:
-                v[li] = vp - cfg.theta * s
-            if record:
-                tape.vpre[li][t] = vp
-                tape.spikes[li][t] = s
-            cur = s
+            cur = spikes[li][slot]
+            _lif_forward(v[li], current, vpre[li][slot], cur, cfg, surrogate_width)
         out_sum += cur
     s_dg = out_sum / k
     if record:
-        tape.s_dg = s_dg
+        tape = SnnTape(plan, cfg, spike_fn, surrogate_width, x, vpre, spikes, s_dg)
         return (s_dg[0], tape) if single else (s_dg, tape)
     return s_dg[0] if single else s_dg
 
@@ -450,9 +516,7 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
     if tape is None or tape.s_dg is None:
         raise NoRecordedForwardError("snn_backward requires a recorded forward tape")
     plan, cfg = tape.plan, tape.cfg
-    width = tape.surrogate_width
     arch = plan.arch
-    n_layers = len(arch.layers)
     k, b = tape.spikes[0].shape[0], tape.spikes[0].shape[1]
     d_sdg = np.asarray(d_sdg, dtype=np.float64)
     if d_sdg.ndim == 1:
@@ -461,19 +525,13 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
         raise ShapeMismatchError(f"d_sdg shape {d_sdg.shape} != ({b},{arch.num_classes})")
     grads = {name: np.zeros_like(params[name]) for name in arch.param_names()}
     dv_carry = [np.zeros((b,) + shp) for shp in plan.out_shapes]
+    scratch = [(np.empty((b,) + shp), np.empty((b,) + shp)) for shp in plan.out_shapes]
     for t in reversed(range(k)):
         d_s = d_sdg / k
-        for li in reversed(range(n_layers)):
-            vp = tape.vpre[li][t]
-            s = tape.spikes[li][t]
-            fp = _surrogate_deriv(vp, cfg, width)
-            if cfg.reset == "to_zero":
-                # d(v'*(1-s))/dv' with s = f(v'), product rule
-                g_v = (1.0 - s) - vp * fp
-            else:
-                g_v = 1.0 - cfg.theta * fp
-            dvp = d_s * fp + dv_carry[li] * g_v
-            dv_carry[li] = cfg.beta * dvp
+        for li in reversed(range(len(arch.layers))):
+            dvp = _lif_backward(tape.vpre[li][t], tape.spikes[li][t], d_s,
+                                dv_carry[li], cfg, tape.surrogate_width,
+                                *scratch[li])
             x_in = tape.spikes[li - 1][t] if li > 0 else tape.x[:, t]
             d_s = _layer_backward(plan, li, x_in, dvp, params, grads,
                                   need_d_in=li > 0)

@@ -124,3 +124,45 @@ def test_rejects_non_json_header(tmp_path):
     path.write_bytes(b"not json at all\nrest")
     with pytest.raises(ParseError):
         load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Apply edit to the saved header dict and write it back with the blob."""
+    head, blob = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+
+HEADER_EDITS = {
+    **{f"no_{key}": (lambda h, key=key: h.pop(key))
+       for key in ("arch", "lif", "fusion", "seed", "label_space", "tensors",
+                   "extra")},
+    "arch_list": lambda h: h.update(arch=[1, 2]),
+    "seed_str": lambda h: h.update(seed="4"),
+    "seed_bool": lambda h: h.update(seed=True),
+    "extra_null": lambda h: h.update(extra=None),
+    "label_int": lambda h: h.update(label_space=[1, 2, 3]),
+    "tensor_no_shape": lambda h: h.update(tensors=[{"name": "x"}]),
+    "tensor_negative_dim": lambda h: h["tensors"][0].update(shape=[-1]),
+    "arch_no_layers": lambda h: h["arch"].pop("layers"),
+    "arch_bad_kind": lambda h: h["arch"]["layers"][0].update(kind="lstm"),
+    "lif_unknown_key": lambda h: h["lif"].update(leak=0.5),
+    "lif_bad_beta": lambda h: h["lif"].update(beta=2.0),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+def test_rejects_missing_or_mistyped_header_keys(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(), path)
+    rewrite_header(path, HEADER_EDITS[edit])
+    with pytest.raises(ParseError):
+        load_checkpoint(path)
+
+
+def test_rejects_non_object_header(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"[1, 2]\n")
+    with pytest.raises(ParseError):
+        load_checkpoint(path)

@@ -324,13 +324,13 @@ def test_train_config_invalid_json(tmp_path, capsys):
                  "--out", str(tmp_path / "m.ckpt")]) == 1
 
 
-def run_cli(*args):
+def run_cli(*args, module="gestemo.cli"):
     """Run the command line in a fresh interpreter, as a user would."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["gestemo.cli"].__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "gestemo.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -343,6 +343,58 @@ def test_train_config_bad_value_type_is_usage_error(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().endswith("epochs must be int, got 'abc'")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--surrogate-width", "0"),
+    ("--surrogate-width", "nan"),
+    ("--lif-beta", "2"),
+    ("--lif-theta", "0"),
+    ("--k", "0"),
+    ("--dropout", "1.5"),
+    ("--epochs", "-1"),
+    ("--batch-size", "-1"),
+    ("--hidden", "0"),
+    ("--lr", "inf"),
+    ("--seed", "-1"),
+])
+def test_train_bad_option_value_is_usage_error(tmp_path, capsys, flag, value):
+    manifest = small_corpus(tmp_path)
+    out = tmp_path / "m.ckpt"
+    assert main(["train", manifest, *FAST_TRAIN, flag, value,
+                 "--out", str(out)]) == 1
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"{key} must be ")
+    assert not out.exists()
+
+
+def test_train_config_bad_choice_is_usage_error(tmp_path, capsys):
+    manifest = small_corpus(tmp_path)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"scale_mode": "bogus"}))
+    assert main(["train", manifest, "--config", str(cfg),
+                 "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "scale_mode must be one of" in capsys.readouterr().err
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    manifest = small_corpus(tmp_path)
+    assert main(["train", manifest, *FAST_TRAIN, "--threads", "2",
+                 "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_without_arch_is_data_error(tmp_path, capsys):
+    manifest = small_corpus(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", manifest, "--out", str(ckpt), *FAST_TRAIN]) == 0
+    head, blob = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    del header["arch"]
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    capsys.readouterr()
+    assert main(["eval", str(ckpt), manifest]) == 2
+    assert "header key 'arch'" in capsys.readouterr().err
 
 
 def test_stats_bad_bin_width_is_usage_error(tmp_path, capsys):
@@ -440,6 +492,12 @@ def test_import_unknown_layout_diagnostic(tmp_path, capsys):
 
 def test_import_missing_source(tmp_path, capsys):
     assert main(["import", str(tmp_path / "absent"), str(tmp_path / "o")]) == 1
+
+
+def test_python_m_gestemo_runs_the_cli():
+    proc = run_cli("--help", module="gestemo")
+    assert proc.returncode == 0
+    assert "synth" in proc.stdout and "import" in proc.stdout
 
 
 def test_console_script_installed():

@@ -8,6 +8,7 @@ import pytest
 
 from gestemo.errors import NoRecordedForwardError, ShapeMismatchError
 from gestemo.snn import (
+    DEFAULT_SURROGATE_WIDTH,
     Conv,
     Dense,
     LifConfig,
@@ -275,3 +276,185 @@ def test_backward_accepts_integer_labels():
     by_onehot = snn_backward(tape, onehot, params)
     for name in arch.param_names():
         assert np.array_equal(by_label[name], by_onehot[name])
+
+
+# -- oracle: the per-step loop as it stood before the in-place rewrite --------
+#
+# A frozen float64 reference: spikes are taped as float, im2col gathers are
+# fancy-indexed, pooling reshapes into blocks, and col2im runs one bincount
+# per sample.  snn_forward and snn_backward_from_output must reproduce its
+# outputs and gradients bit for bit with binary spikes.
+
+def _ref_im2col(cin, hin, win_, k, stride):
+    ho, wo = (hin - k) // stride + 1, (win_ - k) // stride + 1
+    base = ((np.repeat(np.arange(cin), k * k) * hin
+             + np.tile(np.repeat(np.arange(k), k), cin)) * win_
+            + np.tile(np.arange(k), cin * k))
+    offset = np.repeat(np.arange(ho) * stride, wo) * win_ \
+        + np.tile(np.arange(wo) * stride, ho)
+    return offset[:, None] + base[None, :]
+
+
+def _ref_shapes(arch):
+    outs = arch.output_shapes()
+    return [tuple(arch.input_shape)] + outs[:-1], outs
+
+
+def _ref_layer_forward(arch, li, x, params):
+    layer, (ins, outs) = arch.layers[li], _ref_shapes(arch)
+    b = x.shape[0]
+    if isinstance(layer, Conv):
+        idx = _ref_im2col(*ins[li], layer.kernel, layer.stride)
+        cols = x.reshape(b, -1)[:, idx]
+        w2 = params[f"conv{li}.w"].reshape(layer.out_channels, -1)
+        out = cols @ w2.T + params[f"conv{li}.b"]
+        return out.transpose(0, 2, 1).reshape((b,) + outs[li])
+    if isinstance(layer, Pool):
+        c, h, w = ins[li]
+        win = layer.window
+        blocks = x[:, :, :(h // win) * win, :(w // win) * win] \
+            .reshape(b, c, h // win, win, w // win, win)
+        return blocks.sum(axis=(3, 5)) if layer.mode == "sum" \
+            else blocks.max(axis=(3, 5))
+    return x.reshape(b, -1) @ params[f"fc{li}.w"].T + params[f"fc{li}.b"]
+
+
+def _ref_layer_backward(arch, li, x, d_out, params, grads, need_d_in):
+    layer, (ins, _) = arch.layers[li], _ref_shapes(arch)
+    b = x.shape[0]
+    if isinstance(layer, Conv):
+        idx = _ref_im2col(*ins[li], layer.kernel, layer.stride)
+        cols = x.reshape(b, -1)[:, idx]
+        co = layer.out_channels
+        d2 = d_out.reshape(b, co, -1).transpose(0, 2, 1)
+        grads[f"conv{li}.w"] += np.tensordot(d2, cols, axes=([0, 1], [0, 1])) \
+            .reshape(params[f"conv{li}.w"].shape)
+        grads[f"conv{li}.b"] += d2.sum(axis=(0, 1))
+        if not need_d_in:
+            return None
+        d_cols = d2 @ params[f"conv{li}.w"].reshape(co, -1)
+        n_in = int(np.prod(ins[li]))
+        d_in = np.empty((b, n_in))
+        for bi in range(b):
+            d_in[bi] = np.bincount(idx.ravel(), weights=d_cols[bi].ravel(),
+                                   minlength=n_in)
+        return d_in.reshape((b,) + ins[li])
+    if isinstance(layer, Pool):
+        if not need_d_in:
+            return None
+        c, h, w = ins[li]
+        win = layer.window
+        nh, nw = h // win, w // win
+        d_in = np.zeros((b, c, h, w))
+        if layer.mode == "sum":
+            d_in[:, :, :nh * win, :nw * win] = np.repeat(
+                np.repeat(d_out, win, axis=2), win, axis=3)
+            return d_in
+        blocks = x[:, :, :nh * win, :nw * win] \
+            .reshape(b, c, nh, win, nw, win).transpose(0, 1, 2, 4, 3, 5) \
+            .reshape(b, c, nh, nw, win * win)
+        arg = blocks.argmax(axis=-1)
+        view = np.zeros((b, c, nh, nw, win * win))
+        np.put_along_axis(view, arg[..., None], d_out[..., None], axis=-1)
+        d_in[:, :, :nh * win, :nw * win] = view \
+            .reshape(b, c, nh, nw, win, win).transpose(0, 1, 2, 4, 3, 5) \
+            .reshape(b, c, nh * win, nw * win)
+        return d_in
+    flat = x.reshape(b, -1)
+    grads[f"fc{li}.w"] += d_out.T @ flat
+    grads[f"fc{li}.b"] += d_out.sum(axis=0)
+    if not need_d_in:
+        return None
+    return (d_out @ params[f"fc{li}.w"]).reshape((b,) + ins[li])
+
+
+def _ref_run(planes, params, arch, cfg, spike_fn, width, d_sdg):
+    """Forward over K steps, then BPTT of d_sdg; returns (s_dg, grads)."""
+    b, k = planes.shape[:2]
+    n = len(arch.layers)
+    _, outs = _ref_shapes(arch)
+    v = [np.zeros((b,) + s) for s in outs]
+    vpre = [np.empty((k, b) + s) for s in outs]
+    spikes = [np.empty((k, b) + s) for s in outs]
+    out_sum = np.zeros((b, arch.num_classes))
+    for t in range(k):
+        cur = planes[:, t]
+        for li in range(n):
+            vp = cfg.beta * v[li] + _ref_layer_forward(arch, li, cur, params)
+            if spike_fn == "binary":
+                s = (vp >= cfg.theta).astype(np.float64)
+            else:
+                s = np.clip((vp - cfg.theta + width) / (2.0 * width), 0.0, 1.0)
+            v[li] = vp * (1.0 - s) if cfg.reset == "to_zero" else vp - cfg.theta * s
+            vpre[li][t], spikes[li][t] = vp, s
+            cur = s
+        out_sum += cur
+    grads = {name: np.zeros_like(params[name]) for name in arch.param_names()}
+    dv_carry = [np.zeros((b,) + s) for s in outs]
+    for t in reversed(range(k)):
+        d_s = d_sdg / k
+        for li in reversed(range(n)):
+            vp, s = vpre[li][t], spikes[li][t]
+            fp = np.where(np.abs(vp - cfg.theta) < width, 1.0 / (2.0 * width), 0.0)
+            if cfg.reset == "to_zero":
+                g_v = (1.0 - s) - vp * fp
+            else:
+                g_v = 1.0 - cfg.theta * fp
+            dvp = d_s * fp + dv_carry[li] * g_v
+            dv_carry[li] = cfg.beta * dvp
+            x_in = spikes[li - 1][t] if li > 0 else planes[:, t]
+            d_s = _ref_layer_backward(arch, li, x_in, dvp, params, grads, li > 0)
+    return out_sum / k, grads
+
+
+ORACLE_ARCHS = {
+    # sum pooling with a remainder row and column (29x23 -> 27x21 -> 13x10)
+    "sum_pool": default_architecture(3, 29, 23),
+    "max_pool": default_architecture(3, 16, 16, pool_mode="max"),
+    "stride2_conv": SnnArchitecture(
+        layers=(Conv(2, 4, 3, stride=2), Pool(2), Conv(4, 5, 2), Dense(10, 3)),
+        input_shape=(2, 13, 12), num_classes=3),
+}
+
+
+def _oracle_case(arch_name, reset, spike_fn, batch):
+    arch = ORACLE_ARCHS[arch_name]
+    cfg = LifConfig(beta=0.9, theta=0.4, reset=reset)
+    params = init_params(arch, seed=batch + 1)
+    rng = np.random.default_rng(batch)
+    planes = rng.random((batch, 5) + arch.input_shape) * 1.5
+    d_sdg = rng.standard_normal((batch, arch.num_classes))
+    want_out, want_grads = _ref_run(planes, params, arch, cfg, spike_fn,
+                                    DEFAULT_SURROGATE_WIDTH, d_sdg)
+    out, tape = snn_forward(planes, params, arch, cfg, spike_fn=spike_fn,
+                            record=True)
+    grads = snn_backward_from_output(tape, d_sdg, params)
+    plain = snn_forward(planes, params, arch, cfg, spike_fn=spike_fn)
+    assert 0 < np.mean(tape.spikes[0]) < 1  # the net is neither silent nor saturated
+    return (want_out, want_grads), (out, plain, grads)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("reset", ["to_zero", "subtract_theta"])
+@pytest.mark.parametrize("arch_name", sorted(ORACLE_ARCHS))
+def test_binary_forward_and_gradients_match_reference_bit_for_bit(
+        arch_name, reset, batch):
+    (want_out, want_grads), (out, plain, grads) = _oracle_case(
+        arch_name, reset, "binary", batch)
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(plain, want_out)
+    assert sorted(grads) == sorted(want_grads)
+    for name in want_grads:
+        assert np.any(want_grads[name] != 0), name
+        assert np.array_equal(grads[name], want_grads[name]), name
+
+
+@pytest.mark.parametrize("reset", ["to_zero", "subtract_theta"])
+@pytest.mark.parametrize("arch_name", sorted(ORACLE_ARCHS))
+def test_relaxed_forward_and_gradients_match_reference(arch_name, reset):
+    (want_out, want_grads), (out, plain, grads) = _oracle_case(
+        arch_name, reset, "relaxed", 3)
+    assert np.allclose(out, want_out, rtol=0, atol=1e-12)
+    assert np.allclose(plain, want_out, rtol=0, atol=1e-12)
+    for name in want_grads:
+        assert np.allclose(grads[name], want_grads[name], rtol=0, atol=1e-12), name
