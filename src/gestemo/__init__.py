@@ -9,7 +9,6 @@ plus an LSTM over frame features, fused additively).
 from .align import (
     SearchTrace,
     find_position,
-    scaling_binary_search,
     segment_events,
     split_indices,
 )
@@ -23,7 +22,6 @@ from .dataio import (
     read_events_file,
     read_feature_file,
     read_manifest,
-    split_partition_ok,
     write_events_file,
     write_feature_file,
     write_manifest,
@@ -43,16 +41,13 @@ from .events import (
     DAVIS346,
     LABELED_GESTURES,
     EmotionClass,
-    Event,
     EventStream,
     Geometry,
     GestureClass,
     SampleRecord,
     StreamSpec,
     emotion_of,
-    make_event,
     synth_stream,
-    validate_stream,
 )
 from .fusion import (
     FusionConfig,

@@ -3,13 +3,12 @@ streams into labeled segments.
 
 The search is a binary descent: probe the midpoint, recurse on (lo, mid)
 when the midpoint is above the tag and on (mid, hi) otherwise, stopping when
-the range no longer shrinks.  scaling_binary_search stops early at the first
-probe within an absolute tolerance alpha of the tag.  find_position clamps
-tags that fall outside the list and otherwise runs the descent once,
-returning the first probe at the smallest distance d seen on the path with
-alpha_final = d + 1: the index and tolerance that retrying the tolerance
-descent with alpha = 1, 2, 3, ... would reach, since the path never depends
-on alpha.  A search therefore costs at most ceil(log2 N) + 1 probes, however
+the range no longer shrinks.  find_position clamps tags that fall outside
+the list and otherwise runs the descent once, returning the first probe at
+the smallest distance d seen on the path with alpha_final = d + 1: the
+index and tolerance that retrying a descent that stops at the first probe
+within alpha of the tag, with alpha = 1, 2, 3, ..., would reach, since the
+path never depends on alpha.  A search therefore costs at most ceil(log2 N) + 1 probes, however
 far the tag sits from its neighbours.  The result lies within alpha_final of
 the tag but is NOT necessarily the globally nearest timestamp.
 
@@ -23,13 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadCutsError,
-    BadRangeError,
-    EmptyTimeListError,
-    NonMonotonicTimeError,
-    UnsortedTagsError,
-)
+from .errors import GestemoError
 from .events import EventStream
 
 
@@ -51,7 +44,7 @@ class SearchTrace:
 def _as_times(times) -> np.ndarray:
     a = np.asarray(times, dtype=np.int64)
     if a.ndim != 1:
-        raise BadRangeError(f"time list must be 1-D, got shape {a.shape}")
+        raise GestemoError(f"time list must be 1-D, got shape {a.shape}")
     return a
 
 
@@ -60,16 +53,16 @@ def validate_times(times) -> np.ndarray:
     bad = np.nonzero(np.diff(a) < 0)[0]
     if bad.size:
         i = int(bad[0]) + 1
-        raise NonMonotonicTimeError(f"time list decreases at index {i}", index=i)
+        raise GestemoError(f"time list decreases at index {i}")
     return a
 
 
 def validate_tags(tags) -> np.ndarray:
     a = np.asarray(tags, dtype=np.int64)
     if a.ndim != 1:
-        raise UnsortedTagsError(f"tag list must be 1-D, got shape {a.shape}")
+        raise GestemoError(f"tag list must be 1-D, got shape {a.shape}")
     if a.size > 1 and not np.all(np.diff(a) > 0):
-        raise UnsortedTagsError("tags must be strictly increasing")
+        raise GestemoError("tags must be strictly increasing")
     return a
 
 
@@ -87,28 +80,6 @@ def _descent(a: np.ndarray, lo: int, hi: int, tag: int):
         lo, hi = new_lo, new_hi
 
 
-def scaling_binary_search(times, lo: int, hi: int, tag: int, alpha: int,
-                          trace: Optional[SearchTrace] = None) -> Optional[int]:
-    """One tolerance-alpha descent over times[lo..hi] (inclusive bounds).
-
-    Returns an index m with |times[m] - tag| < alpha, or None when the
-    descent exhausts the range without meeting the tolerance.
-    """
-    a = _as_times(times)
-    n = a.shape[0]
-    if lo < 0 or lo > hi or hi >= n:
-        raise BadRangeError(f"range [{lo},{hi}] invalid for list of length {n}")
-    if alpha < 1:
-        raise BadRangeError(f"alpha must be >= 1, got {alpha}")
-    for mid in _descent(a, lo, hi, tag):
-        if trace is not None:
-            trace.comparisons += 1
-            trace.visited.append(mid)
-        if abs(int(a[mid]) - tag) < alpha:
-            return mid
-    return None
-
-
 def find_position(tag: int, times, trace: Optional[SearchTrace] = None) -> int:
     """Index of a timestamp near tag.
 
@@ -121,7 +92,7 @@ def find_position(tag: int, times, trace: Optional[SearchTrace] = None) -> int:
     a = _as_times(times)
     n = a.shape[0]
     if n == 0:
-        raise EmptyTimeListError("cannot search an empty time list")
+        raise GestemoError("cannot search an empty time list")
     if trace is None:
         trace = SearchTrace()
     if tag < a[0]:
@@ -152,7 +123,7 @@ def split_indices(tags, times) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     time_arr = validate_times(times)
     if time_arr.size == 0:
-        raise EmptyTimeListError("cannot split against an empty time list")
+        raise GestemoError("cannot split against an empty time list")
     out = np.array([find_position(int(t), time_arr) for t in tag_arr],
                    dtype=np.int64)
     return out
@@ -169,6 +140,6 @@ def segment_events(stream: EventStream, cuts: Sequence[int]) -> List[EventStream
     cut_arr = np.asarray(cuts, dtype=np.int64)
     if cut_arr.size and (np.any(np.diff(cut_arr) < 0)
                          or cut_arr[0] < 0 or cut_arr[-1] > n):
-        raise BadCutsError(f"cuts must be sorted within [0,{n}], got {list(cut_arr)}")
+        raise GestemoError(f"cuts must be sorted within [0,{n}], got {list(cut_arr)}")
     bounds = [0, *cut_arr.tolist(), n]
     return [stream.slice(bounds[k], bounds[k + 1]) for k in range(len(bounds) - 1)]

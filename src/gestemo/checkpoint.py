@@ -102,7 +102,7 @@ def load_checkpoint(path) -> Checkpoint:
         arch = SnnArchitecture.from_dict(header["arch"])
         lif = LifConfig.from_dict(header["lif"])
         fusion = FusionConfig.from_dict(header["fusion"])
-    except (KeyError, TypeError, ValueError, GestemoError) as e:
+    except (KeyError, TypeError, ValueError, ArithmeticError, GestemoError) as e:
         raise ParseError(f"{path}: bad model description in header ({e!r})")
     blob = data[nl + 1:]
     sizes = [int(np.prod(t["shape"], dtype=np.int64)) for t in header["tensors"]]
@@ -115,17 +115,37 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
         arrays[t["name"]] = arr.reshape(t["shape"]).astype(np.float64, copy=True)
         offset += 8 * n
-    model = ModelParams()
-    snn = {k: v for k, v in arrays.items()
-           if k not in _LSTM_KEYS and k not in _HEAD_KEYS}
-    if snn:
-        model.snn = snn
-    if all(k in arrays for k in _LSTM_KEYS):
-        model.lstm = RecurrentParams(arrays["lstm.wx"], arrays["lstm.wh"],
-                                     arrays["lstm.b"])
-    if all(k in arrays for k in _HEAD_KEYS):
-        model.head = HeadParams(arrays["head.w1"], arrays["head.b1"],
-                                arrays["head.w2"], arrays["head.b2"])
+    try:
+        model = _model_of(arrays, arch)
+    except GestemoError as e:
+        raise ParseError(f"{path}: {e}")
     return Checkpoint(model=model, arch=arch, lif=lif, fusion=fusion,
                       seed=header["seed"], label_space=tuple(header["label_space"]),
                       extra=header["extra"])
+
+
+def _model_of(arrays: Dict[str, np.ndarray], arch: SnnArchitecture) -> ModelParams:
+    """The branches present in arrays, each checked against the architecture
+    and against the other branch's dimensions."""
+    model = ModelParams()
+    snn = {k: v for k, v in arrays.items() if k not in _LSTM_KEYS + _HEAD_KEYS}
+    if snn:
+        want = arch.param_shapes()
+        for name in sorted(set(want) | set(snn)):
+            got = snn[name].shape if name in snn else None
+            if got != want.get(name):
+                raise GestemoError(f"tensor {name!r} has shape {got}, the "
+                                   f"architecture needs {want.get(name)}")
+        model.snn = snn
+    video = [k for k in _LSTM_KEYS + _HEAD_KEYS if k in arrays]
+    if video:
+        if len(video) != len(_LSTM_KEYS + _HEAD_KEYS):
+            raise GestemoError(f"frame branch has only tensors {video}")
+        model.lstm = RecurrentParams(*(arrays[k] for k in _LSTM_KEYS))
+        model.head = HeadParams(*(arrays[k] for k in _HEAD_KEYS))
+        if model.head.w1.shape[1] != model.lstm.hidden \
+                or model.head.w2.shape[0] != arch.num_classes:
+            raise GestemoError(
+                f"head shapes {model.head.w1.shape}, {model.head.w2.shape} do not "
+                f"fit {model.lstm.hidden} LSTM units and {arch.num_classes} classes")
+    return model

@@ -9,12 +9,12 @@ unknown config keys are rejected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import shutil
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -30,16 +30,11 @@ from .dataio import (
     write_events_file,
     write_manifest,
 )
-from .encode import (
-    SCALE_MODES,
-    DenseSpikePlanes,
-    dense_spike_planes,
-    write_planes_file,
-)
-from .errors import DataError, DivergedLossError, GestemoError
+from .encode import DenseSpikePlanes, dense_spike_planes, write_planes_file
+from .errors import CHOICES, DivergedLossError, GestemoError, ParseError, check_option
 from .events import DAVIS346, EmotionClass, Geometry, GestureClass
 from .fusion import FusionConfig, predict
-from .snn import RESET_MODES, LifConfig, default_architecture
+from .snn import LifConfig, default_architecture
 from .stats import (
     class_counts_csv,
     frame_histogram_csv,
@@ -49,8 +44,6 @@ from .stats import (
 )
 from .synth import DatasetSpec, build_dataset
 from .training import (
-    BRANCHES,
-    MODES,
     TrainConfig,
     TrainData,
     emotion_report,
@@ -135,45 +128,13 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
     return merged
 
 
-#: valid range of each numeric training option, as (test, wording); NaN
-#: fails every test
-TRAIN_RANGES: Dict[str, Tuple[Callable[[float], bool], str]] = {
-    "k": (lambda v: v >= 1, ">= 1"),
-    "downsample": (lambda v: v >= 1, ">= 1"),
-    "epochs": (lambda v: v >= 0, ">= 0"),
-    "batch_size": (lambda v: v >= 0, ">= 0 (0 means full batch)"),
-    "hidden": (lambda v: v >= 1, ">= 1"),
-    "head_mid": (lambda v: v >= 1, ">= 1"),
-    "frame_limit": (lambda v: v >= 1, ">= 1"),
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "lr": (lambda v: 0 < v < math.inf, "finite and > 0"),
-    "lam": (math.isfinite, "finite"),
-    "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "surrogate_width": (lambda v: 0 < v < math.inf, "finite and > 0"),
-    "lif_beta": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "lif_theta": (lambda v: 0 < v < math.inf, "finite and > 0"),
-}
-
-#: allowed values of each string training option
-TRAIN_CHOICES: Dict[str, Tuple[str, ...]] = {
-    "scale_mode": SCALE_MODES,
-    "branch": BRANCHES,
-    "mode": MODES,
-    "target": ("emotion", "gesture"),
-    "lif_reset": RESET_MODES,
-}
-
-
-def check_options(cfg: Dict[str, object]) -> None:
-    """The one validation point for option values: a value out of range or
-    not among its choices is a usage error."""
-    for key, (ok, wording) in TRAIN_RANGES.items():
-        if key in cfg and not ok(cfg[key]):
-            raise _UsageError(f"{key} must be {wording}, got {cfg[key]!r}")
-    for key, choices in TRAIN_CHOICES.items():
-        if key in cfg and cfg[key] not in choices:
-            raise _UsageError(f"{key} must be one of {', '.join(choices)}, "
-                              f"got {cfg[key]!r}")
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a bad option value (GestemoError) as a usage error."""
+    try:
+        yield
+    except GestemoError as e:
+        raise _UsageError(str(e)) from None
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -212,7 +173,7 @@ def _read_tags(path) -> np.ndarray:
     try:
         return np.asarray([int(v) for v in vals], dtype=np.int64)
     except ValueError as e:
-        raise DataError(f"{path}: tags must be integers ({e})")
+        raise GestemoError(f"{path}: tags must be integers ({e})")
 
 
 def cmd_align(ns) -> int:
@@ -244,7 +205,9 @@ def cmd_encode(ns) -> int:
         raise _UsageError(
             f"scale mode {ns.scale_mode!r} does not produce integer planes; "
             "use none or clip01 for file output")
-    check_options({"downsample": ns.downsample})
+    with _usage_errors():
+        check_option("k", ns.k)
+        check_option("downsample", ns.downsample)
     stream = read_events_file(ns.events)
     planes = dense_spike_planes(stream, ns.k, factor=ns.downsample)
     if ns.scale_mode == "clip01":
@@ -275,7 +238,7 @@ def cmd_stats(ns) -> int:
             yield sample
     summary = summarize(readable(), ns.bin_width)
     if summary.n_samples == 0:
-        raise DataError("no readable samples in manifest")
+        raise GestemoError("no readable samples in manifest")
     if not summary.frame_histogram["counts"]:
         print("warning: no feature files; frame histogram empty", file=sys.stderr)
     os.makedirs(ns.out, exist_ok=True)
@@ -315,31 +278,35 @@ def _load_split(manifest: SplitManifest, split: str, cfg: Dict[str, object],
 
 def cmd_train(ns) -> int:
     cfg = merge_config(ns, TRAIN_DEFAULTS)
-    check_options(cfg)
+    with _usage_errors():
+        lif = LifConfig(beta=float(cfg["lif_beta"]), theta=float(cfg["lif_theta"]),
+                        reset=str(cfg["lif_reset"]))
+        tcfg = TrainConfig(
+            epochs=int(cfg["epochs"]), lr=float(cfg["lr"]), seed=int(cfg["seed"]),
+            branch=str(cfg["branch"]), mode=str(cfg["mode"]), lam=float(cfg["lam"]),
+            batch_size=int(cfg["batch_size"]), dropout=float(cfg["dropout"]),
+            surrogate_width=float(cfg["surrogate_width"]))
+        fusion = FusionConfig(float(cfg["lam"]))
+        for key in ("k", "downsample", "hidden", "head_mid", "frame_limit",
+                    "scale_mode", "target"):
+            check_option(key, cfg[key])
     manifest = read_manifest(ns.manifest)
     target = str(cfg["target"])
     label_space = _label_space(manifest, target)
     if not label_space:
-        raise DataError("manifest has no trainable gesture classes")
+        raise GestemoError("manifest has no trainable gesture classes")
     data = _load_split(manifest, str(cfg["split"]), cfg, target, label_space)
     k, _, h, w = data.planes.shape[1:]
     arch = default_architecture(len(label_space), h, w)
-    lif = LifConfig(beta=float(cfg["lif_beta"]), theta=float(cfg["lif_theta"]),
-                    reset=str(cfg["lif_reset"]))
     model = init_model(arch, data.features.shape[2],
                        hidden=int(cfg["hidden"]), head_mid=int(cfg["head_mid"]),
                        seed=int(cfg["seed"]), branch=str(cfg["branch"]))
-    tcfg = TrainConfig(
-        epochs=int(cfg["epochs"]), lr=float(cfg["lr"]), seed=int(cfg["seed"]),
-        branch=str(cfg["branch"]), mode=str(cfg["mode"]), lam=float(cfg["lam"]),
-        batch_size=int(cfg["batch_size"]), dropout=float(cfg["dropout"]),
-        surrogate_width=float(cfg["surrogate_width"]))
     log: List[str] = []
     history = train(data, model, arch, lif, tcfg, log)
     for line in log:
         print(line)
     ckpt = Checkpoint(
-        model=model, arch=arch, lif=lif, fusion=FusionConfig(float(cfg["lam"])),
+        model=model, arch=arch, lif=lif, fusion=fusion,
         seed=int(cfg["seed"]),
         label_space=tuple(g.value for g in label_space),
         extra={"branch": str(cfg["branch"]), "mode": str(cfg["mode"]),
@@ -357,22 +324,26 @@ def cmd_train(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
+    with _usage_errors():
+        fusion = None if ns.lam is None else FusionConfig(ns.lam)
     ckpt = load_checkpoint(ns.checkpoint)
     manifest = read_manifest(ns.manifest)
-    target = ckpt.extra.get("target", "emotion")
-    if target == "gesture":
-        label_space = tuple(GestureClass(v) for v in ckpt.label_space)
-    else:
-        label_space = tuple(EmotionClass(v) for v in ckpt.label_space)
-    cfg = {
-        "k": ckpt.extra.get("k", 12),
-        "downsample": ckpt.extra.get("downsample", 1),
-        "scale_mode": ckpt.extra.get("scale_mode", "clip01"),
-        "frame_limit": ckpt.extra.get("frame_limit", 100),
-    }
+    cfg = {key: ckpt.extra.get(key, TRAIN_DEFAULTS[key]) for key in
+           ("k", "downsample", "scale_mode", "frame_limit", "target", "branch")}
+    target = cfg["target"]
+    try:
+        for key, value in cfg.items():
+            check_option(key, value)
+        enum = GestureClass if target == "gesture" else EmotionClass
+        label_space = tuple(enum(v) for v in ckpt.label_space)
+    except (GestemoError, ValueError) as e:
+        raise ParseError(f"{ns.checkpoint}: bad extra or label space ({e})")
+    if len(label_space) != ckpt.arch.num_classes:
+        raise ParseError(f"{ns.checkpoint}: {len(label_space)} labels for "
+                         f"{ckpt.arch.num_classes} classes")
     data = _load_split(manifest, ns.split, cfg, target, label_space)
-    branch = ns.branch or ckpt.extra.get("branch", "fused")
-    lam = ns.lam if ns.lam is not None else ckpt.fusion.lam
+    branch = ns.branch or cfg["branch"]
+    lam = (fusion or ckpt.fusion).lam
     report, scores = evaluate(data, ckpt.model, ckpt.arch, ckpt.lif,
                               branch=branch, lam=lam)
     names = [g.value for g in label_space]
@@ -422,7 +393,7 @@ def _import_class_dirs(src: str, out: str, train_fraction: float) -> SplitManife
     found = [g for g in GestureClass
              if os.path.isdir(os.path.join(src, g.value))]
     if not found:
-        raise DataError(
+        raise GestemoError(
             f"{src}: unrecognized layout; expected either a manifest.json or "
             f"per-gesture subdirectories named "
             f"{', '.join(g.value for g in GestureClass)} containing event csv files")
@@ -453,7 +424,7 @@ def _import_class_dirs(src: str, out: str, train_fraction: float) -> SplitManife
                 id=sid, gesture=g, events=ev_rel,
                 split="train" if i < n_train else "test", features=ft_rel))
     if not entries:
-        raise DataError(f"{src}: no event files found in any gesture directory")
+        raise GestemoError(f"{src}: no event files found in any gesture directory")
     if not any_features:
         print("note: no feature files found; frame branch will be unavailable",
               file=sys.stderr)
@@ -536,11 +507,11 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--downsample", type=int, default=None)
     p.add_argument("--scale-mode", dest="scale_mode", default=None,
-                   choices=TRAIN_CHOICES["scale_mode"])
+                   choices=CHOICES["scale_mode"])
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--branch", default=None, choices=TRAIN_CHOICES["branch"])
-    p.add_argument("--mode", default=None, choices=TRAIN_CHOICES["mode"])
-    p.add_argument("--target", default=None, choices=TRAIN_CHOICES["target"])
+    p.add_argument("--branch", default=None, choices=CHOICES["branch"])
+    p.add_argument("--mode", default=None, choices=CHOICES["mode"])
+    p.add_argument("--target", default=None, choices=CHOICES["target"])
     p.add_argument("--split", default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -554,7 +525,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lif-beta", dest="lif_beta", type=float, default=None)
     p.add_argument("--lif-theta", dest="lif_theta", type=float, default=None)
     p.add_argument("--lif-reset", dest="lif_reset", default=None,
-                   choices=TRAIN_CHOICES["lif_reset"])
+                   choices=CHOICES["lif_reset"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval",
@@ -563,7 +534,7 @@ def build_parser() -> _Parser:
     p.add_argument("manifest", help="manifest.json path")
     p.add_argument("--split", default="test")
     p.add_argument("--branch", default=None,
-                   choices=("snn_only", "video_only", "fused"))
+                   choices=CHOICES["branch"])
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--out", default=None, help="write metrics JSON here")
     p.set_defaults(func=cmd_eval)

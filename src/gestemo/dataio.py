@@ -29,13 +29,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import (
-    MissingFileError,
-    ParseError,
-    RaggedRowsError,
-    UnknownIdError,
-    UnknownLabelError,
-)
+from .errors import GestemoError, ParseError
 from .events import (
     EmotionClass,
     EventStream,
@@ -66,7 +60,7 @@ class FrameFeatureSequence:
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] != self.dim:
-            raise RaggedRowsError(f"expected (N,{self.dim}) matrix, got {v.shape}")
+            raise ParseError(f"expected (N,{self.dim}) matrix, got {v.shape}")
         if v.shape[0] < 1:
             raise ParseError("feature sequence must contain at least one frame")
         v.setflags(write=False)
@@ -151,7 +145,7 @@ def _parse_feature_rows_slow(body: str, path, dim: int) -> np.ndarray:
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric value", line=lineno)
         if len(row) != dim:
-            raise RaggedRowsError(
+            raise ParseError(
                 f"{path}:{lineno}: row has {len(row)} values, expected {dim}",
                 line=lineno)
         if not all(math.isfinite(v) for v in row):
@@ -256,7 +250,7 @@ class SplitManifest:
         try:
             return self._by_id[sample_id]
         except KeyError:
-            raise UnknownIdError(f"sample id {sample_id!r} not in manifest")
+            raise GestemoError(f"sample id {sample_id!r} not in manifest")
 
     def path_of(self, rel: str) -> str:
         return os.path.join(self.root, rel)
@@ -277,7 +271,7 @@ def read_manifest(path) -> SplitManifest:
         try:
             gesture = GestureClass(raw["gesture"])
         except ValueError:
-            raise UnknownLabelError(f"entry {i}: unknown gesture {raw['gesture']!r}")
+            raise GestemoError(f"entry {i}: unknown gesture {raw['gesture']!r}")
         except KeyError as e:
             raise ParseError(f"{path}: entry {i} missing key {e}")
         split = raw.get("split", "train")
@@ -291,7 +285,7 @@ def read_manifest(path) -> SplitManifest:
         for rel in filter(None, (e.events, e.features)):
             p = manifest.path_of(rel)
             if not os.path.isfile(p):
-                raise MissingFileError(f"manifest entry {e.id!r} references missing {p}")
+                raise GestemoError(f"manifest entry {e.id!r} references missing {p}")
     return manifest
 
 
@@ -318,21 +312,14 @@ def load_sample(manifest: SplitManifest, sample_id: str) -> SampleRecord:
     e = manifest.entry(sample_id)
     events_path = manifest.path_of(e.events)
     if not os.path.isfile(events_path):
-        raise MissingFileError(f"sample {sample_id!r}: missing event file {events_path}")
+        raise GestemoError(f"sample {sample_id!r}: missing event file {events_path}")
     stream = read_events_file(events_path)
     features = None
     if e.features is not None:
         fpath = manifest.path_of(e.features)
         if not os.path.isfile(fpath):
-            raise MissingFileError(f"sample {sample_id!r}: missing feature file {fpath}")
+            raise GestemoError(f"sample {sample_id!r}: missing feature file {fpath}")
         features = read_feature_file(fpath)
     return SampleRecord(id=e.id, gesture=e.gesture, emotion=emotion_of(e.gesture),
                         events=stream, features=features)
 
-
-def split_partition_ok(manifest: SplitManifest) -> bool:
-    """True when train/test ids partition the id set (always holds for
-    manifests built by this package; useful for imported data)."""
-    train = set(manifest.ids("train"))
-    test = set(manifest.ids("test"))
-    return not (train & test) and (train | test) == set(manifest.ids())

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFactorError, BadKError, EmptyStreamError, ParseError
+from .errors import CHOICES, GestemoError, ParseError, check_option
 from .events import EventStream, Geometry
 
-SCALE_MODES = ("none", "clip01", "divide_by_max")
+SCALE_MODES = CHOICES["scale_mode"]
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ class DenseSpikePlanes:
         c = np.asarray(self.counts, dtype=np.int64)
         expected = (self.k, 2, self.geometry.height, self.geometry.width)
         if c.shape != expected:
-            raise BadKError(f"counts shape {c.shape} != {expected}")
+            raise GestemoError(f"counts shape {c.shape} != {expected}")
         if np.any(c < 0):
-            raise BadKError("plane counts must be non-negative")
+            raise GestemoError("plane counts must be non-negative")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -64,13 +64,11 @@ def dense_spike_planes(stream: EventStream, k: int,
     block, which equals downsample_planes(dense_spike_planes(stream, k),
     factor) without building the full-resolution planes.
     """
-    if k < 1:
-        raise BadKError(f"K must be >= 1, got {k}")
-    if factor < 1:
-        raise BadFactorError(f"factor must be >= 1, got {factor}")
+    check_option("k", k)
+    check_option("downsample", factor)
     n = len(stream)
     if n == 0:
-        raise EmptyStreamError("cannot encode an empty stream")
+        raise GestemoError("cannot encode an empty stream")
     g = stream.geometry
     h, w = -(-g.height // factor), -(-g.width // factor)
     sizes = group_sizes(n, k)
@@ -84,8 +82,7 @@ def dense_spike_planes(stream: EventStream, k: int,
 def downsample_planes(planes: DenseSpikePlanes, factor: int) -> DenseSpikePlanes:
     """Block-sum spatial pooling; pads H and W with zeros up to a multiple
     of factor, so the total count is conserved exactly."""
-    if factor < 1:
-        raise BadFactorError(f"factor must be >= 1, got {factor}")
+    check_option("downsample", factor)
     if factor == 1:
         return planes
     c = planes.counts

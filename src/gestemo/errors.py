@@ -1,41 +1,20 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit, and the one table of valid
+option values.
 
-Every error that callers are expected to catch and distinguish gets its own
-class; all inherit from GestemoError so a bare pipeline can catch one type.
+The command line maps each exception to an exit code: GestemoError,
+ParseError included, to 2 (data error) and DivergedLossError to 3
+(training divergence).  A bad option value given on the command line is a
+usage error (exit 1); the same value read from a checkpoint is a data error.
 """
+
+import dataclasses
+import math
+import numbers
 
 
 class GestemoError(Exception):
     """Base class for all toolkit errors."""
 
-
-# -- event / stream construction ------------------------------------------
-
-class OutOfBoundsError(GestemoError):
-    """Event coordinate or timestamp outside the declared sensor domain."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
-class BadPolarityError(GestemoError):
-    """Polarity outside {0, 1}."""
-
-
-class NonMonotonicTimeError(GestemoError):
-    """Timestamps decrease at the given index."""
-
-    def __init__(self, message, index):
-        super().__init__(message)
-        self.index = index
-
-
-class BadSpecError(GestemoError):
-    """Invalid synthetic-stream or synthetic-dataset specification."""
-
-
-# -- file formats and manifests -------------------------------------------
 
 class ParseError(GestemoError):
     """Malformed file content.  Carries the 1-based line number when known."""
@@ -45,89 +24,56 @@ class ParseError(GestemoError):
         self.line = line
 
 
-class RaggedRowsError(ParseError):
-    """Feature row whose length disagrees with the declared dimension."""
-
-
-class UnknownIdError(GestemoError):
-    """Sample id not present in the manifest."""
-
-
-class MissingFileError(GestemoError):
-    """A file referenced by a manifest entry does not exist."""
-
-
-class MissingFeaturesError(GestemoError):
-    """An analysis needs frame features a manifest entry does not carry."""
-
-
-class UnknownLabelError(GestemoError):
-    """Gesture label not in the taxonomy."""
-
-
-# -- alignment --------------------------------------------------------------
-
-class BadRangeError(GestemoError):
-    """Search range [lo, hi] invalid for the timestamp list."""
-
-
-class EmptyTimeListError(GestemoError):
-    """Search requested on an empty timestamp list."""
-
-
-class UnsortedTagsError(GestemoError):
-    """Annotation tags are not strictly increasing."""
-
-
-class BadCutsError(GestemoError):
-    """Segment cut indices unsorted or outside [0, stream length]."""
-
-
-# -- encoding ----------------------------------------------------------------
-
-class EmptyStreamError(GestemoError):
-    """Operation requires at least one event."""
-
-
-class BadKError(GestemoError):
-    """Plane count K < 1."""
-
-
-class BadFactorError(GestemoError):
-    """Downsampling factor < 1."""
-
-
-# -- networks ----------------------------------------------------------------
-
-class ShapeMismatchError(GestemoError):
-    """Array shapes incompatible with the declared architecture."""
-
-
-class UninitializedParamsError(GestemoError):
-    """Parameter dict is missing tensors the architecture requires."""
-
-
-class NoRecordedForwardError(GestemoError):
-    """Backward pass requested without a recorded forward tape."""
-
-
-class DimMismatchError(GestemoError):
-    """Vector dimensions disagree."""
-
-
-# -- training / evaluation ---------------------------------------------------
-
-class EmptyClassError(GestemoError):
-    """A class has zero samples where a positive count is required."""
-
-
-class DataError(GestemoError):
-    """Dataset unusable for the requested training mode."""
-
-
 class DivergedLossError(GestemoError):
     """Training loss became non-finite."""
 
 
-class EmptySplitError(GestemoError):
-    """Evaluation requested on a split with no samples."""
+#: valid range of each numeric option, as (type, test, wording); a value of
+#: another type, a bool, or NaN fails
+RANGES = {
+    "k": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "downsample": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "epochs": (numbers.Integral, lambda v: v >= 0, ">= 0"),
+    "batch_size": (numbers.Integral, lambda v: v >= 0, ">= 0 (0 means full batch)"),
+    "hidden": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "head_mid": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "frame_limit": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "seed": (numbers.Integral, lambda v: v >= 0, ">= 0"),
+    "lr": (numbers.Real, lambda v: 0 < v < math.inf, "finite and > 0"),
+    "lam": (numbers.Real, lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    "dropout": (numbers.Real, lambda v: 0 <= v < 1, "in [0, 1)"),
+    "surrogate_width": (numbers.Real, lambda v: 0 < v < math.inf, "finite and > 0"),
+    "lif_beta": (numbers.Real, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "lif_theta": (numbers.Real, lambda v: 0 < v < math.inf, "finite and > 0"),
+    "diverge_limit": (numbers.Real, lambda v: v > 0, "> 0"),
+}
+
+#: allowed values of each string option
+CHOICES = {
+    "scale_mode": ("none", "clip01", "divide_by_max"),
+    "branch": ("snn_only", "video_only", "fused"),
+    "mode": ("joint", "separate"),
+    "target": ("emotion", "gesture"),
+    "lif_reset": ("to_zero", "subtract_theta"),
+}
+
+
+def check_option(key: str, value) -> None:
+    """Raise GestemoError("<key> must be ..., got ...") unless value is valid
+    for the option key."""
+    if key in CHOICES:
+        if not isinstance(value, str) or value not in CHOICES[key]:
+            raise GestemoError(f"{key} must be one of {', '.join(CHOICES[key])}, "
+                               f"got {value!r}")
+        return
+    kind, ok, wording = RANGES[key]
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise GestemoError(f"{key} must be {wording}, got {value!r}")
+
+
+def require_keys(d: dict, cls) -> dict:
+    """d, once checked to name every field of the dataclass cls."""
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in d]
+    if missing:
+        raise GestemoError(f"missing keys {', '.join(missing)}")
+    return d

@@ -10,16 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadPolarityError,
-    BadSpecError,
-    NonMonotonicTimeError,
-    OutOfBoundsError,
-)
+from .errors import GestemoError
 
 
 class GestureClass(str, Enum):
@@ -73,45 +68,19 @@ class Geometry:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise BadSpecError(f"geometry must be positive, got {self.width}x{self.height}")
+            raise GestemoError(f"geometry must be positive, got {self.width}x{self.height}")
 
 
 #: DAVIS346 sensor geometry, the capture device the real dataset uses.
 DAVIS346 = Geometry(346, 260)
 
 
-@dataclass(frozen=True)
-class Event:
-    """One spike record: time (microseconds), column, row, polarity {0,1}."""
-
-    t: int
-    x: int
-    y: int
-    p: int
-
-
-def make_event(t: int, x: int, y: int, p: int, geometry: Geometry) -> Event:
-    """Validate and build a single event.
-
-    Raises OutOfBoundsError if (x, y) falls outside the geometry or t < 0,
-    BadPolarityError if p is not in {0, 1}.
-    """
-    if p not in (0, 1):
-        raise BadPolarityError(f"polarity must be 0 or 1, got {p}")
-    if not (0 <= x < geometry.width and 0 <= y < geometry.height):
-        raise OutOfBoundsError(
-            f"event ({x},{y}) outside {geometry.width}x{geometry.height}")
-    if t < 0:
-        raise OutOfBoundsError(f"timestamp must be non-negative, got {t}")
-    return Event(int(t), int(x), int(y), int(p))
-
-
 class EventStream:
     """Immutable, time-ordered container of events for one recording.
 
     Internally stores four parallel int64 arrays (t, x, y, p).  Construct
-    through :func:`validate_stream` or :meth:`from_arrays`; both enforce
-    non-decreasing timestamps and geometry bounds.
+    through :meth:`from_arrays`, which enforces non-decreasing timestamps,
+    geometry bounds and polarity in {0, 1}, naming the first bad index.
     """
 
     __slots__ = ("geometry", "t", "x", "y", "p")
@@ -138,13 +107,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return int(self.t.shape[0])
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
@@ -174,40 +136,25 @@ class EventStream:
 def _check_arrays(t, x, y, p, geometry: Geometry) -> None:
     n = t.shape[0]
     if not (x.shape[0] == y.shape[0] == p.shape[0] == n):
-        raise OutOfBoundsError("field arrays have unequal lengths")
+        raise GestemoError("field arrays have unequal lengths")
     if n == 0:
         return
     bad = np.nonzero(np.diff(t) < 0)[0]
     if bad.size:
         i = int(bad[0]) + 1
-        raise NonMonotonicTimeError(
-            f"timestamp decreases at index {i} ({t[i - 1]} -> {t[i]})", index=i)
+        raise GestemoError(
+            f"timestamp decreases at index {i} ({t[i - 1]} -> {t[i]})")
     oob = np.nonzero((t < 0) | (x < 0) | (x >= geometry.width)
                      | (y < 0) | (y >= geometry.height))[0]
     if oob.size:
         i = int(oob[0])
-        raise OutOfBoundsError(
+        raise GestemoError(
             f"event {i} ({x[i]},{y[i]},t={t[i]}) outside "
-            f"{geometry.width}x{geometry.height}", index=i)
+            f"{geometry.width}x{geometry.height}")
     badp = np.nonzero((p != 0) & (p != 1))[0]
     if badp.size:
         i = int(badp[0])
-        raise BadPolarityError(f"event {i} has polarity {p[i]}")
-
-
-def validate_stream(events, geometry: Geometry) -> EventStream:
-    """Build an EventStream from events (Event objects, (t,x,y,p) tuples, or
-    an existing stream), reporting the first offending index on failure.
-
-    Idempotent: validating a valid stream returns an equal stream.
-    """
-    if isinstance(events, EventStream):
-        return EventStream(geometry, events.t, events.x, events.y, events.p)
-    rows = [(e.t, e.x, e.y, e.p) if isinstance(e, Event) else tuple(e) for e in events]
-    if not rows:
-        return EventStream.empty(geometry)
-    arr = np.asarray(rows, dtype=np.int64)
-    return EventStream(geometry, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+        raise GestemoError(f"event {i} has polarity {p[i]}")
 
 
 @dataclass(frozen=True)
@@ -226,11 +173,11 @@ class StreamSpec:
 
     def __post_init__(self):
         if self.duration_us < 0:
-            raise BadSpecError(f"duration_us must be >= 0, got {self.duration_us}")
+            raise GestemoError(f"duration_us must be >= 0, got {self.duration_us}")
         if self.n_events < 0:
-            raise BadSpecError(f"n_events must be >= 0, got {self.n_events}")
+            raise GestemoError(f"n_events must be >= 0, got {self.n_events}")
         if not (0.0 <= self.positive_fraction <= 1.0):
-            raise BadSpecError(
+            raise GestemoError(
                 f"positive_fraction must be in [0,1], got {self.positive_fraction}")
 
 
@@ -326,6 +273,6 @@ class SampleRecord:
     def __post_init__(self):
         expected = emotion_of(self.gesture)
         if self.gesture is not GestureClass.OTHER and self.emotion != expected:
-            raise BadSpecError(
+            raise GestemoError(
                 f"sample {self.id}: emotion {self.emotion} inconsistent with "
                 f"gesture {self.gesture.value} (expected {expected})")

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimMismatchError, NoRecordedForwardError
+from .errors import GestemoError, check_option, require_keys
 
 HEAD_DROPOUT = 0.5
 
@@ -43,11 +43,11 @@ class RecurrentParams:
 
     def __post_init__(self):
         if self.wx.ndim != 2 or self.wh.ndim != 2 or self.b.ndim != 1:
-            raise DimMismatchError("recurrent params must be 2d, 2d, 1d")
+            raise GestemoError("recurrent params must be 2d, 2d, 1d")
         four_h = self.wx.shape[0]
         if four_h % 4 != 0 or self.wh.shape != (four_h, four_h // 4) \
                 or self.b.shape != (four_h,):
-            raise DimMismatchError(
+            raise GestemoError(
                 f"inconsistent gate shapes wx={self.wx.shape} wh={self.wh.shape} "
                 f"b={self.b.shape}")
 
@@ -97,7 +97,7 @@ def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
     if single:
         x = x[None]
     if x.ndim != 3 or x.shape[2] != params.dim:
-        raise DimMismatchError(f"features shape {x.shape}, expected (B,T,{params.dim})")
+        raise GestemoError(f"features shape {x.shape}, expected (B,T,{params.dim})")
     b, t_len, _ = x.shape
     hid = params.hidden
     h = np.zeros((b, hid))
@@ -135,7 +135,7 @@ def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
                        params: RecurrentParams) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """Backprop through time; returns ({"lstm.wx": ..., ...}, d_x)."""
     if tape is None:
-        raise NoRecordedForwardError("recurrent_backward requires a recorded tape")
+        raise GestemoError("recurrent_backward requires a recorded tape")
     x = tape.x
     b, t_len, dim = x.shape
     hid = params.hidden
@@ -188,11 +188,11 @@ class HeadParams:
 
     def __post_init__(self):
         if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise DimMismatchError("head weights must be 2d")
+            raise GestemoError("head weights must be 2d")
         if self.b1.shape != (self.w1.shape[0],) or self.b2.shape != (self.w2.shape[0],):
-            raise DimMismatchError("head bias shapes inconsistent with weights")
+            raise GestemoError("head bias shapes inconsistent with weights")
         if self.w2.shape[1] != self.w1.shape[0]:
-            raise DimMismatchError(
+            raise GestemoError(
                 f"head layer widths disagree: {self.w1.shape} then {self.w2.shape}")
 
     def names(self) -> Tuple[str, ...]:
@@ -238,16 +238,15 @@ def head_forward(h: np.ndarray, params: HeadParams, *, train: bool = False,
     if single:
         h = h[None]
     if h.shape[1] != params.w1.shape[1]:
-        raise DimMismatchError(f"head input width {h.shape[1]} != {params.w1.shape[1]}")
+        raise GestemoError(f"head input width {h.shape[1]} != {params.w1.shape[1]}")
     z1 = h @ params.w1.T + params.b1
     a = np.maximum(z1, 0.0)
     mask = None
     if train:
-        if not (0.0 <= dropout < 1.0):
-            raise DimMismatchError(f"dropout must be in [0,1), got {dropout}")
+        check_option("dropout", dropout)
         if dropout > 0.0:
             if rng is None:
-                raise NoRecordedForwardError("train-mode head needs an rng for dropout")
+                raise GestemoError("train-mode head needs an rng for dropout")
             keep = 1.0 - dropout
             mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
             a = a * mask
@@ -262,7 +261,7 @@ def head_backward(tape: Optional[HeadTape], d_logits: np.ndarray,
                   params: HeadParams) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """Returns ({"head.w1": ...}, d_h)."""
     if tape is None:
-        raise NoRecordedForwardError("head_backward requires a recorded tape")
+        raise GestemoError("head_backward requires a recorded tape")
     b = tape.h.shape[0]
     d_logits = np.asarray(d_logits, dtype=np.float64).reshape(b, -1)
     g_w2 = d_logits.T @ tape.a
@@ -286,15 +285,15 @@ class FusionConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise DimMismatchError(f"fusion weight must be >= 0, got {self.lam}")
+        check_option("lam", self.lam)
 
     def to_dict(self) -> dict:
         return {"lam": self.lam}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FusionConfig":
-        return cls(**d)
+        """Inverse of to_dict; every key is required."""
+        return cls(**require_keys(d, cls))
 
 
 def fuse(s_dg: np.ndarray, branch_logits: np.ndarray,
@@ -303,7 +302,7 @@ def fuse(s_dg: np.ndarray, branch_logits: np.ndarray,
     s = np.asarray(s_dg, dtype=np.float64)
     l = np.asarray(branch_logits, dtype=np.float64)
     if s.shape != l.shape:
-        raise DimMismatchError(f"fusion shapes disagree: {s.shape} vs {l.shape}")
+        raise GestemoError(f"fusion shapes disagree: {s.shape} vs {l.shape}")
     return s + cfg.lam * l
 
 

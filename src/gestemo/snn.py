@@ -24,19 +24,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    NoRecordedForwardError,
-    ShapeMismatchError,
-    UninitializedParamsError,
-)
+from .errors import GestemoError, check_option, require_keys
 
 DEFAULT_SURROGATE_WIDTH = 0.5
-RESET_MODES = ("to_zero", "subtract_theta")
 
 #: taped spike dtype per spike function; binary spikes are exactly 0 or 1
 _SPIKE_DTYPE = {"binary": np.bool_, "relaxed": np.float64}
@@ -51,19 +47,16 @@ class LifConfig:
     reset: str = "to_zero"
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= 1.0):
-            raise ShapeMismatchError(f"beta must be in (0,1], got {self.beta}")
-        if self.theta <= 0.0:
-            raise ShapeMismatchError(f"theta must be > 0, got {self.theta}")
-        if self.reset not in RESET_MODES:
-            raise ShapeMismatchError(f"unknown reset mode {self.reset!r}")
+        for f in fields(self):
+            check_option(f"lif_{f.name}", getattr(self, f.name))
 
     def to_dict(self) -> dict:
         return {"beta": self.beta, "theta": self.theta, "reset": self.reset}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LifConfig":
-        return cls(**d)
+        """Inverse of to_dict; every key is required."""
+        return cls(**require_keys(d, cls))
 
 
 # -- architecture -------------------------------------------------------------
@@ -110,11 +103,19 @@ class SnnArchitecture:
         # tuples keep the architecture hashable, so its plan can be cached
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        sizes = [*self.input_shape, self.num_classes, *(
+            v for layer in self.layers for k, v in vars(layer).items() if k != "mode")]
+        bad = [v for v in sizes if isinstance(v, bool)
+               or not isinstance(v, numbers.Integral) or v < 1]
+        if bad:
+            raise GestemoError(f"architecture sizes must be integers >= 1, got {bad[0]!r}")
+        if any(getattr(layer, "mode", "sum") not in ("sum", "max") for layer in self.layers):
+            raise GestemoError("pool mode must be sum or max")
         shapes = self.output_shapes()  # raises on incompatibility
         if not self.layers or not isinstance(self.layers[-1], Dense):
-            raise ShapeMismatchError("architecture must end with a Dense layer")
+            raise GestemoError("architecture must end with a Dense layer")
         if shapes[-1] != (self.num_classes,):
-            raise ShapeMismatchError(
+            raise GestemoError(
                 f"final layer width {shapes[-1]} != ({self.num_classes},)")
 
     def output_shapes(self) -> List[tuple]:
@@ -123,40 +124,48 @@ class SnnArchitecture:
         for i, layer in enumerate(self.layers):
             if isinstance(layer, Conv):
                 if len(shape) != 3 or shape[0] != layer.in_channels:
-                    raise ShapeMismatchError(
+                    raise GestemoError(
                         f"layer {i}: conv expects {layer.in_channels} channels, "
                         f"input is {shape}")
                 h = (shape[1] - layer.kernel) // layer.stride + 1
                 w = (shape[2] - layer.kernel) // layer.stride + 1
                 if h < 1 or w < 1:
-                    raise ShapeMismatchError(f"layer {i}: kernel larger than input {shape}")
+                    raise GestemoError(f"layer {i}: kernel larger than input {shape}")
                 shape = (layer.out_channels, h, w)
             elif isinstance(layer, Pool):
                 if len(shape) != 3:
-                    raise ShapeMismatchError(f"layer {i}: pool needs spatial input")
+                    raise GestemoError(f"layer {i}: pool needs spatial input")
                 h, w = shape[1] // layer.window, shape[2] // layer.window
                 if h < 1 or w < 1:
-                    raise ShapeMismatchError(f"layer {i}: window exceeds input {shape}")
+                    raise GestemoError(f"layer {i}: window exceeds input {shape}")
                 shape = (shape[0], h, w)
             elif isinstance(layer, Dense):
                 flat = int(np.prod(shape))
                 if flat != layer.in_width:
-                    raise ShapeMismatchError(
+                    raise GestemoError(
                         f"layer {i}: fc expects width {layer.in_width}, input "
                         f"flattens to {flat}")
                 shape = (layer.out_width,)
             else:
-                raise ShapeMismatchError(f"layer {i}: unknown layer {layer!r}")
+                raise GestemoError(f"layer {i}: unknown layer {layer!r}")
             out.append(shape)
         return out
 
-    def param_names(self) -> List[str]:
-        names = []
+    def param_shapes(self) -> Dict[str, tuple]:
+        """Shape of every weight and bias, in layer order."""
+        shapes = {}
         for i, layer in enumerate(self.layers):
-            if isinstance(layer, (Conv, Dense)):
-                kind = _LAYER_KIND[type(layer)]
-                names += [f"{kind}{i}.w", f"{kind}{i}.b"]
-        return names
+            if isinstance(layer, Conv):
+                shapes[f"conv{i}.w"] = (layer.out_channels, layer.in_channels,
+                                        layer.kernel, layer.kernel)
+                shapes[f"conv{i}.b"] = (layer.out_channels,)
+            elif isinstance(layer, Dense):
+                shapes[f"fc{i}.w"] = (layer.out_width, layer.in_width)
+                shapes[f"fc{i}.b"] = (layer.out_width,)
+        return shapes
+
+    def param_names(self) -> List[str]:
+        return list(self.param_shapes())
 
     def to_dict(self) -> dict:
         return {
@@ -212,6 +221,7 @@ def init_params(arch: SnnArchitecture, seed: int,
     if scheme != "xavier_uniform":
         raise ValueError(f"unknown init scheme {scheme!r}")
     rng = np.random.default_rng(seed)
+    shapes = arch.param_shapes()
     params: Dict[str, np.ndarray] = {}
     for i, layer in enumerate(arch.layers):
         if isinstance(layer, Pool):
@@ -219,21 +229,15 @@ def init_params(arch: SnnArchitecture, seed: int,
         kind = _LAYER_KIND[type(layer)]
         fan_in, fan_out = _fans(layer)
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        if isinstance(layer, Conv):
-            wshape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-            bshape = (layer.out_channels,)
-        else:
-            wshape = (layer.out_width, layer.in_width)
-            bshape = (layer.out_width,)
-        params[f"{kind}{i}.w"] = rng.uniform(-bound, bound, size=wshape)
-        params[f"{kind}{i}.b"] = np.zeros(bshape)
+        params[f"{kind}{i}.w"] = rng.uniform(-bound, bound, size=shapes[f"{kind}{i}.w"])
+        params[f"{kind}{i}.b"] = np.zeros(shapes[f"{kind}{i}.b"])
     return params
 
 
 def _require_params(arch: SnnArchitecture, params: Dict[str, np.ndarray]) -> None:
     for name in arch.param_names():
         if name not in params:
-            raise UninitializedParamsError(f"missing parameter {name!r}")
+            raise GestemoError(f"missing parameter {name!r}")
 
 
 # -- LIF dynamics ----------------------------------------------------------------
@@ -248,7 +252,7 @@ def lif_step(potential: np.ndarray, input_current: np.ndarray,
     v = np.array(potential, dtype=np.float64)
     i = np.asarray(input_current, dtype=np.float64)
     if v.shape != i.shape:
-        raise ShapeMismatchError(f"potential {v.shape} vs current {i.shape}")
+        raise GestemoError(f"potential {v.shape} vs current {i.shape}")
     s = np.empty(v.shape, dtype=bool)
     _lif_forward(v, i, np.empty_like(v), s, cfg, DEFAULT_SURROGATE_WIDTH)
     return v, s.astype(np.float64)
@@ -484,7 +488,7 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     if single:
         x = x[None]
     if x.ndim != 5 or x.shape[2:] != tuple(arch.input_shape):
-        raise ShapeMismatchError(
+        raise GestemoError(
             f"planes shape {x.shape} incompatible with input {arch.input_shape}")
     b, k = x.shape[0], x.shape[1]
     plan = _plan(arch)
@@ -514,7 +518,7 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
     """Backpropagate an arbitrary loss gradient d(loss)/d(s_dg) through the
     recorded K steps; returns gradients for every weighted layer."""
     if tape is None or tape.s_dg is None:
-        raise NoRecordedForwardError("snn_backward requires a recorded forward tape")
+        raise GestemoError("snn_backward requires a recorded forward tape")
     plan, cfg = tape.plan, tape.cfg
     arch = plan.arch
     k, b = tape.spikes[0].shape[0], tape.spikes[0].shape[1]
@@ -522,7 +526,7 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
     if d_sdg.ndim == 1:
         d_sdg = d_sdg[None]
     if d_sdg.shape != (b, arch.num_classes):
-        raise ShapeMismatchError(f"d_sdg shape {d_sdg.shape} != ({b},{arch.num_classes})")
+        raise GestemoError(f"d_sdg shape {d_sdg.shape} != ({b},{arch.num_classes})")
     grads = {name: np.zeros_like(params[name]) for name in arch.param_names()}
     dv_carry = [np.zeros((b,) + shp) for shp in plan.out_shapes]
     scratch = [(np.empty((b,) + shp), np.empty((b,) + shp)) for shp in plan.out_shapes]
@@ -543,7 +547,7 @@ def snn_backward(tape: Optional[SnnTape], targets: np.ndarray,
     """Gradients of the mean-over-batch MSE spike loss against one-hot
     targets.  targets: int class labels (B,) or one-hot (B, C)."""
     if tape is None or tape.s_dg is None:
-        raise NoRecordedForwardError("snn_backward requires a recorded forward tape")
+        raise GestemoError("snn_backward requires a recorded forward tape")
     s_dg = tape.s_dg
     b, c = s_dg.shape
     t = np.asarray(targets)

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataio import SplitManifest, load_sample, read_events_file, read_feature_file
-from .errors import EmptyStreamError, MissingFeaturesError
+from .errors import GestemoError
 from .events import EventStream, GestureClass, SampleRecord
 
 MICROS_PER_SECOND = 1_000_000.0
@@ -38,7 +38,7 @@ class FiveNumber:
     def from_values(cls, values: Sequence[float]) -> "FiveNumber":
         v = np.asarray(values, dtype=np.float64)
         if v.size == 0:
-            raise EmptyStreamError("five-number summary of an empty sequence")
+            raise GestemoError("five-number summary of an empty sequence")
         q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
         iqr = q3 - q1
         lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
@@ -79,7 +79,7 @@ def frame_length_histogram(manifest: SplitManifest,
                            bin_width: int = 100) -> Dict[str, List[int]]:
     """Counts of samples per frame-count bin [0,bw), [bw,2bw), ...
 
-    Raises MissingFeaturesError when an entry has no feature file.
+    Raises GestemoError when an entry has no feature file.
     """
     _require_features(manifest)
     return _length_histogram(
@@ -149,7 +149,7 @@ def summarize(samples: Iterable[SampleRecord], bin_width: int = 100) -> DatasetS
 
 def dataset_stats(manifest: SplitManifest, bin_width: int = 100) -> dict:
     """One JSON-ready document bundling every analysis; each sample is read
-    once.  Raises MissingFeaturesError when an entry has no feature file."""
+    once.  Raises GestemoError when an entry has no feature file."""
     _require_features(manifest)
     return summarize((load_sample(manifest, e.id) for e in manifest.entries),
                      bin_width).to_dict()
@@ -184,7 +184,7 @@ def _read_events(manifest: SplitManifest, entry) -> EventStream:
 def _require_features(manifest: SplitManifest) -> None:
     for e in manifest.entries:
         if e.features is None:
-            raise MissingFeaturesError(f"sample {e.id!r} has no feature file")
+            raise GestemoError(f"sample {e.id!r} has no feature file")
 
 
 def _length_histogram(lengths: Sequence[int], bin_width: int) -> Dict[str, List[int]]:

@@ -23,7 +23,7 @@ from .dataio import (
     write_feature_file,
     write_manifest,
 )
-from .errors import BadSpecError
+from .errors import GestemoError
 from .events import (
     DAVIS346,
     PATTERN_OF_GESTURE,
@@ -53,17 +53,17 @@ class DatasetSpec:
 
     def __post_init__(self):
         if not self.gestures or self.per_class < 1:
-            raise BadSpecError("need at least one gesture and one sample per class")
+            raise GestemoError("need at least one gesture and one sample per class")
         if len(set(self.gestures)) != len(self.gestures):
-            raise BadSpecError("duplicate gesture in dataset spec")
+            raise GestemoError("duplicate gesture in dataset spec")
         if not (0 < self.min_events <= self.max_events):
-            raise BadSpecError("bad event count range")
+            raise GestemoError("bad event count range")
         if not (1 <= self.min_frames <= self.max_frames):
-            raise BadSpecError("bad frame count range")
+            raise GestemoError("bad frame count range")
         if self.feature_dim < 1:
-            raise BadSpecError("feature dim must be >= 1")
+            raise GestemoError("feature dim must be >= 1")
         if not (0.0 < self.train_fraction < 1.0):
-            raise BadSpecError("train fraction must be in (0,1)")
+            raise GestemoError("train fraction must be in (0,1)")
 
 
 def class_direction(gesture: GestureClass, dim: int) -> np.ndarray:

@@ -14,19 +14,13 @@ seeded generator, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .encode import dense_spike_planes, scale_planes
-from .errors import (
-    DimMismatchError,
-    DivergedLossError,
-    EmptyClassError,
-    EmptySplitError,
-    ShapeMismatchError,
-)
+from .errors import CHOICES, DivergedLossError, GestemoError, check_option
 from .events import LABELED_GESTURES, EmotionClass, GestureClass, SampleRecord, emotion_of
 from .fusion import (
     FusionConfig,
@@ -49,9 +43,6 @@ from .snn import (
     snn_forward,
 )
 
-BRANCHES = ("snn_only", "video_only", "fused")
-MODES = ("joint", "separate")
-
 
 # -- losses and weights ----------------------------------------------------------
 
@@ -61,10 +52,10 @@ def class_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels, minlength=num_classes)
     if counts.size > num_classes:
-        raise EmptyClassError(f"label outside [0,{num_classes}) present")
+        raise GestemoError(f"label outside [0,{num_classes}) present")
     missing = np.flatnonzero(counts == 0)
     if missing.size:
-        raise EmptyClassError(f"class {int(missing[0])} has no samples")
+        raise GestemoError(f"class {int(missing[0])} has no samples")
     return labels.size / (num_classes * counts.astype(np.float64))
 
 
@@ -87,7 +78,7 @@ def weighted_cross_entropy(logits: np.ndarray, labels: np.ndarray,
         z = z[None]
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if z.shape[0] != labels.size:
-        raise DimMismatchError(f"{z.shape[0]} score rows vs {labels.size} labels")
+        raise GestemoError(f"{z.shape[0]} score rows vs {labels.size} labels")
     b = z.shape[0]
     zs = z - z.max(axis=1, keepdims=True)
     logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
@@ -109,7 +100,7 @@ def mse_spike_loss(s_dg: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndar
     b, c = s.shape
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labels.size != b:
-        raise DimMismatchError(f"{b} score rows vs {labels.size} labels")
+        raise GestemoError(f"{b} score rows vs {labels.size} labels")
     diff = s - _onehot(labels, c)
     loss = float((diff * diff).sum() / (b * c))
     return loss, 2.0 * diff / (b * c)
@@ -180,8 +171,8 @@ def init_model(arch: SnnArchitecture, feature_dim: int, *, hidden: int = 128,
                head_mid: int = 64, seed: int = 0,
                branch: str = "fused") -> ModelParams:
     """Seeded init of whichever branches the mode requires."""
-    if branch not in BRANCHES:
-        raise DimMismatchError(f"unknown branch {branch!r}")
+    if branch not in CHOICES["branch"]:
+        raise GestemoError(f"unknown branch {branch!r}")
     ss = np.random.SeedSequence(seed).spawn(3)
     seeds = [int(s.generate_state(1)[0]) for s in ss]
     model = ModelParams()
@@ -212,11 +203,11 @@ class TrainData:
     def __post_init__(self):
         n = self.labels.shape[0]
         if self.planes is not None and self.planes.shape[0] != n:
-            raise DimMismatchError(f"{self.planes.shape[0]} plane stacks vs {n} labels")
+            raise GestemoError(f"{self.planes.shape[0]} plane stacks vs {n} labels")
         if self.features is not None and self.features.shape[0] != n:
-            raise DimMismatchError(f"{self.features.shape[0]} feature stacks vs {n} labels")
+            raise GestemoError(f"{self.features.shape[0]} feature stacks vs {n} labels")
         if self.planes is None and self.features is None:
-            raise DimMismatchError("need planes or features")
+            raise GestemoError("need planes or features")
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
@@ -235,8 +226,8 @@ def prepare_tensors(samples: Sequence[SampleRecord], k: int, *,
     to its emotion (3 classes).  Samples outside the label space — notably
     the catch-all gesture class — are skipped.
     """
-    if target not in ("gesture", "emotion"):
-        raise DimMismatchError(f"unknown target {target!r}")
+    if target not in CHOICES["target"]:
+        raise GestemoError(f"unknown target {target!r}")
     if label_space is None:
         label_space = (LABELED_GESTURES if target == "gesture"
                        else tuple(EmotionClass))
@@ -251,25 +242,25 @@ def prepare_tensors(samples: Sequence[SampleRecord], k: int, *,
             continue
         labels.append(index[key])
         if with_planes:
-            p = dense_spike_planes(s.events, k, factor=max(downsample, 1))
+            p = dense_spike_planes(s.events, k, factor=downsample)
             planes_list.append(scale_planes(p, scale_mode))
         if with_features:
             if s.features is None:
-                raise DimMismatchError(f"sample {s.id}: no frame features")
+                raise GestemoError(f"sample {s.id}: no frame features")
             feats_list.append(s.features.normalized(frame_limit))
     if not labels:
-        raise EmptySplitError("no samples with labels in the requested space")
+        raise GestemoError("no samples with labels in the requested space")
     planes = None
     feats = None
     if with_planes:
         shapes = {p.shape for p in planes_list}
         if len(shapes) > 1:
-            raise ShapeMismatchError(f"inconsistent plane shapes: {sorted(shapes)}")
+            raise GestemoError(f"inconsistent plane shapes: {sorted(shapes)}")
         planes = np.stack(planes_list)
     if with_features:
         dims = {f.shape for f in feats_list}
         if len(dims) > 1:
-            raise DimMismatchError(f"inconsistent feature shapes: {sorted(dims)}")
+            raise GestemoError(f"inconsistent feature shapes: {sorted(dims)}")
         feats = np.stack(feats_list)
     return TrainData(planes, feats, np.asarray(labels, dtype=np.int64), label_space)
 
@@ -290,12 +281,8 @@ class TrainConfig:
     diverge_limit: float = 1e6
 
     def __post_init__(self):
-        if self.branch not in BRANCHES:
-            raise DimMismatchError(f"unknown branch {self.branch!r}")
-        if self.mode not in MODES:
-            raise DimMismatchError(f"unknown mode {self.mode!r}")
-        if self.epochs < 0:
-            raise DimMismatchError("epochs must be >= 0")
+        for f in fields(self):
+            check_option(f.name, getattr(self, f.name))
 
 
 def _check_loss(loss: float, epoch: int, limit: float) -> None:
@@ -309,9 +296,9 @@ def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     use_snn = cfg.branch != "video_only"
     use_video = cfg.branch != "snn_only"
     if use_snn and (data.planes is None or model.snn is None):
-        raise DimMismatchError("event branch requested without planes or params")
+        raise GestemoError("event branch requested without planes or params")
     if use_video and (data.features is None or model.lstm is None):
-        raise DimMismatchError("frame branch requested without features or params")
+        raise GestemoError("frame branch requested without features or params")
     n = len(data)
     weights = class_weights(data.labels, arch.num_classes)
     fusion_cfg = FusionConfig(cfg.lam)
@@ -388,24 +375,18 @@ def train(data: TrainData, model: ModelParams, arch: SnnArchitecture,
           log: Optional[List[str]] = None) -> List[dict]:
     """Fit the model in place and return the per-epoch loss history."""
     if len(data) == 0:
-        raise EmptySplitError("training split is empty")
+        raise GestemoError("training split is empty")
     if cfg.branch == "fused" and cfg.mode == "separate":
         children = np.random.SeedSequence(cfg.seed).spawn(2)
         seeds = [int(s.generate_state(1)[0]) for s in children]
         hist = _train_joint(
             data, model, arch, lif_cfg,
-            _replace(cfg, branch="snn_only", seed=seeds[0]), log)
+            replace(cfg, branch="snn_only", seed=seeds[0]), log)
         hist += _train_joint(
             data, model, arch, lif_cfg,
-            _replace(cfg, branch="video_only", seed=seeds[1]), log)
+            replace(cfg, branch="video_only", seed=seeds[1]), log)
         return hist
     return _train_joint(data, model, arch, lif_cfg, cfg, log)
-
-
-def _replace(cfg: TrainConfig, **kw) -> TrainConfig:
-    d = {k: getattr(cfg, k) for k in TrainConfig.__dataclass_fields__}
-    d.update(kw)
-    return TrainConfig(**d)
 
 
 # -- evaluation and metrics ---------------------------------------------------------
@@ -415,9 +396,12 @@ def scores_for(data: TrainData, model: ModelParams, arch: SnnArchitecture,
                lam: float = 1.0) -> np.ndarray:
     """Class scores for every sample, eval mode (no dropout, binary spikes)."""
     if len(data) == 0:
-        raise EmptySplitError("evaluation split is empty")
-    if branch not in BRANCHES:
-        raise DimMismatchError(f"unknown branch {branch!r}")
+        raise GestemoError("evaluation split is empty")
+    if branch not in CHOICES["branch"]:
+        raise GestemoError(f"unknown branch {branch!r}")
+    if (branch != "video_only" and model.snn is None
+            or branch != "snn_only" and None in (model.lstm, model.head)):
+        raise GestemoError(f"model has no parameters for branch {branch!r}")
     s_dg = logits = None
     if branch != "video_only":
         s_dg = snn_forward(data.planes, model.snn, arch, lif_cfg)
@@ -437,10 +421,10 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
     t = np.asarray(y_true, dtype=np.int64).reshape(-1)
     p = np.asarray(y_pred, dtype=np.int64).reshape(-1)
     if t.size != p.size:
-        raise DimMismatchError(f"{t.size} true vs {p.size} predicted")
+        raise GestemoError(f"{t.size} true vs {p.size} predicted")
     if t.size and (t.min() < 0 or t.max() >= num_classes
                    or p.min() < 0 or p.max() >= num_classes):
-        raise DimMismatchError(f"labels outside [0,{num_classes})")
+        raise GestemoError(f"labels outside [0,{num_classes})")
     flat = np.bincount(t * num_classes + p, minlength=num_classes * num_classes)
     return flat.reshape(num_classes, num_classes)
 
@@ -467,10 +451,10 @@ class MetricsReport:
     def from_confusion(cls, cm: np.ndarray) -> "MetricsReport":
         cm = np.asarray(cm, dtype=np.int64)
         if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
-            raise DimMismatchError(f"confusion matrix must be square, got {cm.shape}")
+            raise GestemoError(f"confusion matrix must be square, got {cm.shape}")
         total = cm.sum()
         if total == 0:
-            raise EmptySplitError("empty confusion matrix")
+            raise GestemoError("empty confusion matrix")
         tp = np.diag(cm).astype(np.float64)
         support = cm.sum(axis=1).astype(np.float64)
         predicted = cm.sum(axis=0).astype(np.float64)
@@ -546,7 +530,7 @@ def emotion_report(data: TrainData, y_pred: np.ndarray) -> Tuple[MetricsReport, 
     """Collapse gesture predictions through the gesture-to-emotion map and
     score at emotion level.  Requires gesture-level labels."""
     if not all(isinstance(g, GestureClass) for g in data.label_space):
-        raise DimMismatchError("labels are already emotion-level")
+        raise GestemoError("labels are already emotion-level")
     emotions = tuple(e.value for e in EmotionClass)
     idx = {e: i for i, e in enumerate(emotions)}
 
@@ -555,7 +539,7 @@ def emotion_report(data: TrainData, y_pred: np.ndarray) -> Tuple[MetricsReport, 
         for j, g in enumerate(gesture_ids):
             emo = emotion_of(data.label_space[int(g)])
             if emo is None:
-                raise DimMismatchError("unlabeled gesture in emotion scoring")
+                raise GestemoError("unlabeled gesture in emotion scoring")
             out[j] = idx[emo.value]
         return out
 

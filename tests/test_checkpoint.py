@@ -12,7 +12,7 @@ from gestemo.checkpoint import (
 from gestemo.errors import ParseError
 from gestemo.fusion import FusionConfig
 from gestemo.snn import Conv, Dense, LifConfig, Pool, SnnArchitecture
-from gestemo.training import init_model
+from gestemo.training import ModelParams, init_model
 
 ARCH = SnnArchitecture(
     layers=(Conv(2, 4, 3), Pool(2), Dense(36, 3)),
@@ -134,30 +134,60 @@ def rewrite_header(path, edit):
     path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
 
 
+#: header edits, each with a fragment of the message of the check that
+#: must refuse it
 HEADER_EDITS = {
-    **{f"no_{key}": (lambda h, key=key: h.pop(key))
+    **{f"no_{key}": ((lambda h, key=key: h.pop(key)), f"header key '{key}' must be")
        for key in ("arch", "lif", "fusion", "seed", "label_space", "tensors",
                    "extra")},
-    "arch_list": lambda h: h.update(arch=[1, 2]),
-    "seed_str": lambda h: h.update(seed="4"),
-    "seed_bool": lambda h: h.update(seed=True),
-    "extra_null": lambda h: h.update(extra=None),
-    "label_int": lambda h: h.update(label_space=[1, 2, 3]),
-    "tensor_no_shape": lambda h: h.update(tensors=[{"name": "x"}]),
-    "tensor_negative_dim": lambda h: h["tensors"][0].update(shape=[-1]),
-    "arch_no_layers": lambda h: h["arch"].pop("layers"),
-    "arch_bad_kind": lambda h: h["arch"]["layers"][0].update(kind="lstm"),
-    "lif_unknown_key": lambda h: h["lif"].update(leak=0.5),
-    "lif_bad_beta": lambda h: h["lif"].update(beta=2.0),
+    "arch_list": (lambda h: h.update(arch=[1, 2]), "'arch' must be a JSON dict"),
+    "seed_str": (lambda h: h.update(seed="4"), "'seed' must be a JSON int, got '4'"),
+    "seed_bool": (lambda h: h.update(seed=True), "'seed' must be a JSON int, got True"),
+    "extra_null": (lambda h: h.update(extra=None), "'extra' must be a JSON dict"),
+    "label_int": (lambda h: h.update(label_space=[1, 2, 3]),
+                  "malformed tensor list or label space"),
+    "tensor_no_shape": (lambda h: h.update(tensors=[{"name": "x"}]),
+                        "malformed tensor list or label space"),
+    "tensor_negative_dim": (lambda h: h["tensors"][0].update(shape=[-1]),
+                            "malformed tensor list or label space"),
+    "arch_no_layers": (lambda h: h["arch"].pop("layers"), r"KeyError\('layers'\)"),
+    "arch_bad_kind": (lambda h: h["arch"]["layers"][0].update(kind="lstm"),
+                      r"KeyError\('lstm'\)"),
+    "lif_unknown_key": (lambda h: h["lif"].update(leak=0.5),
+                        "unexpected keyword argument 'leak'"),
+    "lif_bad_beta": (lambda h: h["lif"].update(beta=2.0),
+                     r"lif_beta must be in \(0, 1\], got 2.0"),
+    "lif_theta_nan": (lambda h: h["lif"].update(theta=float("nan")),
+                      "lif_theta must be finite and > 0, got nan"),
+    "lif_missing_theta": (lambda h: h["lif"].pop("theta"), "missing keys theta"),
+    "fusion_empty": (lambda h: h.update(fusion={}), "missing keys lam"),
+    "fusion_lam_str": (lambda h: h["fusion"].update(lam="1"),
+                       "lam must be finite and >= 0, got '1'"),
+    "arch_float_kernel": (lambda h: h["arch"]["layers"][0].update(kernel=3.0),
+                          "architecture sizes must be integers >= 1, got 3.0"),
+    "arch_zero_stride": (lambda h: h["arch"]["layers"][0].update(stride=0),
+                         "architecture sizes must be integers >= 1, got 0"),
+    "fc_transposed": (lambda h: tensor_spec(h, "fc2.w")["shape"].reverse(),
+                      r"tensor 'fc2.w' has shape \(36, 3\), the architecture "
+                      r"needs \(3, 36\)"),
+    "head_w1_transposed": (lambda h: tensor_spec(h, "head.w1")["shape"].reverse(),
+                           "head bias shapes inconsistent with weights"),
+    "unknown_tensor": (lambda h: tensor_spec(h, "conv0.b").update(name="conv9.b"),
+                       "tensor 'conv0.b' has shape None"),
 }
+
+
+def tensor_spec(header, name):
+    return next(t for t in header["tensors"] if t["name"] == name)
 
 
 @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
 def test_rejects_missing_or_mistyped_header_keys(tmp_path, edit):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint(), path)
-    rewrite_header(path, HEADER_EDITS[edit])
-    with pytest.raises(ParseError):
+    change, message = HEADER_EDITS[edit]
+    rewrite_header(path, change)
+    with pytest.raises(ParseError, match=message):
         load_checkpoint(path)
 
 
@@ -165,4 +195,24 @@ def test_rejects_non_object_header(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"[1, 2]\n")
     with pytest.raises(ParseError):
+        load_checkpoint(path)
+
+
+def test_rejects_head_that_does_not_fit_the_lstm_or_classes(tmp_path):
+    model = init_model(ARCH, feature_dim=5, hidden=6, head_mid=4, seed=0)
+    other = init_model(ARCH, feature_dim=5, hidden=7, head_mid=4, seed=0)
+    ckpt = make_checkpoint()
+    ckpt.model = ModelParams(snn=model.snn, lstm=model.lstm, head=other.head)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(ParseError, match="do not fit 6 LSTM units and 3 classes"):
+        load_checkpoint(path)
+
+
+def test_rejects_partial_frame_branch(tmp_path):
+    ckpt = make_checkpoint()
+    ckpt.model = ModelParams(snn=ckpt.model.snn, lstm=ckpt.model.lstm)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(ParseError, match="frame branch has only tensors"):
         load_checkpoint(path)

@@ -1,7 +1,9 @@
 """End-to-end command tests driven through main(); every command writes
 into tmp_path and assertions read the produced files back."""
 
+import contextlib
 import filecmp
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gestemo.checkpoint import load_checkpoint
-from gestemo.cli import main
+from gestemo.cli import TRAIN_DEFAULTS, main
 from gestemo.dataio import read_manifest, write_events_file, write_feature_file
 from gestemo.dataio import FrameFeatureSequence
 from gestemo.encode import dense_spike_planes, downsample_planes, read_planes_file
@@ -171,11 +175,13 @@ def test_encode_clip01_planes_are_binary(tmp_path, capsys):
     assert set(np.unique(read_planes_file(out).counts)) <= {0, 1}
 
 
-def test_encode_bad_k_is_data_error(tmp_path, capsys):
+def test_encode_bad_k_is_usage_error(tmp_path, capsys):
     ev = tmp_path / "events.csv"
     write_events_file(synth_stream(StreamSpec(Geometry(8, 8), 1000, 5), 0), ev)
     assert main(["encode", str(ev), "--out", str(tmp_path / "p.txt"),
-                 "--k", "0"]) == 2
+                 "--k", "0"]) == 1
+    assert capsys.readouterr().err == "k must be >= 1, got 0\n"
+    assert not (tmp_path / "p.txt").exists()
 
 
 def test_encode_rejects_lossy_scale_for_files(tmp_path, capsys):
@@ -283,6 +289,9 @@ def test_train_single_branch_eval_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", str(ckpt), manifest, "--split", "train"]) == 0
     assert "branch=video_only" in capsys.readouterr().out
+    assert main(["eval", str(ckpt), manifest, "--branch", "fused"]) == 2
+    assert capsys.readouterr().err == \
+        "error: model has no parameters for branch 'fused'\n"
 
 
 def test_train_twice_same_seed_identical_checkpoints(tmp_path, capsys):
@@ -345,26 +354,35 @@ def test_train_config_bad_value_type_is_usage_error(tmp_path):
     assert proc.stderr.strip().endswith("epochs must be int, got 'abc'")
 
 
+def flag_of(key):
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
+#: out-of-range values of every numeric training option
+BAD_VALUES = {
+    "k": ["0"], "downsample": ["0"], "lam": ["-1", "nan"], "epochs": ["-1"],
+    "lr": ["inf"], "batch_size": ["-1"], "dropout": ["1.5"],
+    "surrogate_width": ["0", "nan"], "hidden": ["0"], "head_mid": ["0"],
+    "frame_limit": ["0"], "seed": ["-1"], "lif_beta": ["2"],
+    "lif_theta": ["0", "nan"],
+}
+
+
+def test_every_numeric_option_has_a_bad_value():
+    numeric = {k for k, v in TRAIN_DEFAULTS.items() if not isinstance(v, str)}
+    assert set(BAD_VALUES) == numeric
+
+
 @pytest.mark.parametrize("flag,value", [
-    ("--surrogate-width", "0"),
-    ("--surrogate-width", "nan"),
-    ("--lif-beta", "2"),
-    ("--lif-theta", "0"),
-    ("--k", "0"),
-    ("--dropout", "1.5"),
-    ("--epochs", "-1"),
-    ("--batch-size", "-1"),
-    ("--hidden", "0"),
-    ("--lr", "inf"),
-    ("--seed", "-1"),
-])
+    (flag_of(key), value) for key in TRAIN_DEFAULTS for value in BAD_VALUES.get(key, [])])
 def test_train_bad_option_value_is_usage_error(tmp_path, capsys, flag, value):
     manifest = small_corpus(tmp_path)
     out = tmp_path / "m.ckpt"
     assert main(["train", manifest, *FAST_TRAIN, flag, value,
                  "--out", str(out)]) == 1
-    key = flag[2:].replace("-", "_")
-    assert capsys.readouterr().err.startswith(f"{key} must be ")
+    key = next(k for k in TRAIN_DEFAULTS if flag_of(k) == flag)
+    err = capsys.readouterr().err
+    assert err.startswith(f"{key} must be ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -395,6 +413,125 @@ def test_eval_checkpoint_without_arch_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", str(ckpt), manifest]) == 2
     assert "header key 'arch'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """One tiny trained checkpoint and its corpus; tests copy, never edit."""
+    root = tmp_path_factory.mktemp("trained")
+    manifest = small_corpus(root)
+    ckpt = root / "model.ckpt"
+    assert main(["train", manifest, "--out", str(ckpt), *FAST_TRAIN]) == 0
+    return ckpt, manifest
+
+
+def run_main(*argv):
+    """main(argv) with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_eval_bad_lambda_is_usage_error(trained, value):
+    ckpt, manifest = trained
+    code, out, err = run_main("eval", str(ckpt), manifest, "--lambda", value)
+    assert code == 1 and out == ""
+    assert err == f"lam must be finite and >= 0, got {float(value)!r}\n"
+
+
+def swap_fc4_shape(header):
+    spec = next(t for t in header["tensors"] if t["name"] == "fc4.w")
+    spec["shape"].reverse()
+
+
+#: header edits that leave a loadable-looking checkpoint, and the message
+#: fragment of the check that must catch each
+BAD_HEADERS = {
+    "lif_theta_nan": (lambda h: h["lif"].update(theta=float("nan")),
+                      "lif_theta must be finite and > 0, got nan"),
+    "fusion_empty": (lambda h: h.update(fusion={}), "missing keys lam"),
+    "extra_k_str": (lambda h: h["extra"].update(k="abc"),
+                    "k must be >= 1, got 'abc'"),
+    "extra_scale_mode": (lambda h: h["extra"].update(scale_mode="bogus"),
+                         "scale_mode must be one of none, clip01, divide_by_max"),
+    "label_happy": (lambda h: h["label_space"].__setitem__(0, "Happy"),
+                    "'Happy' is not a valid EmotionClass"),
+    "label_missing": (lambda h: h["label_space"].pop(),
+                      "2 labels for 3 classes"),
+    "fc4_transposed": (swap_fc4_shape,
+                       "tensor 'fc4.w' has shape (128, 256), the architecture "
+                       "needs (256, 128)"),
+}
+
+
+def write_edited(src, dst, edit=None, cut=0):
+    """Copy a checkpoint, editing its header and dropping cut blob bytes."""
+    head, blob = src.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    if edit is not None:
+        edit(header)
+    dst.write_bytes(json.dumps(header).encode() + b"\n" + blob[:len(blob) - cut])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_HEADERS))
+def test_eval_bad_checkpoint_header_is_one_line_data_error(trained, tmp_path, name):
+    ckpt, manifest = trained
+    edit, fragment = BAD_HEADERS[name]
+    bad = tmp_path / "bad.ckpt"
+    write_edited(ckpt, bad, edit)
+    code, out, err = run_main("eval", str(bad), manifest)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+def header_paths(node, prefix=()):
+    """Every key path into a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from header_paths(child, prefix + (key,))
+
+
+#: replacement values of a wrong type, out of range, or non-finite; no value
+#: is large enough to make eval allocate much
+ODD_VALUES = [float("nan"), float("inf"), -1, 0, 1, 2.5, "abc", None, True, [], {}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_eval_exits_0_or_2_with_one_line(trained, data):
+    ckpt, manifest = trained
+    head = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])
+    # a section first, so the many tensor entries do not crowd out the rest
+    section = data.draw(st.sampled_from(sorted(head)))
+    path = data.draw(st.sampled_from(
+        [(section,), *header_paths(head[section], (section,))]))
+    value = data.draw(st.sampled_from(["<delete>", *ODD_VALUES]))
+    cut = data.draw(st.sampled_from([0, 0, 0, 1, 8, 100]))
+
+    def edit(header):
+        *parents, last = path
+        node = header
+        for key in parents:
+            node = node[key]
+        if value == "<delete>":
+            del node[last]
+        else:
+            node[last] = value
+    bad = ckpt.with_name("mutated.ckpt")
+    write_edited(ckpt, bad, edit, cut)
+    code, _, err = run_main("eval", str(bad), manifest)
+    assert code in (0, 2)
+    assert err.count("\n") == (code == 2)
+    assert "Traceback" not in err
 
 
 def test_stats_bad_bin_width_is_usage_error(tmp_path, capsys):

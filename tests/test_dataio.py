@@ -18,18 +18,11 @@ from gestemo.dataio import (
     read_events_file,
     read_feature_file,
     read_manifest,
-    split_partition_ok,
     write_events_file,
     write_feature_file,
     write_manifest,
 )
-from gestemo.errors import (
-    MissingFileError,
-    ParseError,
-    RaggedRowsError,
-    UnknownIdError,
-    UnknownLabelError,
-)
+from gestemo.errors import GestemoError, ParseError
 from gestemo.events import (
     DAVIS346,
     EmotionClass,
@@ -228,8 +221,9 @@ def test_feature_file_single_row_ok(tmp_path):
 def test_feature_file_ragged(tmp_path):
     p = tmp_path / "f.txt"
     p.write_text("D=3\n1 0 0\n0 1\n")
-    with pytest.raises(RaggedRowsError):
+    with pytest.raises(ParseError, match=":3: row has 2 values, expected 3") as ei:
         read_feature_file(p)
+    assert ei.value.line == 3
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
@@ -289,14 +283,14 @@ def test_manifest_roundtrip_and_load_sample(tmp_path):
 
 def test_manifest_unknown_id(tmp_path):
     m = _make_dataset(tmp_path)
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(GestemoError, match="sample id 'nope' not in manifest"):
         m.entry("nope")
 
 
 def test_manifest_missing_file(tmp_path):
     _make_dataset(tmp_path)
     os.remove(tmp_path / "events" / "a.csv")
-    with pytest.raises(MissingFileError):
+    with pytest.raises(GestemoError, match="manifest entry 'a' references missing"):
         read_manifest(tmp_path / "manifest.json")
 
 
@@ -304,7 +298,7 @@ def test_manifest_unknown_label(tmp_path):
     _make_dataset(tmp_path)
     doc = (tmp_path / "manifest.json").read_text()
     (tmp_path / "manifest.json").write_text(doc.replace('"ok"', '"wave"'))
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(GestemoError, match="entry 0: unknown gesture 'wave'"):
         read_manifest(tmp_path / "manifest.json")
 
 
@@ -316,4 +310,5 @@ def test_manifest_duplicate_id_rejected(tmp_path):
 
 def test_split_partition(tmp_path):
     m = _make_dataset(tmp_path)
-    assert split_partition_ok(m)
+    train, test = set(m.ids("train")), set(m.ids("test"))
+    assert not train & test and train | test == set(m.ids()) == {"a"}

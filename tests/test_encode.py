@@ -10,7 +10,7 @@ from gestemo.encode import (
     scale_planes,
     write_planes_file,
 )
-from gestemo.errors import BadFactorError, BadKError, EmptyStreamError
+from gestemo.errors import GestemoError
 from gestemo.events import (
     DAVIS346,
     EmotionClass,
@@ -102,10 +102,10 @@ def test_polarity_channel_assignment():
 
 def test_bad_k_and_empty_stream():
     s = synth_stream(StreamSpec(DAVIS346, 1000, 4), seed=0)
-    with pytest.raises(BadKError):
+    with pytest.raises(GestemoError, match="k must be >= 1, got 0"):
         dense_spike_planes(s, 0)
     empty = EventStream.from_arrays([], [], [], [], DAVIS346)
-    with pytest.raises(EmptyStreamError):
+    with pytest.raises(GestemoError, match="cannot encode an empty stream"):
         dense_spike_planes(empty, 3)
 
 
@@ -154,9 +154,9 @@ def test_pooled_encoding_equals_downsampled_full_planes(factor):
 def test_downsample_bad_factor():
     s = synth_stream(StreamSpec(DAVIS346, 1000, 4), seed=0)
     planes = dense_spike_planes(s, k=1)
-    with pytest.raises(BadFactorError):
+    with pytest.raises(GestemoError, match="downsample must be >= 1, got 0"):
         downsample_planes(planes, 0)
-    with pytest.raises(BadFactorError):
+    with pytest.raises(GestemoError, match="downsample must be >= 1, got 0"):
         dense_spike_planes(s, 1, factor=0)
 
 

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from gestemo.errors import (
-    BadPolarityError,
-    BadSpecError,
-    NonMonotonicTimeError,
-    OutOfBoundsError,
-)
+from gestemo.errors import GestemoError
 from gestemo.events import (
     DAVIS346,
     LABELED_GESTURES,
@@ -17,9 +12,7 @@ from gestemo.events import (
     SampleRecord,
     StreamSpec,
     emotion_of,
-    make_event,
     synth_stream,
-    validate_stream,
 )
 
 
@@ -46,45 +39,52 @@ def test_emotion_total_on_named_gestures():
         assert emotion_of(g) is not None
 
 
+def one_event(t, x, y, p):
+    return EventStream.from_arrays([t], [x], [y], [p], DAVIS346)
+
+
 def test_make_event_corner_accepted():
-    e = make_event(0, 0, 0, 1, DAVIS346)
-    assert (e.t, e.x, e.y, e.p) == (0, 0, 0, 1)
+    for x, y in ((0, 0), (345, 259)):
+        s = one_event(0, x, y, 1)
+        assert (s.t[0], s.x[0], s.y[0], s.p[0]) == (0, x, y, 1)
 
 
 def test_make_event_x_equal_width_rejected():
-    with pytest.raises(OutOfBoundsError):
-        make_event(5, 346, 10, 0, DAVIS346)
+    with pytest.raises(GestemoError, match=r"event 0 \(346,10,t=5\) outside 346x260"):
+        one_event(5, 346, 10, 0)
+    with pytest.raises(GestemoError, match="outside 346x260"):
+        one_event(-1, 10, 10, 0)
 
 
 def test_make_event_bad_polarity():
-    with pytest.raises(BadPolarityError):
-        make_event(5, 10, 10, 2, DAVIS346)
+    with pytest.raises(GestemoError, match="event 0 has polarity 2"):
+        one_event(5, 10, 10, 2)
 
 
 def test_validate_stream_empty():
-    s = validate_stream([], DAVIS346)
+    s = EventStream.from_arrays([], [], [], [], DAVIS346)
     assert len(s) == 0
 
 
 def test_validate_stream_allows_ties():
-    evs = [make_event(10, 0, 0, 1, DAVIS346),
-           make_event(20, 1, 1, 0, DAVIS346),
-           make_event(20, 2, 2, 1, DAVIS346)]
-    s = validate_stream(evs, DAVIS346)
+    s = EventStream.from_arrays([10, 20, 20], [0, 1, 2], [0, 1, 2], [1, 0, 1],
+                                DAVIS346)
     assert list(s.t) == [10, 20, 20]
 
 
 def test_validate_stream_reports_first_bad_index():
-    evs = [make_event(10, 0, 0, 1, DAVIS346), make_event(5, 1, 1, 0, DAVIS346)]
-    with pytest.raises(NonMonotonicTimeError) as ei:
-        validate_stream(evs, DAVIS346)
-    assert ei.value.index == 1
+    with pytest.raises(GestemoError, match=r"timestamp decreases at index 2 \(20 -> 5\)"):
+        EventStream.from_arrays([10, 20, 5, 1], [0] * 4, [0] * 4, [1] * 4, DAVIS346)
+    with pytest.raises(GestemoError, match="event 1 has polarity -1"):
+        EventStream.from_arrays([1, 2, 3], [0] * 3, [0] * 3, [0, -1, 7], DAVIS346)
 
 
 def test_validate_stream_idempotent():
     s = synth_stream(StreamSpec(DAVIS346, 1000, 50), seed=1)
-    again = validate_stream(s, DAVIS346)
+    again = EventStream.from_arrays(s.t, s.x, s.y, s.p, DAVIS346)
     assert again == s
+    assert EventStream.from_arrays(again.t, again.x, again.y, again.p,
+                                   DAVIS346) == s
 
 
 def test_synth_zero_events():
@@ -115,18 +115,18 @@ def test_synth_output_is_valid():
     for pattern in range(10):
         s = synth_stream(StreamSpec(Geometry(32, 32), 50000, 300,
                                     pattern=pattern), seed=pattern)
-        validate_stream(s, s.geometry)
+        assert EventStream.from_arrays(s.t, s.x, s.y, s.p, s.geometry) == s
 
 
 def test_synth_negative_duration_rejected():
-    with pytest.raises(BadSpecError):
+    with pytest.raises(GestemoError, match="duration_us must be >= 0, got -5"):
         StreamSpec(DAVIS346, -5, 10)
 
 
 def test_sample_record_checks_emotion():
     s = synth_stream(StreamSpec(DAVIS346, 1000, 10), seed=0)
     SampleRecord("a", GestureClass.OK, EmotionClass.NEUTRAL, s, None)
-    with pytest.raises(BadSpecError):
+    with pytest.raises(GestemoError, match="inconsistent with gesture ok"):
         SampleRecord("b", GestureClass.OK, EmotionClass.POSITIVE, s, None)
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gestemo.errors import DimMismatchError, NoRecordedForwardError
+from gestemo.errors import GestemoError
 from gestemo.fusion import (
     FusionConfig,
     HeadParams,
@@ -24,9 +24,9 @@ from gestemo.fusion import (
 
 
 def test_recurrent_params_validation():
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="inconsistent gate shapes"):
         RecurrentParams(np.zeros((6, 2)), np.zeros((6, 1)), np.zeros(6))
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="inconsistent gate shapes"):
         RecurrentParams(np.zeros((8, 2)), np.zeros((8, 3)), np.zeros(8))
     p = RecurrentParams(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
     assert p.hidden == 2 and p.dim == 3
@@ -85,13 +85,13 @@ def test_recurrent_batch_matches_single():
 
 def test_recurrent_rejects_wrong_width():
     p = init_recurrent_params(dim=3, hidden=2, seed=0)
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match=r"features shape \(1, 5, 4\), expected \(B,T,3\)"):
         recurrent_forward(np.zeros((5, 4)), p)
 
 
 def test_recurrent_backward_requires_tape():
     p = init_recurrent_params(dim=2, hidden=2, seed=0)
-    with pytest.raises(NoRecordedForwardError):
+    with pytest.raises(GestemoError, match="recurrent_backward requires a recorded tape"):
         recurrent_backward(None, np.zeros(2), p)
 
 
@@ -130,9 +130,9 @@ def test_recurrent_gradient_matches_fd():
 
 
 def test_head_params_validation():
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="head bias shapes inconsistent with weights"):
         HeadParams(np.zeros((4, 3)), np.zeros(5), np.zeros((2, 4)), np.zeros(2))
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="head layer widths disagree"):
         HeadParams(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 5)), np.zeros(2))
 
 
@@ -151,7 +151,7 @@ def test_head_eval_deterministic():
 
 def test_head_train_needs_rng():
     p = init_head_params(hidden=4, mid=4, num_classes=2, seed=0)
-    with pytest.raises(NoRecordedForwardError):
+    with pytest.raises(GestemoError, match="train-mode head needs an rng for dropout"):
         head_forward(np.ones(4), p, train=True)
 
 
@@ -234,12 +234,12 @@ def test_fuse_example_scores():
 
 
 def test_fuse_shape_mismatch():
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match=r"fusion shapes disagree: \(3,\) vs \(4,\)"):
         fuse(np.zeros(3), np.zeros(4))
 
 
 def test_fusion_config_rejects_negative_weight():
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="lam must be finite and >= 0, got -0.1"):
         FusionConfig(lam=-0.1)
     assert FusionConfig.from_dict(FusionConfig(2.0).to_dict()).lam == 2.0
 

@@ -6,7 +6,7 @@ kinks."""
 import numpy as np
 import pytest
 
-from gestemo.errors import NoRecordedForwardError, ShapeMismatchError
+from gestemo.errors import GestemoError
 from gestemo.snn import (
     DEFAULT_SURROGATE_WIDTH,
     Conv,
@@ -24,13 +24,13 @@ from gestemo.snn import (
 
 
 def test_lif_config_validation():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(GestemoError, match=r"lif_beta must be in \(0, 1\], got 0.0"):
         LifConfig(beta=0.0)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(GestemoError, match=r"lif_beta must be in \(0, 1\], got 1.5"):
         LifConfig(beta=1.5)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(GestemoError, match="lif_theta must be finite and > 0, got 0.0"):
         LifConfig(theta=0.0)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(GestemoError, match="lif_reset must be one of to_zero, subtract_theta"):
         LifConfig(reset="clamp")
     d = LifConfig(beta=0.8, theta=1.2, reset="subtract_theta").to_dict()
     assert LifConfig.from_dict(d) == LifConfig(0.8, 1.2, "subtract_theta")
@@ -57,7 +57,7 @@ def test_lif_step_subtract_reset_keeps_excess():
 
 
 def test_lif_step_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(GestemoError, match=r"potential \(3,\) vs current \(4,\)"):
         lif_step(np.zeros(3), np.zeros(4), LifConfig())
 
 
@@ -170,14 +170,14 @@ def test_forward_records_binary_spikes():
 def test_forward_rejects_wrong_input_shape():
     arch = small_arch()
     params = init_params(arch, seed=1)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(GestemoError, match="incompatible with input"):
         snn_forward(np.zeros((3, 2, 9, 8)), params, arch)
 
 
 def test_backward_requires_tape():
     arch = small_arch()
     params = init_params(arch, seed=1)
-    with pytest.raises(NoRecordedForwardError):
+    with pytest.raises(GestemoError, match="snn_backward requires a recorded forward tape"):
         snn_backward_from_output(None, np.zeros(3), params)
 
 

@@ -14,7 +14,7 @@ from gestemo.dataio import (
     write_events_file,
     write_feature_file,
 )
-from gestemo.errors import EmptyStreamError, MissingFeaturesError
+from gestemo.errors import GestemoError
 from gestemo.events import (
     DAVIS346,
     EventStream,
@@ -64,7 +64,7 @@ def test_five_number_outliers():
 
 
 def test_five_number_empty():
-    with pytest.raises(EmptyStreamError):
+    with pytest.raises(GestemoError, match="five-number summary of an empty sequence"):
         FiveNumber.from_values([])
 
 
@@ -113,7 +113,7 @@ def test_histogram_requires_features(tmp_path):
     m = build_corpus(tmp_path, [
         ("a", GestureClass.OK, stream_with_duration(1000, 5, 1), None),
     ])
-    with pytest.raises(MissingFeaturesError):
+    with pytest.raises(GestemoError, match="sample 'a' has no feature file"):
         frame_length_histogram(m)
 
 

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from gestemo.dataio import FrameFeatureSequence
-from gestemo.errors import (
-    DimMismatchError,
-    DivergedLossError,
-    EmptyClassError,
-    EmptySplitError,
-)
+from gestemo.errors import DivergedLossError, GestemoError
 from gestemo.events import (
     DAVIS346,
     EmotionClass,
@@ -75,9 +70,9 @@ def test_class_weights_inverse_frequency():
 
 
 def test_class_weights_missing_class():
-    with pytest.raises(EmptyClassError):
+    with pytest.raises(GestemoError, match="class 1 has no samples"):
         class_weights([0, 0, 2], 3)
-    with pytest.raises(EmptyClassError):
+    with pytest.raises(GestemoError, match=r"label outside \[0,3\) present"):
         class_weights([0, 1, 5], 3)
 
 
@@ -230,16 +225,16 @@ def test_prepare_tensors_emotion_target():
 
 
 def test_prepare_tensors_empty_space():
-    with pytest.raises(EmptySplitError):
+    with pytest.raises(GestemoError, match="no samples with labels in the requested space"):
         prepare_tensors([make_sample(0, GestureClass.OTHER)], k=2)
 
 
 def test_train_config_validation():
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="epochs must be >= 0, got -1"):
         TrainConfig(epochs=-1)
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="branch must be one of snn_only, video_only, fused"):
         TrainConfig(branch="both")
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="mode must be one of joint, separate, got 'alternating'"):
         TrainConfig(mode="alternating")
     TrainConfig(epochs=0)  # zero epochs is a valid no-op request
 
@@ -315,7 +310,7 @@ def test_train_empty_split():
     data = TrainData(np.zeros((0, 2, 2, 8, 8)), np.zeros((0, 5, 3)),
                      np.zeros(0, dtype=np.int64), tuple(EmotionClass))
     model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=0)
-    with pytest.raises(EmptySplitError):
+    with pytest.raises(GestemoError, match="training split is empty"):
         train(data, model, ARCH)
 
 
@@ -323,9 +318,9 @@ def test_confusion_matrix_layout():
     cm = confusion_matrix([0, 0, 1, 2], [0, 1, 1, 2], 3)
     assert np.array_equal(cm, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     assert np.array_equal(cm.sum(axis=1), [2, 1, 1])  # rows are true counts
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="2 true vs 1 predicted"):
         confusion_matrix([0, 1], [0], 2)
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match=r"labels outside \[0,3\)"):
         confusion_matrix([0, 3], [0, 0], 3)
 
 
@@ -405,5 +400,5 @@ def test_emotion_report_collapses_gestures():
 def test_emotion_report_rejects_emotion_labels():
     data = TrainData(None, np.zeros((2, 2, 3)), np.array([0, 1]),
                      tuple(EmotionClass))
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(GestemoError, match="labels are already emotion-level"):
         emotion_report(data, np.array([0, 1]))
