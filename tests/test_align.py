@@ -51,8 +51,18 @@ def test_search_exact_hit_first_midpoint():
     assert tr.visited == [2] and tr.alpha_final == 1
 
 
+def test_search_notfound_when_nothing_within_alpha():
+    # no probe lies within tolerance 1 or 2 of 22, so neither can stop the search
+    times = [10, 20, 30, 40, 50]
+    tr = SearchTrace()
+    find_position(22, times, tr)
+    assert tr.visited
+    assert all(abs(times[p] - 22) >= 2 for p in tr.visited)
+    assert tr.alpha_final > 2
+
+
 def test_search_wider_tolerance_finds_neighbor():
-    # nothing lies within 1 or 2 of 22; tolerance 3 first admits 20
+    # tolerance 3 first admits 20
     tr = SearchTrace()
     assert find_position(22, [10, 20, 30, 40, 50], tr) == 1
     assert tr.alpha_final == 3
