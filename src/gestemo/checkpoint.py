@@ -113,6 +113,8 @@ def load_checkpoint(path) -> Checkpoint:
     offset = 0
     for t, n in zip(header["tensors"], sizes):
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{path}: tensor {t['name']!r} holds non-finite values")
         arrays[t["name"]] = arr.reshape(t["shape"]).astype(np.float64, copy=True)
         offset += 8 * n
     try:

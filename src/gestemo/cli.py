@@ -14,6 +14,7 @@ import json
 import os
 import shutil
 import sys
+import warnings
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -106,7 +107,7 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
                 doc = json.load(f)
         except FileNotFoundError:
             raise _UsageError(f"config file not found: {ns.config}")
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON or not UTF-8
             raise _UsageError(f"config file {ns.config}: invalid JSON ({e})")
         if not isinstance(doc, dict):
             raise _UsageError(f"config file {ns.config}: expected a JSON object")
@@ -115,12 +116,13 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
             raise _UsageError(
                 f"config file {ns.config}: unknown keys {', '.join(unknown)}")
         for k, v in doc.items():
+            # the JSON type must be the default's (bool is not a number);
+            # only an int may stand for a float
             kind = type(defaults[k])
-            try:
-                merged[k] = kind(v)
-            except (TypeError, ValueError):
+            if type(v) is not kind and not (kind is float and type(v) is int):
                 raise _UsageError(f"config file {ns.config}: {k} must be "
                                   f"{kind.__name__}, got {v!r}")
+            merged[k] = kind(v)
     for k in defaults:
         flag = getattr(ns, k, None)
         if flag is not None:
@@ -168,11 +170,11 @@ def cmd_synth(ns) -> int:
 
 
 def _read_tags(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        vals = [line.strip() for line in f if line.strip()]
     try:
+        with open(path, "r", encoding="utf-8") as f:
+            vals = [line.strip() for line in f if line.strip()]
         return np.asarray([int(v) for v in vals], dtype=np.int64)
-    except ValueError as e:
+    except ValueError as e:  # not an integer, or not UTF-8
         raise GestemoError(f"{path}: tags must be integers ({e})")
 
 
@@ -236,7 +238,12 @@ def cmd_stats(ns) -> int:
                 print(f"warning: skipping sample {e.id!r}: {exc}", file=sys.stderr)
                 continue
             yield sample
-    summary = summarize(readable(), ns.bin_width)
+    # a library warning goes out as one stderr line, like the skips above
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        summary = summarize(readable(), ns.bin_width)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     if summary.n_samples == 0:
         raise GestemoError("no readable samples in manifest")
     if not summary.frame_histogram["counts"]:

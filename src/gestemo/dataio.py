@@ -25,7 +25,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,15 +86,22 @@ class FrameFeatureSequence:
         return out
 
 
+def _read_text(path) -> Tuple[str, str]:
+    """The first line, without its newline, and the rest of a UTF-8 file."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.readline().rstrip("\n"), f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})")
+
+
 def read_events_file(path) -> EventStream:
     """Parse an event file; validation (ordering, bounds) happens on load."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        m = _EVENT_HEADER.match(header)
-        if not m:
-            raise ParseError(f"{path}: bad event header {header!r}", line=1)
-        geometry = Geometry(int(m.group(1)), int(m.group(2)))
-        body = f.read()
+    header, body = _read_text(path)
+    m = _EVENT_HEADER.match(header)
+    if not m:
+        raise ParseError(f"{path}: bad event header {header!r}", line=1)
+    geometry = Geometry(int(m.group(1)), int(m.group(2)))
     rows = _parse_int_rows(body, path, n_cols=4, delimiter=",")
     if rows.shape[0] == 0:
         return EventStream.empty(geometry)
@@ -117,13 +124,11 @@ def write_events_file(stream: EventStream, path) -> None:
 def read_feature_file(path) -> FrameFeatureSequence:
     """Parse a feature file; D comes from the header, rows must all match and
     every value must be finite."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        m = _FEATURE_HEADER.match(header)
-        if not m:
-            raise ParseError(f"{path}: bad feature header {header!r}", line=1)
-        dim = int(m.group(1))
-        body = f.read()
+    header, body = _read_text(path)
+    m = _FEATURE_HEADER.match(header)
+    if not m:
+        raise ParseError(f"{path}: bad feature header {header!r}", line=1)
+    dim = int(m.group(1))
     if not body.strip():
         raise ParseError(f"{path}: feature file has no rows")
     rows = _fast_rows(body, np.float64, dim, None)
@@ -262,7 +267,7 @@ def read_manifest(path) -> SplitManifest:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON or not UTF-8
             raise ParseError(f"{path}: invalid JSON ({e})")
     root = os.path.join(os.path.dirname(os.path.abspath(path)),
                         doc.get("root", "."))

@@ -7,6 +7,12 @@ The fused score is simply
     y_hat = s_dg + lam * branch_logits        (lam >= 0, default 1.0)
 
 with no normalization before the sum; the predicted class is the argmax.
+
+Each LSTM step writes its gate activations, cell state, hidden state and
+tanh(c) straight into preallocated tape slots, and backprop reads tanh(c)
+back from the tape.  Every product keeps the operands and association
+order of the plain per-step formulation, so outputs and gradients are bit
+for bit those of that loop (tests keep it as a frozen oracle).
 """
 
 from __future__ import annotations
@@ -22,13 +28,18 @@ from .errors import GestemoError, check_option, require_keys
 HEAD_DROPOUT = 0.5
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic into `out`, mask-free; bit-equal to 1/(1+exp(-z)) for z >= 0
+    (-0 included) and exp(z)/(1+exp(z)) for z < 0."""
+    np.abs(z, out=out)
+    e = np.exp(np.negative(out, out=out), out=out)
+    return np.divide(np.where(z >= 0, 1.0, e), np.add(1.0, e), out=out)
+
+
+def _blocks(a: np.ndarray):
+    """The i, f, g, o column blocks of a (B, 4H) array, as views."""
+    hid = a.shape[1] // 4
+    return a[:, :hid], a[:, hid:2 * hid], a[:, 2 * hid:3 * hid], a[:, 3 * hid:]
 
 
 # -- recurrent branch ------------------------------------------------------------
@@ -79,10 +90,14 @@ def init_recurrent_params(dim: int, hidden: int = 128, seed: int = 0) -> Recurre
 
 @dataclass
 class RecurrentTape:
+    """Per-step LSTM state for backprop.  `tc` keeps tanh(c[t+1]) so the
+    backward pass reuses the forward's value instead of recomputing it."""
+
     x: np.ndarray                  # (B, T, D)
     gates: np.ndarray              # (T, B, 4H) post-activation i,f,g,o
     c: np.ndarray                  # (T+1, B, H), c[0] = 0
     h: np.ndarray                  # (T+1, B, H), h[0] = 0
+    tc: np.ndarray                 # (T, B, H), tanh(c[t+1])
 
 
 def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
@@ -91,6 +106,8 @@ def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
 
     x: (T, D) for one sequence or (B, T, D) for a batch.  With zero input
     and zero biases the output is exactly zero (tanh(0) gates through).
+    Without `record` every step reuses slot 0 of one-step buffers, so no
+    T-sized state is kept.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 2
@@ -100,33 +117,28 @@ def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
         raise GestemoError(f"features shape {x.shape}, expected (B,T,{params.dim})")
     b, t_len, _ = x.shape
     hid = params.hidden
-    h = np.zeros((b, hid))
-    c = np.zeros((b, hid))
-    tape = None
-    if record:
-        tape = RecurrentTape(
-            x=x,
-            gates=np.empty((t_len, b, 4 * hid)),
-            c=np.zeros((t_len + 1, b, hid)),
-            h=np.zeros((t_len + 1, b, hid)),
-        )
+    n = t_len if record else 1
+    tape = RecurrentTape(x=x, gates=np.empty((n, b, 4 * hid)),
+                         c=np.zeros((n + 1, b, hid)), h=np.zeros((n + 1, b, hid)),
+                         tc=np.empty((n, b, hid)))
+    ig = np.empty((b, hid))
     # precompute all input projections at once
-    zx = x @ params.wx.T + params.b                      # (B, T, 4H)
+    zx = x @ params.wx.T                                 # (B, T, 4H)
+    zx += params.b                     # in place: one T-sized array, not two
+    wh_t = params.wh.T
+    s = s1 = 0
     for t in range(t_len):
-        z = zx[:, t] + h @ params.wh.T
-        i = _sigmoid(z[:, :hid])
-        f = _sigmoid(z[:, hid:2 * hid])
-        g = np.tanh(z[:, 2 * hid:3 * hid])
-        o = _sigmoid(z[:, 3 * hid:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
         if record:
-            tape.gates[t, :, :hid] = i
-            tape.gates[t, :, hid:2 * hid] = f
-            tape.gates[t, :, 2 * hid:3 * hid] = g
-            tape.gates[t, :, 3 * hid:] = o
-            tape.c[t + 1] = c
-            tape.h[t + 1] = h
+            s, s1 = t, t + 1
+        z = zx[:, t] + tape.h[s] @ wh_t
+        gates, c = tape.gates[s], tape.c[s1]
+        i, f, g, o = _blocks(gates)
+        _sigmoid(z, gates)                 # one contiguous pass; g's block is redone
+        np.tanh(z[:, 2 * hid:3 * hid], out=g)
+        np.multiply(f, tape.c[s], out=c)
+        c += np.multiply(i, g, out=ig)
+        np.multiply(o, np.tanh(c, out=tape.tc[s]), out=tape.h[s1])
+    h = tape.h[s1].copy()
     h_last = h[0] if single else h
     return (h_last, tape) if record else h_last
 
@@ -146,32 +158,34 @@ def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
     d_x = np.zeros_like(x)
     dh = d_hlast.copy()
     dc = np.zeros((b, hid))
+    dz = np.empty((b, 4 * hid))                          # d(pre-activation) i,f,g,o
+    d_if, (d_i, d_f, d_g, d_o) = dz[:, :2 * hid], _blocks(dz)
+    one_minus = np.empty((b, 4 * hid))                   # g's block unused
+    tmp, tmp2 = np.empty((b, hid)), np.empty((b, hid))
+    # the i block is ((dc*g)*i)*(1-i), and likewise every block keeps the
+    # association order of the plain formulation
     for t in reversed(range(t_len)):
-        i = tape.gates[t, :, :hid]
-        f = tape.gates[t, :, hid:2 * hid]
-        g = tape.gates[t, :, 2 * hid:3 * hid]
-        o = tape.gates[t, :, 3 * hid:]
-        c_t = tape.c[t + 1]
-        c_prev = tape.c[t]
-        h_prev = tape.h[t]
-        tc = np.tanh(c_t)
-        d_o = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        d_f = dc * c_prev
-        d_i = dc * g
-        d_g = dc * i
-        dz = np.concatenate([
-            d_i * i * (1.0 - i),
-            d_f * f * (1.0 - f),
-            d_g * (1.0 - g * g),
-            d_o * o * (1.0 - o),
-        ], axis=1)                                       # (B, 4H)
+        gates, tc = tape.gates[t], tape.tc[t]
+        i, f, g, o = _blocks(gates)
+        np.subtract(1.0, gates, out=one_minus)
+        np.multiply(dh, tc, out=d_o)
+        np.multiply(dh, o, out=tmp)
+        tmp *= np.subtract(1.0, np.multiply(tc, tc, out=tmp2), out=tmp2)
+        dc += tmp
+        np.multiply(dc, g, out=d_i)
+        np.multiply(dc, tape.c[t], out=d_f)
+        np.multiply(dc, i, out=d_g)
+        d_if *= gates[:, :2 * hid]
+        d_if *= one_minus[:, :2 * hid]
+        d_g *= np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp)
+        d_o *= o
+        d_o *= one_minus[:, 3 * hid:]
         g_wx += dz.T @ x[:, t]
-        g_wh += dz.T @ h_prev
+        g_wh += dz.T @ tape.h[t]
         g_b += dz.sum(axis=0)
         d_x[:, t] = dz @ params.wx
         dh = dz @ params.wh
-        dc = dc * f
+        dc *= f
     return {"lstm.wx": g_wx, "lstm.wh": g_wh, "lstm.b": g_b}, d_x
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,35 @@ def test_train_config_bad_value_type_is_usage_error(tmp_path):
     assert proc.stderr.strip().endswith("epochs must be int, got 'abc'")
 
 
+@pytest.mark.parametrize("doc", [
+    {"k": 1.5}, {"epochs": True}, {"hidden": 64.0}, {"lr": True},
+    {"lam": False}, {"scale_mode": 1}, {"target": None}, {"branch": ["fused"]},
+])
+def test_train_config_wrong_json_type_is_usage_error(tmp_path, capsys, doc):
+    manifest = small_corpus(tmp_path)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", manifest, *FAST_TRAIN, "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    (key, value), = doc.items()
+    kind = type(TRAIN_DEFAULTS[key]).__name__
+    err = capsys.readouterr().err
+    assert err.endswith(f"{key} must be {kind}, got {value!r}\n")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_train_config_int_stands_for_float(tmp_path, capsys):
+    manifest = small_corpus(tmp_path)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"lam": 2, "dropout": 0}))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", manifest, *FAST_TRAIN, "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    lam = load_checkpoint(out).fusion.lam
+    assert lam == 2.0 and type(lam) is float
+
+
 def flag_of(key):
     return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
@@ -534,11 +564,131 @@ def test_mutated_checkpoint_eval_exits_0_or_2_with_one_line(trained, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_eval_non_finite_tensor_is_one_line_data_error(trained, tmp_path, value):
+    ckpt, manifest = trained
+    head, blob = ckpt.read_bytes().split(b"\n", 1)
+    first = json.loads(head)["tensors"][0]["name"]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(head + b"\n" + np.float64(value).astype("<f8").tobytes()
+                    + blob[8:])
+    code, out, err = run_main("eval", str(bad), manifest)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"tensor {first!r} holds non-finite values" in err
+
+
 def test_stats_bad_bin_width_is_usage_error(tmp_path, capsys):
     manifest = small_corpus(tmp_path)
     assert main(["stats", manifest, "--bin-width", "0",
                  "--out", str(tmp_path / "s")]) == 1
     assert "--bin-width" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def parse_corpus(tmp_path_factory):
+    """Three samples, one per class; tests restore every file they edit."""
+    spec = DatasetSpec(
+        gestures=(GestureClass.OK, GestureClass.NO, GestureClass.VICTORY),
+        per_class=1, geometry=Geometry(16, 16), duration_us=50_000,
+        min_events=30, max_events=40, min_frames=3, max_frames=5,
+        feature_dim=3)
+    root = tmp_path_factory.mktemp("parse") / "data"
+    build_dataset(root, spec, seed=0)
+    return str(root / "manifest.json")
+
+
+#: field text that is out of bounds, beyond int64, not an integer or not a
+#: number at all
+ODD_FIELDS = st.one_of(
+    st.integers(-3, 20).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["", " ", "1.5", "1e3", "nan", "-inf", "abc", "0x10", "+1",
+                     "-0", "\uff11", "1_0", "#"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n"])
+
+
+@st.composite
+def event_files(draw):
+    header = draw(st.sampled_from(
+        ["t,x,y,p geometry=16x16"] * 4
+        + ["t,x,y,p geometry=0x16", "t,x,y,p geometry=99999999999999999999x1",
+           "t,x,y,p", "", "t;x;y;p geometry=16x16"]))
+    # rows inside the 16x16 sensor, times in any order unless sorted below
+    rows = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 15),
+                                   st.integers(0, 15), st.integers(0, 1))
+                         .map(lambda r: ",".join(map(str, r))), max_size=8))
+    if draw(st.booleans()):
+        rows.sort(key=lambda r: int(r.split(",")[0]))
+    bad = draw(st.lists(st.lists(ODD_FIELDS, max_size=6).map(",".join), max_size=3))
+    for row in bad:
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    end = draw(LINE_ENDS)
+    return header + "\n" + end.join(rows) + draw(st.sampled_from(["", end]))
+
+
+@st.composite
+def feature_files(draw):
+    header = draw(st.sampled_from(
+        ["D=3"] * 4 + ["D=0", "D=2", "D=99999999999999999999", "d=3", ""]))
+    number = st.one_of(st.floats().map(repr), st.integers(-5, 5).map(str))
+    rows = draw(st.lists(st.lists(number, min_size=3, max_size=3), max_size=6))
+    rows += draw(st.lists(st.lists(st.one_of(number, ODD_FIELDS), max_size=5),
+                          max_size=3))
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    end = draw(LINE_ENDS)
+    return header + "\n" + end.join(sep.join(r) for r in rows)
+
+
+def stats_on_edited(manifest, which, body, tail, out):
+    """Run stats with the first sample's event or feature file replaced:
+    (exit code, stderr lines, counting any Python warning that escapes)."""
+    m = read_manifest(manifest)
+    path = m.path_of(getattr(m.entries[0], which))
+    keep = open(path, "rb").read()
+    try:
+        with open(path, "wb") as f:
+            f.write(body.encode("utf-8") + tail)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_main("stats", manifest, "--out", str(out))
+        return code, err.splitlines() + [str(w.message) for w in caught]
+    finally:
+        with open(path, "wb") as f:
+            f.write(keep)
+
+
+@pytest.mark.parametrize("which,files", [("events", event_files()),
+                                         ("features", feature_files())])
+def test_malformed_input_files_end_in_an_exit_code_with_one_line(
+        parse_corpus, tmp_path, which, files):
+    @settings(max_examples=120, deadline=None)
+    @given(body=files, tail=st.sampled_from([b"", b"", b"\xff\xfe", b"\x00"]))
+    def check(body, tail):
+        code, lines = stats_on_edited(parse_corpus, which, body, tail,
+                                      tmp_path / "stats")
+        assert code in (0, 1, 2, 3)
+        assert len(lines) <= 1
+    check()
+
+
+@pytest.mark.parametrize("which,code", [("config", 1), ("manifest", 2),
+                                        ("tags", 2)])
+def test_non_utf8_input_is_one_line_error(parse_corpus, tmp_path, which, code):
+    bad = tmp_path / "bad"
+    bad.write_bytes({"config": b'{"epochs": 1}\xff', "tags": b"1\n\xff\n",
+                     "manifest": open(parse_corpus, "rb").read() + b"\xff"}[which])
+    m = read_manifest(parse_corpus)
+    events = m.path_of(m.entries[0].events)
+    argv = {"config": ["train", parse_corpus, "--config", str(bad),
+                       "--out", str(tmp_path / "m.ckpt")],
+            "manifest": ["stats", str(bad), "--out", str(tmp_path / "s")],
+            "tags": ["align", events, str(bad), "--out", str(tmp_path / "a")]}
+    got, out, err = run_main(*argv[which])
+    assert got == code and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

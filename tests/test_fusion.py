@@ -1,6 +1,7 @@
-"""The recurrent branch is checked against a scalar step-by-step reference,
-the head's dropout against its eval-mode expectation, and both backwards
-against central finite differences."""
+"""The recurrent branch is checked against a scalar step-by-step reference
+and, bit for bit, against a frozen copy of its earlier per-step loop; the
+head's dropout against its eval-mode expectation; both backwards against
+central finite differences."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 
 from gestemo.errors import GestemoError
 from gestemo.fusion import (
+    _sigmoid,
     FusionConfig,
     HeadParams,
     RecurrentParams,
@@ -127,6 +129,132 @@ def test_recurrent_gradient_matches_fd():
             flat[i] = keep
             num = (up - down) / (2 * h_)
             assert num == pytest.approx(grads[name].ravel()[i], rel=1e-5, abs=1e-9)
+
+
+# -- oracle: the LSTM loop as it stood before the in-place rewrite ----------------
+#
+# Boolean-mask sigmoid, fresh temporaries every step, tanh(c) recomputed in
+# the backward pass and the gate gradients joined by np.concatenate.  The
+# rewrite keeps every product's operands and association order, so the
+# comparison is np.array_equal, never a tolerance.
+
+def _ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_forward(x, params):
+    """(h_last, gates, c, h) with the old tape layout."""
+    b, t_len, _ = x.shape
+    hid = params.hidden
+    h = np.zeros((b, hid))
+    c = np.zeros((b, hid))
+    gates = np.empty((t_len, b, 4 * hid))
+    cs = np.zeros((t_len + 1, b, hid))
+    hs = np.zeros((t_len + 1, b, hid))
+    zx = x @ params.wx.T + params.b
+    for t in range(t_len):
+        z = zx[:, t] + h @ params.wh.T
+        i = _ref_sigmoid(z[:, :hid])
+        f = _ref_sigmoid(z[:, hid:2 * hid])
+        g = np.tanh(z[:, 2 * hid:3 * hid])
+        o = _ref_sigmoid(z[:, 3 * hid:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        gates[t, :, :hid] = i
+        gates[t, :, hid:2 * hid] = f
+        gates[t, :, 2 * hid:3 * hid] = g
+        gates[t, :, 3 * hid:] = o
+        cs[t + 1] = c
+        hs[t + 1] = h
+    return h, gates, cs, hs
+
+
+def _ref_backward(x, gates, cs, hs, d_hlast, params):
+    b, t_len, _ = x.shape
+    hid = params.hidden
+    g_wx = np.zeros_like(params.wx)
+    g_wh = np.zeros_like(params.wh)
+    g_b = np.zeros_like(params.b)
+    d_x = np.zeros_like(x)
+    dh = d_hlast.copy()
+    dc = np.zeros((b, hid))
+    for t in reversed(range(t_len)):
+        i = gates[t, :, :hid]
+        f = gates[t, :, hid:2 * hid]
+        g = gates[t, :, 2 * hid:3 * hid]
+        o = gates[t, :, 3 * hid:]
+        tc = np.tanh(cs[t + 1])
+        d_o = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        d_f = dc * cs[t]
+        d_i = dc * g
+        d_g = dc * i
+        dz = np.concatenate([
+            d_i * i * (1.0 - i),
+            d_f * f * (1.0 - f),
+            d_g * (1.0 - g * g),
+            d_o * o * (1.0 - o),
+        ], axis=1)
+        g_wx += dz.T @ x[:, t]
+        g_wh += dz.T @ hs[t]
+        g_b += dz.sum(axis=0)
+        d_x[:, t] = dz @ params.wx
+        dh = dz @ params.wh
+        dc = dc * f
+    return {"lstm.wx": g_wx, "lstm.wh": g_wh, "lstm.b": g_b}, d_x
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+@pytest.mark.parametrize("batch", [1, 3, 8, 30])
+def test_lstm_matches_frozen_reference_bit_for_bit(batch, scale):
+    # the training sizes (H=128, D=16), since BLAS picks kernels by shape;
+    # scale 30 drives gates into both saturated ends
+    p = init_recurrent_params(dim=16, hidden=128, seed=batch)
+    rng = np.random.default_rng(batch)
+    p.b[:] = rng.normal(scale=scale, size=p.b.shape)
+    x = rng.normal(scale=scale, size=(batch, 40, 16))
+    d_hlast = rng.normal(size=(batch, 128))
+    want_h, want_gates, want_c, want_hs = _ref_forward(x, p)
+    want_grads, want_dx = _ref_backward(x, want_gates, want_c, want_hs, d_hlast, p)
+
+    h, tape = recurrent_forward(x, p, record=True)
+    grads, d_x = recurrent_backward(tape, d_hlast, p)
+    assert np.array_equal(h, want_h)
+    assert np.array_equal(recurrent_forward(x, p), want_h)
+    assert np.array_equal(tape.gates, want_gates)
+    assert np.array_equal(tape.c, want_c)
+    assert np.array_equal(tape.h, want_hs)
+    assert np.array_equal(tape.tc, np.tanh(want_c[1:]))
+    for name in p.names():
+        assert np.array_equal(grads[name], want_grads[name]), name
+    assert np.array_equal(d_x, want_dx)
+    sig = np.concatenate([want_gates[..., :256], want_gates[..., 384:]], axis=-1)
+    assert (sig > 0.5).any() and (sig < 0.5).any()
+    if scale > 1.0:
+        assert (sig == 1.0).any() and (np.abs(want_gates[..., 256:384]) == 1.0).any()
+
+
+def test_sigmoid_matches_masked_form_on_edge_values():
+    tiny = np.finfo(np.float64).tiny
+    edges = np.array([0.0, -0.0, 130.0, -130.0, 5e-324, -5e-324, tiny, -tiny,
+                      tiny / 3, -tiny / 3, 36.7, -36.7, 709.0, -709.0, 746.0,
+                      -746.0, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(11)
+    z = np.concatenate([edges, np.linspace(-130.0, 130.0, 20_001),
+                        rng.normal(scale=40.0, size=20_000),
+                        np.ldexp(rng.uniform(-1, 1, 2_000), rng.integers(-1074, 8, 2_000))])
+    got = _sigmoid(z, np.empty_like(z))
+    assert np.array_equal(got, _ref_sigmoid(z), equal_nan=True)
+    # the same on a strided (B, 2H) block of a wider array
+    wide = z[:40_000].reshape(100, 400)
+    out = np.empty((100, 400))
+    _sigmoid(wide[:, :256], out[:, :256])
+    assert np.array_equal(out[:, :256], _ref_sigmoid(wide[:, :256]), equal_nan=True)
 
 
 def test_head_params_validation():
