@@ -27,7 +27,6 @@ from .dataio import (
     write_manifest,
 )
 from .encode import (
-    SCALE_MODES,
     DenseSpikePlanes,
     dense_spike_planes,
     downsample_planes,
@@ -69,18 +68,11 @@ from .snn import (
     default_architecture,
     init_params,
     lif_step,
+    mse_spike_loss,
     snn_backward,
     snn_forward,
 )
-from .stats import (
-    ClassStats,
-    FiveNumber,
-    class_counts,
-    dataset_stats,
-    event_time_sum,
-    frame_length_histogram,
-    polarity_box_stats,
-)
+from .stats import ClassStats, FiveNumber, dataset_stats
 from .synth import DatasetSpec, build_dataset, synth_features
 from .training import (
     AdamConfig,
@@ -94,7 +86,6 @@ from .training import (
     confusion_matrix,
     evaluate,
     init_model,
-    mse_spike_loss,
     prepare_tensors,
     train,
     weighted_cross_entropy,

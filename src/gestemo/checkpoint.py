@@ -81,7 +81,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"{path}: no header line")
     try:
         header = json.loads(data[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"{path}: bad header ({e})")
     if not isinstance(header, dict):
         raise ParseError(f"{path}: header is not a JSON object")

@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import warnings
+from dataclasses import fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -107,14 +108,14 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
                 doc = json.load(f)
         except FileNotFoundError:
             raise _UsageError(f"config file not found: {ns.config}")
-        except ValueError as e:  # bad JSON or not UTF-8
+        except (ValueError, RecursionError) as e:  # bad JSON, too deep, not UTF-8
             raise _UsageError(f"config file {ns.config}: invalid JSON ({e})")
         if not isinstance(doc, dict):
             raise _UsageError(f"config file {ns.config}: expected a JSON object")
         unknown = sorted(set(doc) - set(defaults))
         if unknown:
-            raise _UsageError(
-                f"config file {ns.config}: unknown keys {', '.join(unknown)}")
+            raise _UsageError(f"config file {ns.config}: unknown keys "
+                              f"{', '.join(map(repr, unknown))}")
         for k, v in doc.items():
             # the JSON type must be the default's (bool is not a number);
             # only an int may stand for a float
@@ -275,54 +276,48 @@ def _label_space(manifest: SplitManifest, target: str):
 
 
 def _load_split(manifest: SplitManifest, split: str, cfg: Dict[str, object],
-                target: str, label_space) -> TrainData:
+                label_space) -> TrainData:
     samples = [load_sample(manifest, sid) for sid in manifest.ids(split)]
     return prepare_tensors(
-        samples, int(cfg["k"]), downsample=int(cfg["downsample"]),
-        scale_mode=str(cfg["scale_mode"]), frame_limit=int(cfg["frame_limit"]),
-        target=target, label_space=label_space)
+        samples, cfg["k"], downsample=cfg["downsample"],
+        scale_mode=cfg["scale_mode"], frame_limit=cfg["frame_limit"],
+        target=cfg["target"], label_space=label_space, branch=cfg["branch"])
 
 
 def cmd_train(ns) -> int:
     cfg = merge_config(ns, TRAIN_DEFAULTS)
     with _usage_errors():
-        lif = LifConfig(beta=float(cfg["lif_beta"]), theta=float(cfg["lif_theta"]),
-                        reset=str(cfg["lif_reset"]))
-        tcfg = TrainConfig(
-            epochs=int(cfg["epochs"]), lr=float(cfg["lr"]), seed=int(cfg["seed"]),
-            branch=str(cfg["branch"]), mode=str(cfg["mode"]), lam=float(cfg["lam"]),
-            batch_size=int(cfg["batch_size"]), dropout=float(cfg["dropout"]),
-            surrogate_width=float(cfg["surrogate_width"]))
-        fusion = FusionConfig(float(cfg["lam"]))
+        lif = LifConfig(**{f.name: cfg["lif_" + f.name] for f in fields(LifConfig)})
+        tcfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
+        fusion = FusionConfig(cfg["lam"])
         for key in ("k", "downsample", "hidden", "head_mid", "frame_limit",
                     "scale_mode", "target"):
             check_option(key, cfg[key])
     manifest = read_manifest(ns.manifest)
-    target = str(cfg["target"])
+    target = cfg["target"]
     label_space = _label_space(manifest, target)
     if not label_space:
         raise GestemoError("manifest has no trainable gesture classes")
-    data = _load_split(manifest, str(cfg["split"]), cfg, target, label_space)
+    data = _load_split(manifest, cfg["split"], cfg, label_space)
     k, _, h, w = data.planes.shape[1:]
     arch = default_architecture(len(label_space), h, w)
-    model = init_model(arch, data.features.shape[2],
-                       hidden=int(cfg["hidden"]), head_mid=int(cfg["head_mid"]),
-                       seed=int(cfg["seed"]), branch=str(cfg["branch"]))
+    feature_dim = 0 if data.features is None else data.features.shape[2]
+    model = init_model(arch, feature_dim, hidden=cfg["hidden"],
+                       head_mid=cfg["head_mid"], seed=cfg["seed"],
+                       branch=cfg["branch"])
     log: List[str] = []
     history = train(data, model, arch, lif, tcfg, log)
     for line in log:
         print(line)
     ckpt = Checkpoint(
         model=model, arch=arch, lif=lif, fusion=fusion,
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         label_space=tuple(g.value for g in label_space),
-        extra={"branch": str(cfg["branch"]), "mode": str(cfg["mode"]),
-               "target": target,
-               "k": int(cfg["k"]), "downsample": int(cfg["downsample"]),
-               "scale_mode": str(cfg["scale_mode"]),
-               "frame_limit": int(cfg["frame_limit"]),
+        extra={"branch": cfg["branch"], "mode": cfg["mode"], "target": target,
+               "k": cfg["k"], "downsample": cfg["downsample"],
+               "scale_mode": cfg["scale_mode"], "frame_limit": cfg["frame_limit"],
                "final_loss": history[-1]["loss"] if history else None,
-               "epochs": int(cfg["epochs"])})
+               "epochs": cfg["epochs"]})
     save_checkpoint(ckpt, ns.out)
     print(f"saved checkpoint to {ns.out} "
           f"({len(data)} samples, {len(label_space)} classes, "
@@ -348,8 +343,8 @@ def cmd_eval(ns) -> int:
     if len(label_space) != ckpt.arch.num_classes:
         raise ParseError(f"{ns.checkpoint}: {len(label_space)} labels for "
                          f"{ckpt.arch.num_classes} classes")
-    data = _load_split(manifest, ns.split, cfg, target, label_space)
-    branch = ns.branch or cfg["branch"]
+    branch = cfg["branch"] = ns.branch or cfg["branch"]
+    data = _load_split(manifest, ns.split, cfg, label_space)
     lam = (fusion or ckpt.fusion).lam
     report, scores = evaluate(data, ckpt.model, ckpt.arch, ckpt.lif,
                               branch=branch, lam=lam)
@@ -510,29 +505,10 @@ def build_parser() -> _Parser:
     p.add_argument("manifest", help="manifest.json path")
     p.add_argument("--out", default="model.ckpt", help="checkpoint path")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--downsample", type=int, default=None)
-    p.add_argument("--scale-mode", dest="scale_mode", default=None,
-                   choices=CHOICES["scale_mode"])
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--branch", default=None, choices=CHOICES["branch"])
-    p.add_argument("--mode", default=None, choices=CHOICES["mode"])
-    p.add_argument("--target", default=None, choices=CHOICES["target"])
-    p.add_argument("--split", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--surrogate-width", dest="surrogate_width", type=float,
-                   default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--head-mid", dest="head_mid", type=int, default=None)
-    p.add_argument("--frame-limit", dest="frame_limit", type=int, default=None)
-    p.add_argument("--lif-beta", dest="lif_beta", type=float, default=None)
-    p.add_argument("--lif-theta", dest="lif_theta", type=float, default=None)
-    p.add_argument("--lif-reset", dest="lif_reset", default=None,
-                   choices=CHOICES["lif_reset"])
+    for key, default in TRAIN_DEFAULTS.items():
+        p.add_argument("--lambda" if key == "lam" else "--" + key.replace("_", "-"),
+                       dest=key, type=type(default), default=None,
+                       choices=CHOICES.get(key))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval",

@@ -69,20 +69,14 @@ class FrameFeatureSequence:
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
 
-    def normalized(self, frame_limit: int = DEFAULT_FRAME_LIMIT,
-                   pad: str = "front") -> np.ndarray:
+    def normalized(self, frame_limit: int = DEFAULT_FRAME_LIMIT) -> np.ndarray:
         """Return a (frame_limit, D) matrix: truncated if longer, zero-padded
-        (front by default, or back) if shorter."""
+        at the front if shorter."""
         v = self.vectors
         if len(self) >= frame_limit:
             return v[:frame_limit].copy()
         out = np.zeros((frame_limit, self.dim))
-        if pad == "front":
-            out[frame_limit - len(self):] = v
-        elif pad == "back":
-            out[: len(self)] = v
-        else:
-            raise ValueError(f"pad must be 'front' or 'back', got {pad!r}")
+        out[frame_limit - len(self):] = v
         return out
 
 
@@ -173,7 +167,11 @@ def _fast_rows(body: str, dtype, n_cols: int, delimiter) -> Optional[np.ndarray]
     by row, which either accepts the body or names the offending line.
     comments=None keeps a row that starts with '#' from being skipped.  A
     warning counts as a refusal: some numpy versions parse an integer field
-    such as '1.5' through float, truncating it, and only warn."""
+    such as '1.5' through float, truncating it, and only warn.  A body that
+    is not ASCII is refused unparsed: numpy 2.4's parser crashes the
+    interpreter on some characters, such as U+D0000 and U+F0000."""
+    if not body.isascii():
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -267,24 +265,34 @@ def read_manifest(path) -> SplitManifest:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except ValueError as e:  # bad JSON or not UTF-8
+        except (ValueError, RecursionError) as e:  # bad JSON, too deep, not UTF-8
             raise ParseError(f"{path}: invalid JSON ({e})")
+    if not (isinstance(doc, dict) and isinstance(doc.get("root", "."), str)
+            and isinstance(doc.get("entries", []), list)):
+        raise ParseError(f"{path}: expected an object with a string root "
+                         f"and a list of entries")
     root = os.path.join(os.path.dirname(os.path.abspath(path)),
                         doc.get("root", "."))
     entries = []
     for i, raw in enumerate(doc.get("entries", [])):
+        if not isinstance(raw, dict):
+            raise ParseError(f"{path}: entry {i} is not an object")
         try:
             gesture = GestureClass(raw["gesture"])
+            sample_id, events = str(raw["id"]), raw["events"]
         except ValueError:
             raise GestemoError(f"entry {i}: unknown gesture {raw['gesture']!r}")
         except KeyError as e:
             raise ParseError(f"{path}: entry {i} missing key {e}")
+        features = raw.get("features")
+        if not isinstance(events, str) or not isinstance(features, (str, type(None))):
+            raise ParseError(f"{path}: entry {i} file paths must be strings")
         split = raw.get("split", "train")
         if split not in ("train", "test"):
             raise ParseError(f"{path}: entry {i} has unknown split {split!r}")
-        entries.append(ManifestEntry(id=str(raw["id"]), gesture=gesture,
-                                     events=raw["events"], split=split,
-                                     features=raw.get("features")))
+        entries.append(ManifestEntry(id=sample_id, gesture=gesture,
+                                     events=events, split=split,
+                                     features=features))
     manifest = SplitManifest(root=root, entries=entries)
     for e in manifest.entries:
         for rel in filter(None, (e.events, e.features)):

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CHOICES, GestemoError, ParseError, check_option
+from .errors import GestemoError, ParseError, check_option
 from .events import EventStream, Geometry
-
-SCALE_MODES = CHOICES["scale_mode"]
 
 
 @dataclass(frozen=True)
@@ -103,17 +101,16 @@ def scale_planes(planes: DenseSpikePlanes, mode: str = "clip01") -> np.ndarray:
     clip01        1.0 wherever a count is positive (binary spike planes)
     divide_by_max counts / global max (all zeros stay zero)
     """
+    check_option("scale_mode", mode)
     c = planes.counts
     if mode == "none":
         return c.astype(np.float64)
     if mode == "clip01":
         return (c > 0).astype(np.float64)
-    if mode == "divide_by_max":
-        m = c.max()
-        if m == 0:
-            return np.zeros_like(c, dtype=np.float64)
-        return c / float(m)
-    raise ValueError(f"unknown scale mode {mode!r}; expected one of {SCALE_MODES}")
+    m = c.max()
+    if m == 0:
+        return np.zeros_like(c, dtype=np.float64)
+    return c / float(m)
 
 
 def write_planes_file(planes: DenseSpikePlanes, path) -> None:

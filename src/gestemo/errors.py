@@ -45,7 +45,6 @@ RANGES = {
     "surrogate_width": (numbers.Real, lambda v: 0 < v < math.inf, "finite and > 0"),
     "lif_beta": (numbers.Real, lambda v: 0 < v <= 1, "in (0, 1]"),
     "lif_theta": (numbers.Real, lambda v: 0 < v < math.inf, "finite and > 0"),
-    "diverge_limit": (numbers.Real, lambda v: v > 0, "> 0"),
 }
 
 #: allowed values of each string option

@@ -70,9 +70,6 @@ class RecurrentParams:
     def dim(self) -> int:
         return self.wx.shape[1]
 
-    def names(self) -> Tuple[str, ...]:
-        return ("lstm.wx", "lstm.wh", "lstm.b")
-
     def as_dict(self) -> Dict[str, np.ndarray]:
         return {"lstm.wx": self.wx, "lstm.wh": self.wh, "lstm.b": self.b}
 
@@ -208,9 +205,6 @@ class HeadParams:
         if self.w2.shape[1] != self.w1.shape[0]:
             raise GestemoError(
                 f"head layer widths disagree: {self.w1.shape} then {self.w2.shape}")
-
-    def names(self) -> Tuple[str, ...]:
-        return ("head.w1", "head.b1", "head.w2", "head.b2")
 
     def as_dict(self) -> Dict[str, np.ndarray]:
         return {"head.w1": self.w1, "head.b1": self.b1,

@@ -215,11 +215,8 @@ def _fans(layer: Layer) -> Tuple[int, int]:
     return layer.in_width, layer.out_width
 
 
-def init_params(arch: SnnArchitecture, seed: int,
-                scheme: str = "xavier_uniform") -> Dict[str, np.ndarray]:
-    """Seeded parameter initialization; biases start at zero."""
-    if scheme != "xavier_uniform":
-        raise ValueError(f"unknown init scheme {scheme!r}")
+def init_params(arch: SnnArchitecture, seed: int) -> Dict[str, np.ndarray]:
+    """Seeded Xavier-uniform initialization; biases start at zero."""
     rng = np.random.default_rng(seed)
     shapes = arch.param_shapes()
     params: Dict[str, np.ndarray] = {}
@@ -542,19 +539,35 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
     return grads
 
 
-def snn_backward(tape: Optional[SnnTape], targets: np.ndarray,
-                 params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Gradients of the mean-over-batch MSE spike loss against one-hot
-    targets.  targets: int class labels (B,) or one-hot (B, C)."""
-    if tape is None or tape.s_dg is None:
-        raise GestemoError("snn_backward requires a recorded forward tape")
-    s_dg = tape.s_dg
-    b, c = s_dg.shape
+def mse_spike_loss(s_dg: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Mean over the batch of (1/C) * sum_c (s_c - target_c)^2.
+
+    targets: int class labels (B,), or one-hot or soft targets (B, C).
+    Returns (loss, d_loss/d_s_dg).
+    """
+    s = np.asarray(s_dg, dtype=np.float64)
+    if s.ndim == 1:
+        s = s[None]
+    b, c = s.shape
     t = np.asarray(targets)
     if t.ndim == 1 and t.shape[0] == b and not np.issubdtype(t.dtype, np.floating):
-        onehot = np.zeros((b, c))
-        onehot[np.arange(b), t.astype(int)] = 1.0
+        target = np.zeros((b, c))
+        target[np.arange(b), t.astype(np.int64)] = 1.0
+    elif t.size == b * c:
+        target = t.reshape(b, c).astype(np.float64)
     else:
-        onehot = t.reshape(b, c).astype(np.float64)
-    d_sdg = 2.0 * (s_dg - onehot) / (b * c)
-    return snn_backward_from_output(tape, d_sdg, params)
+        raise GestemoError(f"targets of shape {t.shape} for {b} score rows "
+                           f"of {c} classes")
+    diff = s - target
+    loss = float((diff * diff).sum() / (b * c))
+    return loss, 2.0 * diff / (b * c)
+
+
+def snn_backward(tape: Optional[SnnTape], targets: np.ndarray,
+                 params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Gradients of mse_spike_loss against targets: int class labels (B,),
+    or one-hot or soft targets (B, C)."""
+    if tape is None or tape.s_dg is None:
+        raise GestemoError("snn_backward requires a recorded forward tape")
+    return snn_backward_from_output(tape, mse_spike_loss(tape.s_dg, targets)[1],
+                                    params)

@@ -1,11 +1,13 @@
-"""Dataset statistics over a manifest: frame-count histogram, class counts,
-per-class event-time sums, and per-polarity box summaries.
+"""Dataset statistics: frame-count histogram, class counts (zeros
+included), per-class event-time sums, and per-class, per-polarity box
+summaries of event counts.
 
-Everything here is a pure function of the manifest contents, so reruns on
-the same data are identical.  summarize computes every analysis from
-samples already loaded, so dataset_stats and the stats command read each
-sample's files once.  Quartiles use linear interpolation between
-order statistics and outliers follow the standard 1.5*IQR box rule.
+summarize is the one analysis path.  It takes samples one at a time,
+reduces each to a few numbers and computes every analysis from those, so
+dataset_stats and the stats command read each sample's files once and
+hold one sample in memory.  Results are a pure function of the samples, so
+reruns on the same data are identical.  Quartiles use linear interpolation
+between order statistics and outliers follow the standard 1.5*IQR box rule.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataio import SplitManifest, load_sample, read_events_file, read_feature_file
+from .dataio import SplitManifest, load_sample
 from .errors import GestemoError
-from .events import EventStream, GestureClass, SampleRecord
+from .events import GestureClass, SampleRecord
 
 MICROS_PER_SECOND = 1_000_000.0
 
@@ -75,41 +77,6 @@ class ClassStats:
         }
 
 
-def frame_length_histogram(manifest: SplitManifest,
-                           bin_width: int = 100) -> Dict[str, List[int]]:
-    """Counts of samples per frame-count bin [0,bw), [bw,2bw), ...
-
-    Raises GestemoError when an entry has no feature file.
-    """
-    _require_features(manifest)
-    return _length_histogram(
-        [len(read_feature_file(manifest.path_of(e.features)))
-         for e in manifest.entries], bin_width)
-
-
-def class_counts(manifest: SplitManifest) -> Dict[str, int]:
-    """Exact sample counts for every gesture class, zeros included."""
-    return _class_counts(manifest.entries)
-
-
-def event_time_sum(manifest: SplitManifest) -> Dict[str, float]:
-    """Per class, the sum over samples of (t_last - t_first) in seconds.
-
-    Zero-event streams contribute nothing and raise a warning.
-    """
-    return _time_sums([_facts(e.id, e.gesture, _read_events(manifest, e))
-                       for e in manifest.entries])
-
-
-def polarity_box_stats(manifest: SplitManifest) -> Dict[str, ClassStats]:
-    """Per class and polarity, box summaries of per-sample event counts.
-
-    Only classes with at least one sample appear in the result.
-    """
-    return _polarity_boxes([_facts(e.id, e.gesture, _read_events(manifest, e))
-                            for e in manifest.entries])
-
-
 @dataclass(frozen=True)
 class DatasetSummary:
     """Every analysis of one set of loaded samples."""
@@ -136,7 +103,7 @@ def summarize(samples: Iterable[SampleRecord], bin_width: int = 100) -> DatasetS
     few numbers as it arrives, so a generator that loads samples one at a
     time keeps only one sample's events in memory.  The frame histogram
     covers the samples that carry features."""
-    facts = [_facts(s.id, s.gesture, s.events, s.features) for s in samples]
+    facts = [_facts(s) for s in samples]
     return DatasetSummary(
         n_samples=len(facts),
         frame_histogram=_length_histogram(
@@ -150,7 +117,9 @@ def summarize(samples: Iterable[SampleRecord], bin_width: int = 100) -> DatasetS
 def dataset_stats(manifest: SplitManifest, bin_width: int = 100) -> dict:
     """One JSON-ready document bundling every analysis; each sample is read
     once.  Raises GestemoError when an entry has no feature file."""
-    _require_features(manifest)
+    for e in manifest.entries:
+        if e.features is None:
+            raise GestemoError(f"sample {e.id!r} has no feature file")
     return summarize((load_sample(manifest, e.id) for e in manifest.entries),
                      bin_width).to_dict()
 
@@ -167,24 +136,14 @@ class _Facts:
     n_neg: int
 
 
-def _facts(sample_id: str, gesture: GestureClass, stream: EventStream,
-           features=None) -> _Facts:
+def _facts(sample: SampleRecord) -> _Facts:
+    stream = sample.events
     return _Facts(
-        id=sample_id, gesture=gesture,
-        n_frames=None if features is None else len(features),
+        id=sample.id, gesture=sample.gesture,
+        n_frames=None if sample.features is None else len(sample.features),
         duration_s=(stream.duration_us() / MICROS_PER_SECOND
                     if len(stream) else None),
         n_pos=int((stream.p == 1).sum()), n_neg=int((stream.p == 0).sum()))
-
-
-def _read_events(manifest: SplitManifest, entry) -> EventStream:
-    return read_events_file(manifest.path_of(entry.events))
-
-
-def _require_features(manifest: SplitManifest) -> None:
-    for e in manifest.entries:
-        if e.features is None:
-            raise GestemoError(f"sample {e.id!r} has no feature file")
 
 
 def _length_histogram(lengths: Sequence[int], bin_width: int) -> Dict[str, List[int]]:
@@ -198,11 +157,10 @@ def _length_histogram(lengths: Sequence[int], bin_width: int) -> Dict[str, List[
     return {"bin_edges": edges, "counts": counts.tolist()}
 
 
-def _class_counts(items) -> Dict[str, int]:
-    """items: anything with a .gesture (manifest entries or sample facts)."""
+def _class_counts(facts: Sequence[_Facts]) -> Dict[str, int]:
     counts = {g.value: 0 for g in GestureClass}
-    for item in items:
-        counts[item.gesture.value] += 1
+    for f in facts:
+        counts[f.gesture.value] += 1
     return counts
 
 

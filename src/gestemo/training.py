@@ -39,6 +39,7 @@ from .snn import (
     LifConfig,
     SnnArchitecture,
     init_params,
+    mse_spike_loss,
     snn_backward_from_output,
     snn_forward,
 )
@@ -57,13 +58,6 @@ def class_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:
     if missing.size:
         raise GestemoError(f"class {int(missing[0])} has no samples")
     return labels.size / (num_classes * counts.astype(np.float64))
-
-
-def _onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
 
 
 def weighted_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -87,23 +81,6 @@ def weighted_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     grad = np.exp(logp) * w[:, None]
     grad[np.arange(b), labels] -= w
     return loss, grad / b
-
-
-def mse_spike_loss(s_dg: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean over the batch of (1/C) * sum_c (s_c - onehot_c)^2.
-
-    Returns (loss, d_loss/d_s_dg).
-    """
-    s = np.asarray(s_dg, dtype=np.float64)
-    if s.ndim == 1:
-        s = s[None]
-    b, c = s.shape
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.size != b:
-        raise GestemoError(f"{b} score rows vs {labels.size} labels")
-    diff = s - _onehot(labels, c)
-    loss = float((diff * diff).sum() / (b * c))
-    return loss, 2.0 * diff / (b * c)
 
 
 # -- Adam --------------------------------------------------------------------------
@@ -217,17 +194,19 @@ def prepare_tensors(samples: Sequence[SampleRecord], k: int, *,
                     downsample: int = 1, scale_mode: str = "clip01",
                     frame_limit: int = 100, target: str = "gesture",
                     label_space: Optional[Sequence] = None,
-                    with_planes: bool = True,
-                    with_features: bool = True) -> TrainData:
+                    branch: str = "fused") -> TrainData:
     """Encode every sample to fixed-shape tensors.
 
     target selects the class set: "gesture" labels by gesture (label_space
     defaults to the nine named gestures), "emotion" collapses each gesture
     to its emotion (3 classes).  Samples outside the label space — notably
-    the catch-all gesture class — are skipped.
+    the catch-all gesture class — are skipped.  Planes are always encoded,
+    since the architecture is sized from them; frame features are read
+    unless branch is "snn_only".
     """
-    if target not in CHOICES["target"]:
-        raise GestemoError(f"unknown target {target!r}")
+    check_option("target", target)
+    check_option("branch", branch)
+    with_features = branch != "snn_only"
     if label_space is None:
         label_space = (LABELED_GESTURES if target == "gesture"
                        else tuple(EmotionClass))
@@ -241,22 +220,19 @@ def prepare_tensors(samples: Sequence[SampleRecord], k: int, *,
         if key not in index:
             continue
         labels.append(index[key])
-        if with_planes:
-            p = dense_spike_planes(s.events, k, factor=downsample)
-            planes_list.append(scale_planes(p, scale_mode))
+        p = dense_spike_planes(s.events, k, factor=downsample)
+        planes_list.append(scale_planes(p, scale_mode))
         if with_features:
             if s.features is None:
                 raise GestemoError(f"sample {s.id}: no frame features")
             feats_list.append(s.features.normalized(frame_limit))
     if not labels:
         raise GestemoError("no samples with labels in the requested space")
-    planes = None
+    shapes = {p.shape for p in planes_list}
+    if len(shapes) > 1:
+        raise GestemoError(f"inconsistent plane shapes: {sorted(shapes)}")
+    planes = np.stack(planes_list)
     feats = None
-    if with_planes:
-        shapes = {p.shape for p in planes_list}
-        if len(shapes) > 1:
-            raise GestemoError(f"inconsistent plane shapes: {sorted(shapes)}")
-        planes = np.stack(planes_list)
     if with_features:
         dims = {f.shape for f in feats_list}
         if len(dims) > 1:
@@ -266,6 +242,10 @@ def prepare_tensors(samples: Sequence[SampleRecord], k: int, *,
 
 
 # -- training loop -----------------------------------------------------------------
+
+#: an epoch loss above this, or a non-finite one, stops training as diverged
+DIVERGE_LIMIT = 1e6
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -278,15 +258,14 @@ class TrainConfig:
     batch_size: int = 0          # 0 means full batch
     dropout: float = 0.5
     surrogate_width: float = 0.5
-    diverge_limit: float = 1e6
 
     def __post_init__(self):
         for f in fields(self):
             check_option(f.name, getattr(self, f.name))
 
 
-def _check_loss(loss: float, epoch: int, limit: float) -> None:
-    if not np.isfinite(loss) or abs(loss) > limit:
+def _check_loss(loss: float, epoch: int) -> None:
+    if not np.isfinite(loss) or abs(loss) > DIVERGE_LIMIT:
         raise DivergedLossError(f"loss {loss} at epoch {epoch} is out of bounds")
 
 
@@ -363,7 +342,7 @@ def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
             "mse": ep_mse / seen,
             "wce": ep_wce / seen,
         }
-        _check_loss(entry["loss"], epoch, cfg.diverge_limit)
+        _check_loss(entry["loss"], epoch)
         history.append(entry)
         if log is not None:
             log.append(f"epoch {epoch:3d} [{cfg.branch}] loss {entry['loss']:.6f}")
@@ -373,20 +352,24 @@ def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
 def train(data: TrainData, model: ModelParams, arch: SnnArchitecture,
           lif_cfg: LifConfig = LifConfig(), cfg: TrainConfig = TrainConfig(),
           log: Optional[List[str]] = None) -> List[dict]:
-    """Fit the model in place and return the per-epoch loss history."""
+    """Fit the model in place and return the per-epoch loss history.  An
+    overflow, invalid value or division by zero in the arithmetic is
+    reported as divergence, like an out-of-bounds loss."""
     if len(data) == 0:
         raise GestemoError("training split is empty")
-    if cfg.branch == "fused" and cfg.mode == "separate":
-        children = np.random.SeedSequence(cfg.seed).spawn(2)
-        seeds = [int(s.generate_state(1)[0]) for s in children]
-        hist = _train_joint(
-            data, model, arch, lif_cfg,
-            replace(cfg, branch="snn_only", seed=seeds[0]), log)
-        hist += _train_joint(
-            data, model, arch, lif_cfg,
-            replace(cfg, branch="video_only", seed=seeds[1]), log)
-        return hist
-    return _train_joint(data, model, arch, lif_cfg, cfg, log)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if cfg.branch != "fused" or cfg.mode != "separate":
+                return _train_joint(data, model, arch, lif_cfg, cfg, log)
+            children = np.random.SeedSequence(cfg.seed).spawn(2)
+            seeds = [int(s.generate_state(1)[0]) for s in children]
+            return (_train_joint(data, model, arch, lif_cfg,
+                                 replace(cfg, branch="snn_only", seed=seeds[0]), log)
+                    + _train_joint(data, model, arch, lif_cfg,
+                                   replace(cfg, branch="video_only", seed=seeds[1]),
+                                   log))
+    except FloatingPointError as e:
+        raise DivergedLossError(f"{e} during training") from None
 
 
 # -- evaluation and metrics ---------------------------------------------------------
@@ -501,19 +484,6 @@ class MetricsReport:
             },
             "confusion": self.confusion.tolist(),
         }
-
-    def to_csv_lines(self, names: Optional[Sequence[str]] = None) -> List[str]:
-        c = self.confusion.shape[0]
-        names = list(names) if names is not None else [str(i) for i in range(c)]
-        lines = ["class,precision,recall,f1,support"]
-        for i in range(c):
-            lines.append(f"{names[i]},{self.precision[i]:.6f},"
-                         f"{self.recall[i]:.6f},{self.f1[i]:.6f},"
-                         f"{int(self.support[i])}")
-        lines.append(f"weighted,{self.weighted_precision:.6f},"
-                     f"{self.weighted_recall:.6f},{self.weighted_f1:.6f},"
-                     f"{int(self.support.sum())}")
-        return lines
 
 
 def evaluate(data: TrainData, model: ModelParams, arch: SnnArchitecture,

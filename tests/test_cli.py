@@ -19,6 +19,7 @@ from gestemo.checkpoint import load_checkpoint
 from gestemo.cli import TRAIN_DEFAULTS, main
 from gestemo.dataio import read_manifest, write_events_file, write_feature_file
 from gestemo.dataio import FrameFeatureSequence
+from gestemo.errors import CHOICES
 from gestemo.encode import dense_spike_planes, downsample_planes, read_planes_file
 from gestemo.events import EventStream, Geometry, GestureClass, StreamSpec, synth_stream
 from gestemo.synth import DatasetSpec, build_dataset
@@ -463,6 +464,15 @@ def run_main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_counting_warnings(*argv):
+    """run_main, counting any Python warning that escapes as one more
+    stderr line: (exit code, stderr lines)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_main(*argv)
+    return code, err.splitlines() + [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("value", ["-1", "nan"])
 def test_eval_bad_lambda_is_usage_error(trained, value):
     ckpt, manifest = trained
@@ -651,10 +661,7 @@ def stats_on_edited(manifest, which, body, tail, out):
     try:
         with open(path, "wb") as f:
             f.write(body.encode("utf-8") + tail)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, _, err = run_main("stats", manifest, "--out", str(out))
-        return code, err.splitlines() + [str(w.message) for w in caught]
+        return run_counting_warnings("stats", manifest, "--out", str(out))
     finally:
         with open(path, "wb") as f:
             f.write(keep)
@@ -691,6 +698,168 @@ def test_non_utf8_input_is_one_line_error(parse_corpus, tmp_path, which, code):
     assert "can't decode byte 0xff" in err
 
 
+#: option text that is no number: no digits, so no draw asks for a big run
+JUNK = st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=4)
+
+#: any JSON value; numbers stay small enough that a run stays fast
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.floats(), JUNK),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(JUNK, inner, max_size=2),
+    max_leaves=4)
+
+
+def option_value(key):
+    """Small values of the option's own type (a run stays fast), in range
+    or not."""
+    default = TRAIN_DEFAULTS[key]
+    if isinstance(default, str):
+        return st.sampled_from(CHOICES.get(key, ("train", "test", "")))
+    if isinstance(default, int):
+        return st.integers(-1, 3)
+    return st.floats()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_train_argv_ends_in_an_exit_code_with_one_line(parse_corpus,
+                                                       tmp_path_factory, data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(TRAIN_DEFAULTS)), max_size=4))
+    argv = [arg for key in keys for arg in (flag_of(key), data.draw(st.one_of(
+        option_value(key).map(str), option_value(key).map(str), JUNK)))]
+    out = tmp_path_factory.mktemp("argv") / "m.ckpt"
+    code, lines = run_counting_warnings("train", parse_corpus, *FAST_TRAIN, *argv,
+                                        "--out", str(out))
+    assert code in (0, 1, 2, 3)
+    assert len(lines) <= 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_train_config_document_ends_in_an_exit_code_with_one_line(
+        parse_corpus, tmp_path_factory, data):
+    # a fast run, with some options set to values of their type or any other
+    doc = {"epochs": 1, "k": 3, "hidden": 4, "head_mid": 4, "frame_limit": 5}
+    for key in data.draw(st.lists(st.sampled_from([*TRAIN_DEFAULTS, "threads"]),
+                                  max_size=4)):
+        typed = option_value(key) if key in TRAIN_DEFAULTS else JSON_VALUES
+        doc[key] = data.draw(st.one_of(typed, typed, JSON_VALUES))
+    if data.draw(st.integers(0, 9)) == 0:  # not an object ({} would be a slow run)
+        doc = data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    cfg = tmp_path_factory.mktemp("config") / "train.json"
+    cfg.write_text(json.dumps(doc))
+    code, lines = run_counting_warnings("train", parse_corpus, "--config", str(cfg),
+                                        "--out", str(cfg.with_name("m.ckpt")))
+    assert code in (0, 1, 2, 3)
+    assert len(lines) <= 1
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "expected an object with a string root and a list of entries"),
+    ({"entries": [1]}, "entry 0 is not an object"),
+    ({"entries": [{"id": "a", "gesture": "ok"}]}, "entry 0 missing key 'events'"),
+    ({"root": 5, "entries": []},
+     "expected an object with a string root and a list of entries"),
+])
+def test_malformed_manifest_is_one_line_data_error(tmp_path, doc, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main("stats", str(path), "--out", str(tmp_path / "s"))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_manifest_document_ends_in_an_exit_code_with_one_line(parse_corpus,
+                                                              tmp_path):
+    m = read_manifest(parse_corpus)
+    entries = [{"id": e.id, "gesture": e.gesture.value, "events": e.events,
+                "features": e.features, "split": e.split} for e in m.entries]
+    # edits replace or delete one part of a valid manifest
+    places = [(), ("root",), ("entries",)] + [
+        ("entries", i, *key) for i, entry in enumerate(entries)
+        for key in [(), *((k,) for k in entry)]]
+    values = st.one_of(JSON_VALUES, st.sampled_from(
+        [*entries, *(v for e in entries for v in e.values()),
+         *(g.value for g in GestureClass), "missing.csv"]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(places),
+                                    st.one_of(st.none(), values)), max_size=2))
+    def check(edits):
+        doc = {"root": m.root, "entries": [dict(e) for e in entries]}
+        for place, value in edits:  # value None deletes
+            if not place:
+                doc = value
+                continue
+            *parents, last = place
+            node = doc
+            try:
+                for key in parents:
+                    node = node[key]
+                if value is None:
+                    del node[last]
+                else:
+                    node[last] = value
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier edit removed the place
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, lines = run_counting_warnings("stats", str(path),
+                                            "--out", str(tmp_path / "s"))
+        assert code in (0, 1, 2, 3)
+        assert len(lines) <= 1
+    check()
+
+
+def events_only(manifest):
+    """The manifest with every feature file dropped, the layout import
+    writes for a tree without features."""
+    doc = json.loads(open(manifest).read())
+    for e in doc["entries"]:
+        del e["features"]
+    with open(manifest, "w") as f:
+        json.dump(doc, f)
+    return manifest
+
+
+def test_events_only_manifest_trains_and_evaluates_the_event_branch(
+        tmp_path, capsys):
+    manifest = events_only(small_corpus(tmp_path))
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", manifest, *FAST_TRAIN, "--branch", "snn_only",
+                 "--out", str(ckpt)]) == 0
+    assert main(["eval", str(ckpt), manifest]) == 0
+    assert "branch=snn_only" in capsys.readouterr().out
+    assert main(["eval", str(ckpt), manifest, "--branch", "fused"]) == 2
+    assert capsys.readouterr().err.endswith(": no frame features\n")
+
+
+@pytest.mark.parametrize("branch", ["fused", "video_only"])
+def test_events_only_manifest_refuses_the_frame_branch(tmp_path, capsys, branch):
+    manifest = events_only(small_corpus(tmp_path))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", manifest, *FAST_TRAIN, "--branch", branch,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample ") and err.endswith(": no frame features\n")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("which,code", [("config", 1), ("manifest", 2),
+                                        ("checkpoint", 2)])
+def test_too_deeply_nested_json_is_one_line_error(trained, tmp_path, which, code):
+    ckpt, manifest = trained
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    argv = {"config": ["train", manifest, "--config", str(bad),
+                       "--out", str(tmp_path / "m.ckpt")],
+            "manifest": ["stats", str(bad), "--out", str(tmp_path / "s")],
+            "checkpoint": ["eval", str(bad), manifest]}[which]
+    got, out, err = run_main(*argv)
+    assert got == code and err.count("\n") == 1
+    assert "maximum recursion depth exceeded" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_features_are_data_errors(tmp_path, capsys, value):
     manifest = small_corpus(tmp_path)
@@ -713,6 +882,14 @@ def test_train_divergence_exit_code(tmp_path, capsys):
                  "--frame-limit", "5", "--branch", "video_only",
                  "--epochs", "8", "--lr", "1e8"]) == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_train_overflow_is_one_line_divergence(parse_corpus, tmp_path):
+    code, lines = run_counting_warnings("train", parse_corpus, *FAST_TRAIN,
+                                        "--lambda", "1e200",
+                                        "--out", str(tmp_path / "m.ckpt"))
+    assert code == 3 and len(lines) == 1
+    assert lines[0].startswith("error: training diverged: overflow encountered")
 
 
 def test_eval_empty_split_is_data_error(tmp_path, capsys):

@@ -187,6 +187,18 @@ def test_fast_feature_parse_matches_row_by_row(tmp_path_factory, body, dim):
         assert fast[0] == "ParseError" and "no rows" in fast[1]
 
 
+@pytest.mark.parametrize("char", [chr(0xD0000), chr(0xF0000), "\uff11"])
+def test_non_ascii_field_is_a_line_numbered_parse_error(tmp_path, char):
+    ev = tmp_path / "e.csv"
+    ev.write_text(f"t,x,y,p geometry=4x4\n0,1,1,1\n1,{char}x,2,1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=":3: non-integer value"):
+        read_events_file(ev)
+    ft = tmp_path / "f.txt"
+    ft.write_text(f"D=2\n1 2\n{char}x 2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=":3: non-numeric value"):
+        read_feature_file(ft)
+
+
 def test_events_file_bad_header(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("time,x,y,p\n")
@@ -236,15 +248,12 @@ def test_feature_file_refuses_non_finite(tmp_path, value):
     assert str(ei.value) == f"{p}:4: non-finite value"
 
 
-def test_normalized_front_and_back_padding():
+def test_normalized_front_padding():
     seq = FrameFeatureSequence(2, np.ones((3, 2)))
     front = seq.normalized(5)
     assert front.shape == (5, 2)
     assert np.array_equal(front[:2], np.zeros((2, 2)))
     assert np.array_equal(front[2:], np.ones((3, 2)))
-    back = seq.normalized(5, pad="back")
-    assert np.array_equal(back[:3], np.ones((3, 2)))
-    assert np.array_equal(back[3:], np.zeros((2, 2)))
 
 
 def test_normalized_truncates():

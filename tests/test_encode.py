@@ -139,7 +139,7 @@ def test_pooled_encoding_equals_downsampled_full_planes(factor):
                for i, (g, n) in enumerate([(Geometry(11, 7), 300),
                                            (Geometry(11, 7), 5)])]
     data = prepare_tensors(samples, 4, downsample=factor, scale_mode="none",
-                           target="emotion", with_features=False)
+                           target="emotion", branch="snn_only")
     for s, got in zip(samples, data.planes):
         want = downsample_planes(dense_spike_planes(s.events, 4), factor)
         assert np.array_equal(got, want.counts.astype(np.float64))
@@ -170,7 +170,7 @@ def test_scale_modes():
     assert np.array_equal(
         scale_planes(planes, "divide_by_max").ravel(),
         [0, 0.25, 0.75, 0, 0.5, 1.0, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(GestemoError, match="scale_mode must be one of"):
         scale_planes(planes, "sqrt")
 
 

@@ -230,7 +230,7 @@ def test_lstm_matches_frozen_reference_bit_for_bit(batch, scale):
     assert np.array_equal(tape.c, want_c)
     assert np.array_equal(tape.h, want_hs)
     assert np.array_equal(tape.tc, np.tanh(want_c[1:]))
-    for name in p.names():
+    for name in p.as_dict():
         assert np.array_equal(grads[name], want_grads[name]), name
     assert np.array_equal(d_x, want_dx)
     sig = np.concatenate([want_gates[..., :256], want_gates[..., 384:]], axis=-1)
@@ -329,7 +329,7 @@ def test_head_gradient_matches_fd():
         num = (up - down) / (2 * h_)
         assert num == pytest.approx(d_h[idx], rel=1e-5, abs=1e-9)
 
-    for name, arr in zip(p.names(), (p.w1, p.b1, p.w2, p.b2)):
+    for name, arr in p.as_dict().items():
         flat = arr.ravel()
         for i in range(flat.size):
             keep = flat[i]

@@ -25,14 +25,10 @@ from gestemo.events import (
 )
 from gestemo.stats import (
     FiveNumber,
-    class_counts,
     class_counts_csv,
     dataset_stats,
-    event_time_sum,
     frame_histogram_csv,
-    frame_length_histogram,
     polarity_box_csv,
-    polarity_box_stats,
     summarize,
     time_sum_csv,
 )
@@ -85,6 +81,12 @@ def build_corpus(root, recs):
     return SplitManifest(root=str(root), entries=entries)
 
 
+def summary_of(manifest, bin_width=100):
+    """summarize over every sample of the manifest, loaded one at a time."""
+    return summarize((load_sample(manifest, e.id) for e in manifest.entries),
+                     bin_width)
+
+
 def stream_with_duration(duration_us, n, seed=0):
     s = synth_stream(StreamSpec(Geometry(8, 8), duration_us, n), seed=seed)
     # pin the exact endpoints so the duration is not just approximate
@@ -95,7 +97,7 @@ def stream_with_duration(duration_us, n, seed=0):
 
 def test_histogram_empty_manifest(tmp_path):
     m = SplitManifest(root=str(tmp_path), entries=[])
-    assert frame_length_histogram(m) == {"bin_edges": [], "counts": []}
+    assert dataset_stats(m)["frame_histogram"] == {"bin_edges": [], "counts": []}
 
 
 def test_histogram_bins(tmp_path):
@@ -104,7 +106,7 @@ def test_histogram_bins(tmp_path):
         ("b", GestureClass.OK, stream_with_duration(1000, 5, 2), 5),
         ("c", GestureClass.NO, stream_with_duration(1000, 5, 3), 150),
     ])
-    hist = frame_length_histogram(m, bin_width=100)
+    hist = summary_of(m, bin_width=100).frame_histogram
     assert hist["bin_edges"] == [0, 100, 200]
     assert hist["counts"] == [2, 1]
 
@@ -114,7 +116,7 @@ def test_histogram_requires_features(tmp_path):
         ("a", GestureClass.OK, stream_with_duration(1000, 5, 1), None),
     ])
     with pytest.raises(GestemoError, match="sample 'a' has no feature file"):
-        frame_length_histogram(m)
+        dataset_stats(m)
 
 
 def test_class_counts_includes_zero_classes(tmp_path):
@@ -123,7 +125,7 @@ def test_class_counts_includes_zero_classes(tmp_path):
         ("b", GestureClass.OK, stream_with_duration(1000, 5, 2), 5),
         ("c", GestureClass.LOVE, stream_with_duration(1000, 5, 3), 5),
     ])
-    counts = class_counts(m)
+    counts = summary_of(m).class_counts
     assert len(counts) == len(GestureClass)
     assert counts["ok"] == 2 and counts["love"] == 1
     assert counts["kill"] == 0 and counts["other"] == 0
@@ -133,7 +135,7 @@ def test_event_time_sum_microseconds_to_seconds(tmp_path):
     m = build_corpus(tmp_path, [
         ("a", GestureClass.OK, stream_with_duration(2_000_000, 40, 1), 5),
     ])
-    assert event_time_sum(m)["ok"] == pytest.approx(2.0)
+    assert summary_of(m).event_time_sum_s["ok"] == pytest.approx(2.0)
 
 
 def test_event_time_sum_accumulates_per_class(tmp_path):
@@ -142,7 +144,7 @@ def test_event_time_sum_accumulates_per_class(tmp_path):
         ("b", GestureClass.YES, stream_with_duration(1_000_000, 30, 2), 5),
         ("c", GestureClass.NO, stream_with_duration(500_000, 30, 3), 5),
     ])
-    sums = event_time_sum(m)
+    sums = summary_of(m).event_time_sum_s
     assert sums["yes"] == pytest.approx(2.0)
     assert sums["no"] == pytest.approx(0.5)
     assert sums["ok"] == 0.0
@@ -155,7 +157,7 @@ def test_event_time_sum_warns_on_empty_stream(tmp_path):
         ("b", GestureClass.OK, stream_with_duration(1_000_000, 30, 1), 5),
     ])
     with pytest.warns(UserWarning, match="empty event stream"):
-        sums = event_time_sum(m)
+        sums = summary_of(m).event_time_sum_s
     assert sums["ok"] == pytest.approx(1.0)
 
 
@@ -168,7 +170,7 @@ def test_polarity_box_stats(tmp_path):
         ("a", GestureClass.OK, s1, 5),
         ("b", GestureClass.OK, s2, 5),
     ])
-    boxes = polarity_box_stats(m)
+    boxes = summary_of(m).polarity_boxes
     assert set(boxes) == {"ok"}  # absent classes stay absent here
     ok = boxes["ok"]
     assert ok.count == 2
@@ -211,13 +213,14 @@ def test_csv_emitters(tmp_path):
     m = build_corpus(tmp_path, [
         ("a", GestureClass.OK, stream_with_duration(1000, 8, 1), 12),
     ])
-    hist_lines = frame_histogram_csv(frame_length_histogram(m))
+    summary = summary_of(m)
+    hist_lines = frame_histogram_csv(summary.frame_histogram)
     assert hist_lines[0] == "bin_start,bin_end,count"
     assert hist_lines[1] == "0,100,1"
-    cc_lines = class_counts_csv(class_counts(m))
+    cc_lines = class_counts_csv(summary.class_counts)
     assert len(cc_lines) == 1 + len(GestureClass)
-    ts_lines = time_sum_csv(event_time_sum(m))
+    ts_lines = time_sum_csv(summary.event_time_sum_s)
     assert ts_lines[0] == "class,seconds"
-    box_lines = polarity_box_csv(polarity_box_stats(m))
+    box_lines = polarity_box_csv(summary.polarity_boxes)
     assert box_lines[0] == "class,polarity,min,q1,median,q3,max,n_outliers"
     assert len(box_lines) == 3  # header + two polarities for the one class
