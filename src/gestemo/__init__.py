@@ -75,7 +75,6 @@ from .snn import (
 from .stats import ClassStats, FiveNumber, dataset_stats
 from .synth import DatasetSpec, build_dataset, synth_features
 from .training import (
-    AdamConfig,
     AdamState,
     MetricsReport,
     ModelParams,

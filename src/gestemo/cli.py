@@ -23,6 +23,7 @@ import numpy as np
 from .align import segment_events, split_indices
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataio import (
+    DEFAULT_FRAME_LIMIT,
     ManifestEntry,
     SplitManifest,
     load_sample,
@@ -34,17 +35,18 @@ from .dataio import (
 )
 from .encode import DenseSpikePlanes, dense_spike_planes, write_planes_file
 from .errors import CHOICES, DivergedLossError, GestemoError, ParseError, check_option
-from .events import DAVIS346, EmotionClass, Geometry, GestureClass
+from .events import EmotionClass, Geometry, GestureClass
 from .fusion import FusionConfig, predict
 from .snn import LifConfig, default_architecture
 from .stats import (
+    DEFAULT_BIN_WIDTH,
     class_counts_csv,
     frame_histogram_csv,
     polarity_box_csv,
     summarize,
     time_sum_csv,
 )
-from .synth import DatasetSpec, build_dataset
+from .synth import DatasetSpec, build_dataset, train_count
 from .training import (
     TrainConfig,
     TrainData,
@@ -74,29 +76,25 @@ class _Parser(argparse.ArgumentParser):
 
 # -- config file merging -----------------------------------------------------------
 
-#: training options a --config file may set (same names as the flags)
+#: training options a --config file may set (same names as the flags): the
+#: TrainConfig and LifConfig (lif_ prefix) fields at their library defaults,
+#: and the options only this command line owns
 TRAIN_DEFAULTS: Dict[str, object] = {
+    **{f.name: f.default for f in fields(TrainConfig)},
+    **{"lif_" + f.name: f.default for f in fields(LifConfig)},
     "k": 12,
     "downsample": 1,
     "scale_mode": "clip01",
-    "lam": 1.0,
-    "branch": "fused",
-    "mode": "joint",
-    "epochs": 50,
-    "lr": 1e-3,
-    "batch_size": 0,
-    "dropout": 0.5,
-    "surrogate_width": 0.5,
     "hidden": 128,
     "head_mid": 64,
-    "frame_limit": 100,
-    "seed": 0,
+    "frame_limit": DEFAULT_FRAME_LIMIT,
     "split": "train",
     "target": "emotion",
-    "lif_beta": 0.9,
-    "lif_theta": 1.0,
-    "lif_reset": "to_zero",
 }
+
+#: DatasetSpec fields the synth command takes as flags of the same name
+SYNTH_KEYS = tuple(f.name for f in fields(DatasetSpec)
+                   if f.name not in ("gestures", "geometry"))
 
 
 def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[str, object]:
@@ -132,12 +130,12 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
 
 
 @contextlib.contextmanager
-def _usage_errors():
+def _usage_errors(prefix: str = ""):
     """Report a bad option value (GestemoError) as a usage error."""
     try:
         yield
     except GestemoError as e:
-        raise _UsageError(str(e)) from None
+        raise _UsageError(prefix + str(e)) from None
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -151,18 +149,9 @@ def cmd_synth(ns) -> int:
             raise _UsageError(f"bad gesture list: {e}")
     else:
         gestures = tuple(GestureClass)
-    spec = DatasetSpec(
-        gestures=gestures,
-        per_class=ns.per_class,
-        geometry=Geometry(ns.width, ns.height),
-        duration_us=ns.duration_us,
-        min_events=ns.min_events,
-        max_events=ns.max_events,
-        min_frames=ns.min_frames,
-        max_frames=ns.max_frames,
-        feature_dim=ns.feature_dim,
-        train_fraction=ns.train_fraction,
-    )
+    with _usage_errors():
+        spec = DatasetSpec(gestures=gestures, geometry=Geometry(ns.width, ns.height),
+                           **{key: getattr(ns, key) for key in SYNTH_KEYS})
     manifest = build_dataset(ns.out, spec, seed=ns.seed)
     print(f"wrote {len(manifest.entries)} samples "
           f"({len(manifest.ids('train'))} train / {len(manifest.ids('test'))} test) "
@@ -227,8 +216,8 @@ def cmd_encode(ns) -> int:
 
 
 def cmd_stats(ns) -> int:
-    if ns.bin_width < 1:
-        raise _UsageError(f"--bin-width must be >= 1, got {ns.bin_width}")
+    with _usage_errors("--bin-width: "):
+        check_option("bin_width", ns.bin_width)
     manifest = read_manifest(ns.manifest)
 
     def readable():
@@ -408,7 +397,7 @@ def _import_class_dirs(src: str, out: str, train_fraction: float) -> SplitManife
         if not csvs:
             print(f"warning: {gdir} has no event csv files", file=sys.stderr)
             continue
-        n_train = min(max(int(round(train_fraction * len(csvs))), 1), len(csvs))
+        n_train = train_count(train_fraction, len(csvs))
         for i, name in enumerate(csvs):
             stream = read_events_file(os.path.join(gdir, name))
             sid = f"{g.value}-{i:04d}"
@@ -436,6 +425,8 @@ def _import_class_dirs(src: str, out: str, train_fraction: float) -> SplitManife
 
 
 def cmd_import(ns) -> int:
+    with _usage_errors():
+        check_option("train_fraction", ns.train_fraction)
     if not os.path.isdir(ns.src):
         raise _UsageError(f"no such directory: {ns.src}")
     if os.path.isfile(os.path.join(ns.src, "manifest.json")):
@@ -462,18 +453,14 @@ def build_parser() -> _Parser:
                        help="generate a labeled synthetic dataset")
     p.add_argument("out", help="output dataset directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--per-class", type=int, default=20)
     p.add_argument("--gestures", default="",
                    help="comma-separated gesture names (default: all)")
-    p.add_argument("--width", type=int, default=DAVIS346.width)
-    p.add_argument("--height", type=int, default=DAVIS346.height)
-    p.add_argument("--duration-us", type=int, default=2_000_000)
-    p.add_argument("--min-events", type=int, default=800)
-    p.add_argument("--max-events", type=int, default=1200)
-    p.add_argument("--min-frames", type=int, default=30)
-    p.add_argument("--max-frames", type=int, default=90)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--train-fraction", type=float, default=2.0 / 3.0)
+    p.add_argument("--width", type=int, default=DatasetSpec.geometry.width)
+    p.add_argument("--height", type=int, default=DatasetSpec.geometry.height)
+    for key in SYNTH_KEYS:
+        default = getattr(DatasetSpec, key)
+        p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                       default=default)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("align",
@@ -487,8 +474,8 @@ def build_parser() -> _Parser:
                        help="encode an event file into dense spike planes")
     p.add_argument("events", help="event file")
     p.add_argument("--out", default="planes.txt", help="output planes file")
-    p.add_argument("--k", type=int, default=12)
-    p.add_argument("--downsample", type=int, default=1)
+    p.add_argument("--k", type=int, default=TRAIN_DEFAULTS["k"])
+    p.add_argument("--downsample", type=int, default=TRAIN_DEFAULTS["downsample"])
     p.add_argument("--scale-mode", dest="scale_mode", default=None,
                    help="none or clip01 (counts stay integers in files)")
     p.set_defaults(func=cmd_encode)
@@ -497,7 +484,7 @@ def build_parser() -> _Parser:
                        help="dataset statistics (json + csv)")
     p.add_argument("manifest", help="manifest.json path")
     p.add_argument("--out", default="stats_out", help="output directory")
-    p.add_argument("--bin-width", type=int, default=100)
+    p.add_argument("--bin-width", type=int, default=DEFAULT_BIN_WIDTH)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train",
@@ -526,7 +513,8 @@ def build_parser() -> _Parser:
                        help="convert an external dataset tree to this layout")
     p.add_argument("src", help="source dataset root")
     p.add_argument("out", help="destination root")
-    p.add_argument("--train-fraction", type=float, default=2.0 / 3.0)
+    p.add_argument("--train-fraction", type=float,
+                   default=DatasetSpec.train_fraction)
     p.set_defaults(func=cmd_import)
 
     return parser

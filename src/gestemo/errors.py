@@ -39,9 +39,12 @@ RANGES = {
     "head_mid": (numbers.Integral, lambda v: v >= 1, ">= 1"),
     "frame_limit": (numbers.Integral, lambda v: v >= 1, ">= 1"),
     "seed": (numbers.Integral, lambda v: v >= 0, ">= 0"),
+    "duration_us": (numbers.Integral, lambda v: v >= 0, ">= 0"),
+    "bin_width": (numbers.Integral, lambda v: v >= 1, ">= 1"),
     "lr": (numbers.Real, lambda v: 0 < v < math.inf, "finite and > 0"),
     "lam": (numbers.Real, lambda v: 0 <= v < math.inf, "finite and >= 0"),
     "dropout": (numbers.Real, lambda v: 0 <= v < 1, "in [0, 1)"),
+    "train_fraction": (numbers.Real, lambda v: 0 < v < 1, "in (0, 1)"),
     "surrogate_width": (numbers.Real, lambda v: 0 < v < math.inf, "finite and > 0"),
     "lif_beta": (numbers.Real, lambda v: 0 < v <= 1, "in (0, 1]"),
     "lif_theta": (numbers.Real, lambda v: 0 < v < math.inf, "finite and > 0"),

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GestemoError
+from .errors import GestemoError, check_option
 
 
 class GestureClass(str, Enum):
@@ -172,8 +172,7 @@ class StreamSpec:
     positive_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.duration_us < 0:
-            raise GestemoError(f"duration_us must be >= 0, got {self.duration_us}")
+        check_option("duration_us", self.duration_us)
         if self.n_events < 0:
             raise GestemoError(f"n_events must be >= 0, got {self.n_events}")
         if not (0.0 <= self.positive_fraction <= 1.0):

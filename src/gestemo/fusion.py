@@ -74,7 +74,7 @@ class RecurrentParams:
         return {"lstm.wx": self.wx, "lstm.wh": self.wh, "lstm.b": self.b}
 
 
-def init_recurrent_params(dim: int, hidden: int = 128, seed: int = 0) -> RecurrentParams:
+def init_recurrent_params(dim: int, hidden: int, seed: int = 0) -> RecurrentParams:
     rng = np.random.default_rng(seed)
     bx = math.sqrt(6.0 / (dim + hidden))
     bh = math.sqrt(6.0 / (hidden + hidden))

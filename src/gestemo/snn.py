@@ -186,7 +186,11 @@ class SnnArchitecture:
 
 def default_architecture(num_classes: int, height: int = 32, width: int = 32,
                          pool_mode: str = "sum") -> SnnArchitecture:
-    """Desk-scale default: two conv/pool blocks and two dense layers."""
+    """Desk-scale default: two conv/pool blocks and two dense layers.  The
+    second pool needs at least one cell, so planes must be 10x10 or more."""
+    if height < 10 or width < 10:
+        raise GestemoError(f"planes of {width}x{height} are too small for the "
+                           "default architecture, which needs at least 10x10")
     h1 = (height - 3) + 1
     w1 = (width - 3) + 1
     h2 = (h1 // 2 - 3) + 1

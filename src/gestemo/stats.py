@@ -19,10 +19,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataio import SplitManifest, load_sample
-from .errors import GestemoError
+from .errors import GestemoError, check_option
 from .events import GestureClass, SampleRecord
 
 MICROS_PER_SECOND = 1_000_000.0
+
+#: frame-histogram bin width, in frames
+DEFAULT_BIN_WIDTH = 100
 
 
 @dataclass(frozen=True)
@@ -98,23 +101,28 @@ class DatasetSummary:
         }
 
 
-def summarize(samples: Iterable[SampleRecord], bin_width: int = 100) -> DatasetSummary:
+def summarize(samples: Iterable[SampleRecord],
+              bin_width: int = DEFAULT_BIN_WIDTH) -> DatasetSummary:
     """All analyses in one pass over samples.  Each sample is reduced to a
     few numbers as it arrives, so a generator that loads samples one at a
     time keeps only one sample's events in memory.  The frame histogram
-    covers the samples that carry features."""
+    covers the samples that carry features.  A bin_width below 1 raises
+    GestemoError before any sample is read."""
+    check_option("bin_width", bin_width)
     facts = [_facts(s) for s in samples]
+    counts, times, boxes = _per_class(facts)
     return DatasetSummary(
         n_samples=len(facts),
         frame_histogram=_length_histogram(
             [f.n_frames for f in facts if f.n_frames is not None], bin_width),
-        class_counts=_class_counts(facts),
-        event_time_sum_s=_time_sums(facts),
-        polarity_boxes=_polarity_boxes(facts),
+        class_counts=counts,
+        event_time_sum_s=times,
+        polarity_boxes=boxes,
     )
 
 
-def dataset_stats(manifest: SplitManifest, bin_width: int = 100) -> dict:
+def dataset_stats(manifest: SplitManifest,
+                  bin_width: int = DEFAULT_BIN_WIDTH) -> dict:
     """One JSON-ready document bundling every analysis; each sample is read
     once.  Raises GestemoError when an entry has no feature file."""
     for e in manifest.entries:
@@ -147,8 +155,6 @@ def _facts(sample: SampleRecord) -> _Facts:
 
 
 def _length_histogram(lengths: Sequence[int], bin_width: int) -> Dict[str, List[int]]:
-    if bin_width < 1:
-        raise ValueError(f"bin width must be >= 1, got {bin_width}")
     if not lengths:
         return {"bin_edges": [], "counts": []}
     n_bins = max(lengths) // bin_width + 1
@@ -157,46 +163,28 @@ def _length_histogram(lengths: Sequence[int], bin_width: int) -> Dict[str, List[
     return {"bin_edges": edges, "counts": counts.tolist()}
 
 
-def _class_counts(facts: Sequence[_Facts]) -> Dict[str, int]:
+def _per_class(facts: Sequence[_Facts]) -> Tuple[Dict[str, int], Dict[str, float],
+                                                 Dict[str, ClassStats]]:
+    """Class counts and event-time sums over every class (zeros included),
+    and polarity box summaries of the classes present, in one pass."""
     counts = {g.value: 0 for g in GestureClass}
+    times = {g.value: 0.0 for g in GestureClass}
+    pos: Dict[str, List[int]] = {}
+    neg: Dict[str, List[int]] = {}
     for f in facts:
-        counts[f.gesture.value] += 1
-    return counts
-
-
-def _time_sums(facts: Sequence[_Facts]) -> Dict[str, float]:
-    sums = {g.value: 0.0 for g in GestureClass}
-    for f in facts:
+        g = f.gesture.value
+        counts[g] += 1
         if f.duration_s is None:
             warnings.warn(f"sample {f.id!r}: empty event stream skipped")
-            continue
-        sums[f.gesture.value] += f.duration_s
-    return sums
-
-
-def _polarity_boxes(facts: Sequence[_Facts]) -> Dict[str, ClassStats]:
-    per_class: Dict[str, dict] = {}
-    for f in facts:
-        d = per_class.setdefault(f.gesture.value,
-                                 {"count": 0, "time": 0.0, "pos": [], "neg": []})
-        d["count"] += 1
-        if f.duration_s is not None:
-            d["time"] += f.duration_s
-        d["pos"].append(f.n_pos)
-        d["neg"].append(f.n_neg)
-    out: Dict[str, ClassStats] = {}
-    for g in GestureClass:
-        d = per_class.get(g.value)
-        if d is None:
-            continue
-        out[g.value] = ClassStats(
-            gesture=g.value,
-            count=d["count"],
-            time_sum_s=d["time"],
-            positive=FiveNumber.from_values(d["pos"]),
-            negative=FiveNumber.from_values(d["neg"]),
-        )
-    return out
+        else:
+            times[g] += f.duration_s
+        pos.setdefault(g, []).append(f.n_pos)
+        neg.setdefault(g, []).append(f.n_neg)
+    boxes = {g: ClassStats(gesture=g, count=counts[g], time_sum_s=times[g],
+                           positive=FiveNumber.from_values(pos[g]),
+                           negative=FiveNumber.from_values(neg[g]))
+             for g in counts if g in pos}
+    return counts, times, boxes
 
 
 # -- CSV emitters (one per analysis) ----------------------------------------------

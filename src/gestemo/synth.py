@@ -10,8 +10,8 @@ written last, so a crashed build never leaves a readable-but-wrong dataset.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .dataio import (
     write_feature_file,
     write_manifest,
 )
-from .errors import GestemoError
+from .errors import GestemoError, check_option
 from .events import (
     DAVIS346,
     PATTERN_OF_GESTURE,
@@ -47,8 +47,6 @@ class DatasetSpec:
     min_frames: int = 30
     max_frames: int = 90
     feature_dim: int = 16
-    feature_amplitude: float = 3.0
-    feature_noise: float = 0.1
     train_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
@@ -56,14 +54,20 @@ class DatasetSpec:
             raise GestemoError("need at least one gesture and one sample per class")
         if len(set(self.gestures)) != len(self.gestures):
             raise GestemoError("duplicate gesture in dataset spec")
+        check_option("duration_us", self.duration_us)
         if not (0 < self.min_events <= self.max_events):
             raise GestemoError("bad event count range")
         if not (1 <= self.min_frames <= self.max_frames):
             raise GestemoError("bad frame count range")
         if self.feature_dim < 1:
             raise GestemoError("feature dim must be >= 1")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise GestemoError("train fraction must be in (0,1)")
+        check_option("train_fraction", self.train_fraction)
+
+
+def train_count(train_fraction: float, n: int) -> int:
+    """How many of a class's n samples go to the train split:
+    round(train_fraction * n), kept within [1, n]."""
+    return min(max(int(round(train_fraction * n)), 1), n)
 
 
 def class_direction(gesture: GestureClass, dim: int) -> np.ndarray:
@@ -89,14 +93,13 @@ def build_dataset(root, spec: DatasetSpec = DatasetSpec(),
                   seed: int = 0) -> SplitManifest:
     """Generate event and feature files plus a manifest under root.
 
-    Within each class the first round(train_fraction * per_class) samples go
-    to the train split, the rest to test.  Same seed, same bytes.
+    Within each class the first train_count(train_fraction, per_class)
+    samples go to the train split, the rest to test.  Same seed, same bytes.
     """
     root = os.path.abspath(root)
     os.makedirs(os.path.join(root, "events"), exist_ok=True)
     os.makedirs(os.path.join(root, "features"), exist_ok=True)
-    n_train = int(round(spec.train_fraction * spec.per_class))
-    n_train = min(max(n_train, 1), spec.per_class)
+    n_train = train_count(spec.train_fraction, spec.per_class)
     entries = []
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(spec.gestures) * spec.per_class)
@@ -114,8 +117,7 @@ def build_dataset(root, spec: DatasetSpec = DatasetSpec(),
                            n_events=n_events,
                            pattern=PATTERN_OF_GESTURE[gesture]),
                 seed=stream_seed)
-            feats = synth_features(gesture, n_frames, spec.feature_dim, rng,
-                                   spec.feature_amplitude, spec.feature_noise)
+            feats = synth_features(gesture, n_frames, spec.feature_dim, rng)
             sid = f"{gesture.value}-{i:04d}"
             ev_rel = os.path.join("events", f"{sid}.csv")
             ft_rel = os.path.join("features", f"{sid}.txt")

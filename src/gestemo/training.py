@@ -20,9 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .encode import dense_spike_planes, scale_planes
-from .errors import CHOICES, DivergedLossError, GestemoError, check_option
+from .dataio import DEFAULT_FRAME_LIMIT
+from .errors import DivergedLossError, GestemoError, check_option
 from .events import LABELED_GESTURES, EmotionClass, GestureClass, SampleRecord, emotion_of
 from .fusion import (
+    HEAD_DROPOUT,
     FusionConfig,
     HeadParams,
     RecurrentParams,
@@ -36,6 +38,7 @@ from .fusion import (
     recurrent_forward,
 )
 from .snn import (
+    DEFAULT_SURROGATE_WIDTH,
     LifConfig,
     SnnArchitecture,
     init_params,
@@ -85,12 +88,11 @@ def weighted_cross_entropy(logits: np.ndarray, labels: np.ndarray,
 
 # -- Adam --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+#: Adam's moment decays and denominator offset, at the values Kingma & Ba
+#: recommend (arXiv 1412.6980)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -101,13 +103,13 @@ class AdamState:
 
 
 def adam_update(params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray],
-                state: AdamState, cfg: AdamConfig = AdamConfig()) -> None:
-    """One bias-corrected Adam step, in place; eps sits outside the sqrt,
-    so a first step on unit gradient moves by lr / (1 + eps)."""
+                state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam step, in place; EPS sits outside the sqrt,
+    so a first step on unit gradient moves by lr / (1 + EPS)."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for name, g in grads.items():
         p = params[name]
         if name not in state.m:
@@ -115,11 +117,11 @@ def adam_update(params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray],
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        p -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 # -- model bundle ------------------------------------------------------------------
@@ -148,8 +150,7 @@ def init_model(arch: SnnArchitecture, feature_dim: int, *, hidden: int = 128,
                head_mid: int = 64, seed: int = 0,
                branch: str = "fused") -> ModelParams:
     """Seeded init of whichever branches the mode requires."""
-    if branch not in CHOICES["branch"]:
-        raise GestemoError(f"unknown branch {branch!r}")
+    check_option("branch", branch)
     ss = np.random.SeedSequence(seed).spawn(3)
     seeds = [int(s.generate_state(1)[0]) for s in ss]
     model = ModelParams()
@@ -192,7 +193,7 @@ class TrainData:
 
 def prepare_tensors(samples: Sequence[SampleRecord], k: int, *,
                     downsample: int = 1, scale_mode: str = "clip01",
-                    frame_limit: int = 100, target: str = "gesture",
+                    frame_limit: int = DEFAULT_FRAME_LIMIT, target: str = "gesture",
                     label_space: Optional[Sequence] = None,
                     branch: str = "fused") -> TrainData:
     """Encode every sample to fixed-shape tensors.
@@ -256,8 +257,8 @@ class TrainConfig:
     mode: str = "joint"
     lam: float = 1.0
     batch_size: int = 0          # 0 means full batch
-    dropout: float = 0.5
-    surrogate_width: float = 0.5
+    dropout: float = HEAD_DROPOUT
+    surrogate_width: float = DEFAULT_SURROGATE_WIDTH
 
     def __post_init__(self):
         for f in fields(self):
@@ -283,7 +284,6 @@ def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     fusion_cfg = FusionConfig(cfg.lam)
     params = model.flat()
     state = AdamState()
-    adam_cfg = AdamConfig(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     batch = n if cfg.batch_size <= 0 else min(cfg.batch_size, n)
     history: List[dict] = []
@@ -329,7 +329,7 @@ def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
                 rg, _ = recurrent_backward(rtape, d_h, model.lstm)
                 grads.update(hg)
                 grads.update(rg)
-            adam_update(params, grads, state, adam_cfg)
+            adam_update(params, grads, state, cfg.lr)
             bsz = idx.size
             ep_loss += (loss_mse + loss_wce) * bsz
             ep_mse += loss_mse * bsz
@@ -380,8 +380,7 @@ def scores_for(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     """Class scores for every sample, eval mode (no dropout, binary spikes)."""
     if len(data) == 0:
         raise GestemoError("evaluation split is empty")
-    if branch not in CHOICES["branch"]:
-        raise GestemoError(f"unknown branch {branch!r}")
+    check_option("branch", branch)
     if (branch != "video_only" and model.snn is None
             or branch != "snn_only" and None in (model.lstm, model.head)):
         raise GestemoError(f"model has no parameters for branch {branch!r}")

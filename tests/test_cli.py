@@ -2,6 +2,7 @@
 into tmp_path and assertions read the produced files back."""
 
 import contextlib
+import copy
 import filecmp
 import io
 import json
@@ -83,6 +84,19 @@ def test_synth_deterministic(tmp_path, capsys):
 def test_synth_rejects_unknown_gesture(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "d"), "--gestures", "wave"]) == 1
     assert "bad gesture list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--per-class", "0", "at least one gesture and one sample per class"),
+    ("--width", "0", "geometry must be positive"),
+    ("--duration-us", "-1", "duration_us must be >= 0, got -1"),
+    ("--train-fraction", "nan", "train_fraction must be in (0, 1), got nan"),
+])
+def test_synth_bad_flag_value_is_usage_error(tmp_path, flag, value, message):
+    out = tmp_path / "d"
+    code, _, err = run_main("synth", str(out), *TINY, flag, value)
+    assert code == 1 and err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 def test_align_end_to_end(tmp_path, capsys):
@@ -788,6 +802,9 @@ def test_manifest_document_ends_in_an_exit_code_with_one_line(parse_corpus,
     def check(edits):
         doc = {"root": m.root, "entries": [dict(e) for e in entries]}
         for place, value in edits:  # value None deletes
+            # a drawn entry is one of `entries` itself: a later edit must
+            # write into a copy, not into `entries` or into the doc itself
+            value = copy.deepcopy(value)
             if not place:
                 doc = value
                 continue
@@ -875,6 +892,16 @@ def test_non_finite_features_are_data_errors(tmp_path, capsys, value):
     assert err.strip().splitlines()[-1].startswith("error: ")
 
 
+def test_train_planes_below_ten_by_ten_is_one_line_data_error(tmp_path):
+    manifest = small_corpus(tmp_path)  # 16x16, pooled to 8x8
+    out = tmp_path / "m.ckpt"
+    code, _, err = run_main("train", manifest, *FAST_TRAIN, "--downsample", "2",
+                            "--out", str(out))
+    assert code == 2 and err.count("\n") == 1
+    assert "planes of 8x8 are too small" in err and "at least 10x10" in err
+    assert not out.exists()
+
+
 def test_train_divergence_exit_code(tmp_path, capsys):
     manifest = small_corpus(tmp_path)
     assert main(["train", manifest, "--out", str(tmp_path / "m.ckpt"),
@@ -944,6 +971,19 @@ def test_import_per_gesture_directories(tmp_path, capsys):
     by_split = {s: len(m.ids(s)) for s in ("train", "test")}
     assert by_split == {"train": 3, "test": 2}
     assert all(e.features for e in m.entries)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "5"])
+def test_import_bad_train_fraction_is_usage_error(tmp_path, value):
+    src = tmp_path / "raw" / "ok"
+    src.mkdir(parents=True)
+    write_events_file(synth_stream(StreamSpec(Geometry(8, 8), 10_000, 20), seed=0),
+                      src / "rec0.csv")
+    code, out, err = run_main("import", str(src.parent), str(tmp_path / "o"),
+                              "--train-fraction", value)
+    assert code == 1 and out == ""
+    assert err == f"train_fraction must be in (0, 1), got {float(value)!r}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_import_unknown_layout_diagnostic(tmp_path, capsys):

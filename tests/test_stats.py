@@ -111,6 +111,16 @@ def test_histogram_bins(tmp_path):
     assert hist["counts"] == [2, 1]
 
 
+def test_bin_width_below_one_is_a_library_error(tmp_path):
+    m = build_corpus(tmp_path, [
+        ("a", GestureClass.OK, stream_with_duration(1000, 5, 1), 5),
+    ])
+    for run in (lambda: summary_of(m, bin_width=0),
+                lambda: dataset_stats(m, bin_width=0)):
+        with pytest.raises(GestemoError, match="bin_width must be >= 1, got 0"):
+            run()
+
+
 def test_histogram_requires_features(tmp_path):
     m = build_corpus(tmp_path, [
         ("a", GestureClass.OK, stream_with_duration(1000, 5, 1), None),

@@ -34,7 +34,7 @@ def test_spec_validation():
         DatasetSpec(gestures=(GestureClass.OK, GestureClass.OK))
     with pytest.raises(GestemoError, match="bad event count range"):
         DatasetSpec(min_events=10, max_events=5)
-    with pytest.raises(GestemoError, match=r"train fraction must be in \(0,1\)"):
+    with pytest.raises(GestemoError, match=r"train_fraction must be in \(0, 1\)"):
         DatasetSpec(train_fraction=1.0)
 
 

@@ -20,7 +20,7 @@ from gestemo.events import (
 )
 from gestemo.snn import Conv, Dense, LifConfig, Pool, SnnArchitecture
 from gestemo.training import (
-    AdamConfig,
+    EPS,
     AdamState,
     MetricsReport,
     ModelParams,
@@ -146,15 +146,15 @@ def test_mse_gradient_matches_fd():
 
 def test_adam_zero_gradient_no_move():
     p = {"w": np.array([1.0, -2.0])}
-    adam_update(p, {"w": np.zeros(2)}, AdamState())
+    adam_update(p, {"w": np.zeros(2)}, AdamState(), 1e-3)
     assert np.array_equal(p["w"], [1.0, -2.0])
 
 
 def test_adam_first_step_size():
-    cfg = AdamConfig(lr=1e-3)
+    lr = 1e-3
     p = {"w": np.array([1.0])}
-    adam_update(p, {"w": np.array([1.0])}, AdamState(), cfg)
-    assert p["w"][0] == pytest.approx(1.0 - cfg.lr / (1.0 + cfg.eps), abs=1e-15)
+    adam_update(p, {"w": np.array([1.0])}, AdamState(), lr)
+    assert p["w"][0] == pytest.approx(1.0 - lr / (1.0 + EPS), abs=1e-15)
 
 
 def test_adam_deterministic():
@@ -164,8 +164,8 @@ def test_adam_deterministic():
     pb = {"w": np.ones(3)}
     sa, sb = AdamState(), AdamState()
     for g in gs:
-        adam_update(pa, {"w": g}, sa)
-        adam_update(pb, {"w": g}, sb)
+        adam_update(pa, {"w": g}, sa, 1e-3)
+        adam_update(pb, {"w": g}, sb, 1e-3)
     assert np.array_equal(pa["w"], pb["w"])
 
 
