@@ -33,7 +33,7 @@ from .dataio import (
     write_events_file,
     write_manifest,
 )
-from .encode import DenseSpikePlanes, dense_spike_planes, write_planes_file
+from .encode import DenseSpikePlanes, dense_spike_planes, scale_planes, write_planes_file
 from .errors import CHOICES, DivergedLossError, GestemoError, ParseError, check_option
 from .events import EmotionClass, Geometry, GestureClass
 from .fusion import FusionConfig, predict
@@ -204,7 +204,7 @@ def cmd_encode(ns) -> int:
     planes = dense_spike_planes(stream, ns.k, factor=ns.downsample)
     if ns.scale_mode == "clip01":
         planes = DenseSpikePlanes(planes.k, planes.geometry,
-                                  np.minimum(planes.counts, 1))
+                                  scale_planes(planes, "clip01"))
         note = "conserved=n/a (clipped)"
     else:
         note = "conserved=yes" if planes.total == len(stream) else "conserved=NO"

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import _read_text
 from .errors import GestemoError, ParseError, check_option
 from .events import EventStream, Geometry
 
@@ -95,18 +96,19 @@ def downsample_planes(planes: DenseSpikePlanes, factor: int) -> DenseSpikePlanes
 
 
 def scale_planes(planes: DenseSpikePlanes, mode: str = "clip01") -> np.ndarray:
-    """Condition integer counts into real-valued network input.
+    """Condition integer counts into network input.
 
     none          raw counts as float64
-    clip01        1.0 wherever a count is positive (binary spike planes)
-    divide_by_max counts / global max (all zeros stay zero)
+    clip01        uint8 1 wherever a count is positive, else 0 (binary
+                  spike planes, one byte per cell)
+    divide_by_max counts / global max as float64 (all zeros stay zero)
     """
     check_option("scale_mode", mode)
     c = planes.counts
     if mode == "none":
         return c.astype(np.float64)
     if mode == "clip01":
-        return (c > 0).astype(np.float64)
+        return (c > 0).astype(np.uint8)
     m = c.max()
     if m == 0:
         return np.zeros_like(c, dtype=np.float64)
@@ -125,25 +127,28 @@ def write_planes_file(planes: DenseSpikePlanes, path) -> None:
 
 
 def read_planes_file(path) -> DenseSpikePlanes:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
+    header, body = _read_text(path)
+    header = header.strip()
+    try:
+        k, w, h = (int(v) for v in header.split(","))
+    except ValueError:
+        raise ParseError(f"{path}: bad planes header {header!r}", line=1)
+    if min(k, w, h) < 1:
+        raise ParseError(f"{path}:1: K, W and H must be >= 1, got {header!r}",
+                         line=1)
+    rows = []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line.strip()
+        if not line:
+            continue
         try:
-            k, w, h = (int(v) for v in header.split(","))
+            row = [int(v) for v in line.split()]
         except ValueError:
-            raise ParseError(f"{path}: bad planes header {header!r}", line=1)
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [int(v) for v in line.split()]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer value", line=lineno)
-            if len(row) != h * w:
-                raise ParseError(f"{path}:{lineno}: expected {h * w} values, "
-                                 f"got {len(row)}", line=lineno)
-            rows.append(row)
+            raise ParseError(f"{path}:{lineno}: non-integer value", line=lineno)
+        if len(row) != h * w:
+            raise ParseError(f"{path}:{lineno}: expected {h * w} values, "
+                             f"got {len(row)}", line=lineno)
+        rows.append(row)
     if len(rows) != k * 2:
         raise ParseError(f"{path}: expected {k * 2} plane rows, got {len(rows)}")
     counts = np.asarray(rows, dtype=np.int64).reshape(k, 2, h, w)

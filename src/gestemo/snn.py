@@ -477,9 +477,10 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
                 record: bool = False):
     """Run the stack for K steps, feeding plane k at step k.
 
-    planes: conditioned real-valued array, (K, C, H, W) for one sample or
-    (B, K, C, H, W) for a batch.  Returns the averaged class-sized output
-    (and the tape when record=True); membranes always start at zero.
+    planes: conditioned array of any real dtype, cast to float64; (K, C,
+    H, W) for one sample or (B, K, C, H, W) for a batch.  Returns the
+    averaged class-sized output (and the tape when record=True); membranes
+    always start at zero.
     """
     _require_params(arch, params)
     if spike_fn not in _SPIKE_DTYPE:
@@ -530,7 +531,12 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
         raise GestemoError(f"d_sdg shape {d_sdg.shape} != ({b},{arch.num_classes})")
     grads = {name: np.zeros_like(params[name]) for name in arch.param_names()}
     dv_carry = [np.zeros((b,) + shp) for shp in plan.out_shapes]
-    scratch = [(np.empty((b,) + shp), np.empty((b,) + shp)) for shp in plan.out_shapes]
+    # one scratch pair serves every layer: a layer's dvp is consumed by its
+    # _layer_backward before the next layer writes the pair again
+    bufs = [np.empty(b * max(math.prod(shp) for shp in plan.out_shapes))
+            for _ in range(2)]
+    scratch = [[buf[:b * math.prod(shp)].reshape((b,) + shp) for buf in bufs]
+               for shp in plan.out_shapes]
     for t in reversed(range(k)):
         d_s = d_sdg / k
         for li in reversed(range(len(arch.layers))):

@@ -173,7 +173,8 @@ class TrainData:
     emotion target.
     """
 
-    planes: Optional[np.ndarray]      # (N, K, 2, H, W) float64 or None
+    planes: Optional[np.ndarray]      # (N, K, 2, H, W) or None; uint8 0/1
+                                      # for clip01, else float64
     features: Optional[np.ndarray]    # (N, T, D) float64 or None
     labels: np.ndarray                # (N,) int64 indices into label_space
     label_space: Tuple = LABELED_GESTURES
@@ -270,18 +271,57 @@ def _check_loss(loss: float, epoch: int) -> None:
         raise DivergedLossError(f"loss {loss} at epoch {epoch} is out of bounds")
 
 
+def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
+                     arch: SnnArchitecture, lif_cfg: LifConfig, cfg: TrainConfig,
+                     weights: np.ndarray, rng: np.random.Generator
+                     ) -> Tuple[float, float, Dict[str, np.ndarray]]:
+    """(mse, wce, gradients) of one batch.  The forward tapes are locals
+    here, so they are freed before the caller's optimizer step."""
+    use_snn = cfg.branch != "video_only"
+    use_video = cfg.branch != "snn_only"
+    y = data.labels[idx]
+    grads: Dict[str, np.ndarray] = {}
+    loss_mse = 0.0
+    loss_wce = 0.0
+    if use_snn:
+        s_dg, tape = snn_forward(
+            data.planes[idx], model.snn, arch, lif_cfg,
+            surrogate_width=cfg.surrogate_width, record=True)
+    if use_video:
+        h, rtape = recurrent_forward(data.features[idx], model.lstm, record=True)
+        logits, htape = head_forward(h, model.head, train=True, rng=rng,
+                                     dropout=cfg.dropout, record=True)
+    if cfg.branch == "snn_only":
+        loss_mse, d_sdg = mse_spike_loss(s_dg, y)
+        d_logits = None
+    elif cfg.branch == "video_only":
+        loss_wce, d_logits = weighted_cross_entropy(logits, y, weights)
+        d_sdg = None
+    else:
+        y_hat = fuse(s_dg, logits, FusionConfig(cfg.lam))
+        loss_mse, d_sdg = mse_spike_loss(s_dg, y)
+        loss_wce, d_fused = weighted_cross_entropy(y_hat, y, weights)
+        d_sdg = d_sdg + d_fused
+        d_logits = cfg.lam * d_fused
+    if use_snn:
+        grads.update(snn_backward_from_output(tape, d_sdg, model.snn))
+    if use_video:
+        hg, d_h = head_backward(htape, d_logits, model.head)
+        rg, _ = recurrent_backward(rtape, d_h, model.lstm)
+        grads.update(hg)
+        grads.update(rg)
+    return loss_mse, loss_wce, grads
+
+
 def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
                  lif_cfg: LifConfig, cfg: TrainConfig,
                  log: Optional[List[str]]) -> List[dict]:
-    use_snn = cfg.branch != "video_only"
-    use_video = cfg.branch != "snn_only"
-    if use_snn and (data.planes is None or model.snn is None):
+    if cfg.branch != "video_only" and (data.planes is None or model.snn is None):
         raise GestemoError("event branch requested without planes or params")
-    if use_video and (data.features is None or model.lstm is None):
+    if cfg.branch != "snn_only" and (data.features is None or model.lstm is None):
         raise GestemoError("frame branch requested without features or params")
     n = len(data)
     weights = class_weights(data.labels, arch.num_classes)
-    fusion_cfg = FusionConfig(cfg.lam)
     params = model.flat()
     state = AdamState()
     rng = np.random.default_rng(cfg.seed)
@@ -295,41 +335,10 @@ def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
         seen = 0
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            y = data.labels[idx]
-            grads: Dict[str, np.ndarray] = {}
-            loss_mse = 0.0
-            loss_wce = 0.0
-            s_dg = tape = None
-            logits = rtape = htape = None
-            if use_snn:
-                s_dg, tape = snn_forward(
-                    data.planes[idx], model.snn, arch, lif_cfg,
-                    surrogate_width=cfg.surrogate_width, record=True)
-            if use_video:
-                h, rtape = recurrent_forward(data.features[idx], model.lstm,
-                                             record=True)
-                logits, htape = head_forward(h, model.head, train=True, rng=rng,
-                                             dropout=cfg.dropout, record=True)
-            if cfg.branch == "snn_only":
-                loss_mse, d_sdg = mse_spike_loss(s_dg, y)
-                d_logits = None
-            elif cfg.branch == "video_only":
-                loss_wce, d_logits = weighted_cross_entropy(logits, y, weights)
-                d_sdg = None
-            else:
-                y_hat = fuse(s_dg, logits, fusion_cfg)
-                loss_mse, d_sdg = mse_spike_loss(s_dg, y)
-                loss_wce, d_fused = weighted_cross_entropy(y_hat, y, weights)
-                d_sdg = d_sdg + d_fused
-                d_logits = cfg.lam * d_fused
-            if use_snn:
-                grads.update(snn_backward_from_output(tape, d_sdg, model.snn))
-            if use_video:
-                hg, d_h = head_backward(htape, d_logits, model.head)
-                rg, _ = recurrent_backward(rtape, d_h, model.lstm)
-                grads.update(hg)
-                grads.update(rg)
+            loss_mse, loss_wce, grads = _batch_gradients(
+                data, idx, model, arch, lif_cfg, cfg, weights, rng)
             adam_update(params, grads, state, cfg.lr)
+            del grads   # freed before the next batch's forward, like the tapes
             bsz = idx.size
             ep_loss += (loss_mse + loss_wce) * bsz
             ep_mse += loss_mse * bsz

@@ -10,7 +10,7 @@ from gestemo.encode import (
     scale_planes,
     write_planes_file,
 )
-from gestemo.errors import GestemoError
+from gestemo.errors import GestemoError, ParseError
 from gestemo.events import (
     DAVIS346,
     EmotionClass,
@@ -189,3 +189,19 @@ def test_planes_file_round_trip(tmp_path):
     assert back.k == planes.k
     assert back.geometry == planes.geometry
     assert np.array_equal(back.counts, planes.counts)
+
+
+def test_planes_file_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "planes.csv"
+    path.write_bytes(b"1,2,1\n0 1\n\xff\xfe 0\n")
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        read_planes_file(path)
+
+
+@pytest.mark.parametrize("header", ["0,2,2", "-1,2,2", "1,-2,-2", "1,0,3"])
+def test_planes_file_header_sizes_below_one_are_refused(tmp_path, header):
+    path = tmp_path / "planes.csv"
+    path.write_text(f"{header}\n1 2 3 4\n0 0 0 0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r":1: K, W and H must be >= 1") as e:
+        read_planes_file(path)
+    assert e.value.line == 1

@@ -2,9 +2,12 @@
 hand-worked 3x3 confusion matrix; the weighted-recall/accuracy identity is
 verified on random matrices."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from gestemo import training
 from gestemo.dataio import FrameFeatureSequence
 from gestemo.errors import DivergedLossError, GestemoError
 from gestemo.events import (
@@ -18,7 +21,7 @@ from gestemo.events import (
     emotion_of,
     synth_stream,
 )
-from gestemo.snn import Conv, Dense, LifConfig, Pool, SnnArchitecture
+from gestemo.snn import Conv, Dense, LifConfig, Pool, SnnArchitecture, init_params, snn_forward
 from gestemo.training import (
     EPS,
     AdamState,
@@ -209,7 +212,20 @@ def test_prepare_tensors_gesture_target():
     assert list(data.labels) == [LABELED_GESTURES.index(GestureClass.OK),
                                  LABELED_GESTURES.index(GestureClass.NO)]
     assert set(np.unique(data.planes)) <= {0.0, 1.0}  # clip01 default
+    assert data.planes.dtype == np.uint8
+    assert data.planes.nbytes == 2 * 4 * 2 * 8 * 8
     assert np.array_equal(data.features[:, 0, :], np.zeros((2, 3)))  # front pad
+    for mode in ("none", "divide_by_max"):
+        assert prepare_tensors(samples, k=4, scale_mode=mode).planes.dtype == np.float64
+    params = init_params(ARCH, seed=1)
+    cfg = LifConfig(theta=0.3)
+    as_float = data.planes.astype(np.float64)
+    got, tape = snn_forward(data.planes, params, ARCH, cfg, record=True)
+    want, _ = snn_forward(as_float, params, ARCH, cfg, record=True)
+    assert np.array_equal(got, want)
+    assert tape.x.dtype == np.float64
+    assert np.array_equal(snn_forward(data.planes, params, ARCH, cfg),
+                          snn_forward(as_float, params, ARCH, cfg))
 
 
 def test_prepare_tensors_emotion_target():
@@ -284,6 +300,36 @@ def test_separate_mode_runs_branches_in_order():
     hist = train(data, model, ARCH,
                  cfg=TrainConfig(epochs=2, mode="separate", seed=4))
     assert [e["branch"] for e in hist] == ["snn_only"] * 2 + ["video_only"] * 2
+
+
+@pytest.mark.parametrize("branch,tapes_per_batch",
+                         [("fused", 3), ("snn_only", 1), ("video_only", 2)])
+def test_no_tape_outlives_its_batch(monkeypatch, branch, tapes_per_batch):
+    """Every forward tape of a batch is freed before that batch's Adam step,
+    and its gradients before the next batch's forward."""
+    tapes, grads = [], []
+
+    def keep_tape(forward):
+        def wrapped(*args, **kwargs):
+            assert all(ref() is None for ref in grads)
+            out = forward(*args, **kwargs)
+            if kwargs.get("record"):
+                tapes.append(weakref.ref(out[1]))
+            return out
+        return wrapped
+
+    def checked_adam(params, batch_grads, *args):
+        assert tapes and all(ref() is None for ref in tapes)
+        grads.extend(weakref.ref(g) for g in batch_grads.values())
+        return adam_update(params, batch_grads, *args)
+
+    for name in ("snn_forward", "recurrent_forward", "head_forward"):
+        monkeypatch.setattr(training, name, keep_tape(getattr(training, name)))
+    monkeypatch.setattr(training, "adam_update", checked_adam)
+    model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=11, branch=branch)
+    train(toy_data(), model, ARCH,
+          cfg=TrainConfig(epochs=2, batch_size=5, branch=branch, seed=6))
+    assert len(tapes) == 2 * 3 * tapes_per_batch   # 2 epochs of 3 batches
 
 
 def test_training_deterministic():
