@@ -22,18 +22,18 @@ from .dataio import (
     read_events_file,
     read_feature_file,
     read_manifest,
+    read_planes_file,
     write_events_file,
     write_feature_file,
     write_manifest,
+    write_planes_file,
 )
 from .encode import (
     DenseSpikePlanes,
     dense_spike_planes,
     downsample_planes,
     group_sizes,
-    read_planes_file,
     scale_planes,
-    write_planes_file,
 )
 from .errors import GestemoError
 from .events import (

@@ -32,8 +32,9 @@ from .dataio import (
     read_manifest,
     write_events_file,
     write_manifest,
+    write_planes_file,
 )
-from .encode import DenseSpikePlanes, dense_spike_planes, scale_planes, write_planes_file
+from .encode import DenseSpikePlanes, dense_spike_planes, scale_planes
 from .errors import CHOICES, DivergedLossError, GestemoError, ParseError, check_option
 from .events import EmotionClass, Geometry, GestureClass
 from .fusion import FusionConfig, predict

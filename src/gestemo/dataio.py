@@ -1,14 +1,19 @@
 """File formats and dataset manifests.
 
-Three plain-text formats, chosen to be human-inspectable and diffable:
+Four plain-text formats, chosen to be human-inspectable and diffable:
 
 * event file    -- header ``t,x,y,p geometry=WxH`` then one ``t,x,y,p``
                    integer row per event, sorted by t
 * feature file  -- header ``D=<int>`` then one whitespace-separated real row
                    per video frame
+* plane file    -- header ``K,W,H`` then K*2 whitespace-separated rows of
+                   H*W integer counts, in (k, polarity) order
 * manifest      -- a single JSON document listing samples, labels, file
                    paths (relative to the manifest's directory) and their
                    train/test split
+
+Event, feature and plane rows share one parser, ``_parse_rows``, and so
+one wording for each kind of bad row, always naming ``file:line``.
 
 Feature loaders expose truncate/pad normalization: most recordings sit
 under 100 frames, so the default pads or truncates to 100.  Padding is
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import re
 import warnings
@@ -29,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .encode import DenseSpikePlanes
 from .errors import GestemoError, ParseError
 from .events import (
     EmotionClass,
@@ -96,7 +101,7 @@ def read_events_file(path) -> EventStream:
     if not m:
         raise ParseError(f"{path}: bad event header {header!r}", line=1)
     geometry = Geometry(int(m.group(1)), int(m.group(2)))
-    rows = _parse_int_rows(body, path, n_cols=4, delimiter=",")
+    rows = _parse_rows(body, path, np.int64, 4, ",")
     if rows.shape[0] == 0:
         return EventStream.empty(geometry)
     return EventStream.from_arrays(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3],
@@ -123,34 +128,10 @@ def read_feature_file(path) -> FrameFeatureSequence:
     if not m:
         raise ParseError(f"{path}: bad feature header {header!r}", line=1)
     dim = int(m.group(1))
-    if not body.strip():
+    rows = _parse_rows(body, path, np.float64, dim, None)
+    if len(rows) == 0:
         raise ParseError(f"{path}: feature file has no rows")
-    rows = _fast_rows(body, np.float64, dim, None)
-    if rows is None:
-        rows = _parse_feature_rows_slow(body, path, dim)
     return FrameFeatureSequence(dim, rows)
-
-
-def _parse_feature_rows_slow(body: str, path, dim: int) -> np.ndarray:
-    """Row-by-row parse of a feature body: the reference the fast path must
-    agree with, and the source of line-numbered errors."""
-    rows = []
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            row = [float(v) for v in parts]
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric value", line=lineno)
-        if len(row) != dim:
-            raise ParseError(
-                f"{path}:{lineno}: row has {len(row)} values, expected {dim}",
-                line=lineno)
-        if not all(math.isfinite(v) for v in row):
-            raise ParseError(f"{path}:{lineno}: non-finite value", line=lineno)
-        rows.append(row)
-    return np.asarray(rows, dtype=np.float64)
 
 
 def write_feature_file(seq: FrameFeatureSequence, path) -> None:
@@ -184,43 +165,81 @@ def _fast_rows(body: str, dtype, n_cols: int, delimiter) -> Optional[np.ndarray]
     return rows
 
 
-def _parse_int_rows(body: str, path, n_cols: int, delimiter: str) -> np.ndarray:
-    """Integer rows of a file body that starts on line 2; blank lines are
-    skipped."""
-    if not body.strip():
-        return np.zeros((0, n_cols), dtype=np.int64)
-    rows = _fast_rows(body, np.int64, n_cols, delimiter)
+def _parse_rows(body: str, path, dtype, n_cols: int, delimiter) -> np.ndarray:
+    """The (N, n_cols) rows of a file body that starts on line 2, blank lines
+    skipped: one C-level parse, or row by row where that refuses.  A blank
+    body gives an empty array, never a (0, n_cols) one: n_cols may come from
+    a header and exceed any array dimension."""
+    rows = _fast_rows(body, dtype, n_cols, delimiter) if body.strip() else None
     if rows is None:
-        rows = _parse_int_rows_slow(body, path, n_cols, delimiter)
+        rows = _parse_rows_slow(body, path, dtype, n_cols, delimiter)
     return rows
 
 
-def _parse_int_rows_slow(body: str, path, n_cols: int, delimiter: str) -> np.ndarray:
+def _parse_rows_slow(body: str, path, dtype, n_cols: int, delimiter) -> np.ndarray:
     """Row-by-row parse: the reference the fast path must agree with, and the
-    source of errors that name the offending file line."""
+    source of errors that name the offending file line.  Each row is checked
+    for its field count, then for each value, then for range and
+    finiteness."""
+    convert, kind = (int, "non-integer") if dtype is np.int64 else (float, "non-numeric")
     rows = []
-    # rows end wherever str.splitlines ends a line; errors count file lines
     for lineno, physical in enumerate(body.split("\n"), start=2):
-        for ln in physical.splitlines():
-            if not ln.strip():
+        # comma rows end wherever str.splitlines ends a line; whitespace rows
+        # are whole physical lines.  Errors count file lines.
+        for line in physical.splitlines() if delimiter else (physical,):
+            if not line.strip():
                 continue
-            parts = ln.split(delimiter)
+            parts = line.split(delimiter)
             if len(parts) != n_cols:
                 raise ParseError(
                     f"{path}:{lineno}: expected {n_cols} fields, got {len(parts)}",
                     line=lineno)
-            row = []
+            values = []
             for v in parts:
                 try:
-                    row.append(int(v))
+                    values.append(convert(v))
                 except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-integer value {v!r}",
+                    raise ParseError(f"{path}:{lineno}: {kind} value {v!r}",
                                      line=lineno)
+            try:
+                row = np.array(values, dtype=dtype)
+            except OverflowError:
+                raise ParseError(f"{path}:{lineno}: integer value outside the "
+                                 f"int64 range", line=lineno)
+            if not np.isfinite(row).all():
+                raise ParseError(f"{path}:{lineno}: non-finite value", line=lineno)
             rows.append(row)
+    return np.array(rows, dtype=dtype)
+
+
+def write_planes_file(planes: DenseSpikePlanes, path) -> None:
+    """Plane file: header ``K,W,H`` then one line of H*W integers per
+    polarity plane, K*2 lines in (k, polarity) order."""
+    g = planes.geometry
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{planes.k},{g.width},{g.height}\n")
+        flat = planes.counts.reshape(planes.k * 2, g.height * g.width)
+        for row in flat:
+            f.write(" ".join(str(v) for v in row) + "\n")
+
+
+def read_planes_file(path) -> DenseSpikePlanes:
+    """Parse a plane file; the header's K, W and H fix the row count and the
+    row length."""
+    header, body = _read_text(path)
+    header = header.strip()
     try:
-        return np.array(rows, dtype=np.int64).reshape(-1, n_cols)
-    except OverflowError:
-        raise ParseError(f"{path}: integer value outside the int64 range")
+        k, w, h = (int(v) for v in header.split(","))
+    except ValueError:
+        raise ParseError(f"{path}: bad planes header {header!r}", line=1)
+    if min(k, w, h) < 1:
+        raise ParseError(f"{path}:1: K, W and H must be >= 1, got {header!r}",
+                         line=1)
+    rows = _parse_rows(body, path, np.int64, h * w, None)
+    if len(rows) != k * 2:
+        raise ParseError(f"{path}: expected {k * 2} plane rows, got {len(rows)}")
+    return DenseSpikePlanes(k=k, geometry=Geometry(w, h),
+                            counts=rows.reshape(k, 2, h, w))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _read_text
-from .errors import GestemoError, ParseError, check_option
+from .errors import GestemoError, check_option
 from .events import EventStream, Geometry
 
 
@@ -113,43 +112,3 @@ def scale_planes(planes: DenseSpikePlanes, mode: str = "clip01") -> np.ndarray:
     if m == 0:
         return np.zeros_like(c, dtype=np.float64)
     return c / float(m)
-
-
-def write_planes_file(planes: DenseSpikePlanes, path) -> None:
-    """Plane file: header ``K,W,H`` then one line of H*W integers per
-    polarity plane, K*2 lines in (k, polarity) order."""
-    g = planes.geometry
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{planes.k},{g.width},{g.height}\n")
-        flat = planes.counts.reshape(planes.k * 2, g.height * g.width)
-        for row in flat:
-            f.write(" ".join(str(v) for v in row) + "\n")
-
-
-def read_planes_file(path) -> DenseSpikePlanes:
-    header, body = _read_text(path)
-    header = header.strip()
-    try:
-        k, w, h = (int(v) for v in header.split(","))
-    except ValueError:
-        raise ParseError(f"{path}: bad planes header {header!r}", line=1)
-    if min(k, w, h) < 1:
-        raise ParseError(f"{path}:1: K, W and H must be >= 1, got {header!r}",
-                         line=1)
-    rows = []
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = [int(v) for v in line.split()]
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-integer value", line=lineno)
-        if len(row) != h * w:
-            raise ParseError(f"{path}:{lineno}: expected {h * w} values, "
-                             f"got {len(row)}", line=lineno)
-        rows.append(row)
-    if len(rows) != k * 2:
-        raise ParseError(f"{path}: expected {k * 2} plane rows, got {len(rows)}")
-    counts = np.asarray(rows, dtype=np.int64).reshape(k, 2, h, w)
-    return DenseSpikePlanes(k=k, geometry=Geometry(w, h), counts=counts)

@@ -141,18 +141,18 @@ def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
 
 
 def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
-                       params: RecurrentParams) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """Backprop through time; returns ({"lstm.wx": ..., ...}, d_x)."""
+                       params: RecurrentParams) -> Dict[str, np.ndarray]:
+    """Backprop through time; returns the parameter gradients
+    {"lstm.wx": ..., "lstm.wh": ..., "lstm.b": ...}."""
     if tape is None:
         raise GestemoError("recurrent_backward requires a recorded tape")
     x = tape.x
-    b, t_len, dim = x.shape
+    b, t_len, _ = x.shape
     hid = params.hidden
     d_hlast = np.asarray(d_hlast, dtype=np.float64).reshape(b, hid)
     g_wx = np.zeros_like(params.wx)
     g_wh = np.zeros_like(params.wh)
     g_b = np.zeros_like(params.b)
-    d_x = np.zeros_like(x)
     dh = d_hlast.copy()
     dc = np.zeros((b, hid))
     dz = np.empty((b, 4 * hid))                          # d(pre-activation) i,f,g,o
@@ -180,10 +180,9 @@ def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
         g_wx += dz.T @ x[:, t]
         g_wh += dz.T @ tape.h[t]
         g_b += dz.sum(axis=0)
-        d_x[:, t] = dz @ params.wx
         dh = dz @ params.wh
         dc *= f
-    return {"lstm.wx": g_wx, "lstm.wh": g_wh, "lstm.b": g_b}, d_x
+    return {"lstm.wx": g_wx, "lstm.wh": g_wh, "lstm.b": g_b}
 
 
 # -- classification head ----------------------------------------------------------

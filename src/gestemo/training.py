@@ -307,9 +307,8 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
         grads.update(snn_backward_from_output(tape, d_sdg, model.snn))
     if use_video:
         hg, d_h = head_backward(htape, d_logits, model.head)
-        rg, _ = recurrent_backward(rtape, d_h, model.lstm)
         grads.update(hg)
-        grads.update(rg)
+        grads.update(recurrent_backward(rtape, d_h, model.lstm))
     return loss_mse, loss_wce, grads
 
 

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from gestemo.checkpoint import load_checkpoint
 from gestemo.cli import TRAIN_DEFAULTS, main
-from gestemo.dataio import read_manifest, write_events_file, write_feature_file
-from gestemo.dataio import FrameFeatureSequence
+from gestemo.dataio import (FrameFeatureSequence, read_manifest, read_planes_file,
+                            write_events_file, write_feature_file)
 from gestemo.errors import CHOICES
-from gestemo.encode import dense_spike_planes, downsample_planes, read_planes_file
+from gestemo.encode import dense_spike_planes, downsample_planes
 from gestemo.events import EventStream, Geometry, GestureClass, StreamSpec, synth_stream
 from gestemo.synth import DatasetSpec, build_dataset
 

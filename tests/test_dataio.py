@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from gestemo import dataio
 from gestemo.dataio import (
     FrameFeatureSequence,
-    _parse_feature_rows_slow,
-    _parse_int_rows,
-    _parse_int_rows_slow,
+    _parse_rows,
+    _parse_rows_slow,
     ManifestEntry,
     SplitManifest,
     load_sample,
     read_events_file,
     read_feature_file,
     read_manifest,
+    read_planes_file,
     write_events_file,
     write_feature_file,
     write_manifest,
@@ -160,15 +160,23 @@ def _bodies(fields, sep):
 
 _INT_BODY = _bodies(["0", "17", "-3", "+4", " 5 ", "\t6", "", "x", "#1", "1.0",
                      "1_0", "99999999999999999999"], ",")
+# plane rows: whitespace-delimited, with the control characters that
+# str.split treats as whitespace and str.splitlines as line ends
+_PLANE_BODY = _bodies(["0", "17", "-3", "+4", "\t6", "\x0b", "\x0c", "\x1c",
+                       "\r", "x", "#1", "1.0", "1_0", "99999999999999999999"], " ")
 _FLOAT_BODY = _bodies(["1", "-2.5", "+.5e-3", "nan", "inf", "-inf", "1e400",
                        "1_0", "x", "#"], " ")
 
 
+@pytest.mark.parametrize("bodies, n_cols, delimiter",
+                         [(_INT_BODY, 4, ","), (_PLANE_BODY, 2, None)],
+                         ids=["comma", "whitespace"])
 @settings(max_examples=300, deadline=None)
-@given(_INT_BODY)
-def test_fast_int_parse_matches_row_by_row(body):
-    fast = _outcome(_parse_int_rows, body, "f.csv", 4, ",")
-    slow = _outcome(_parse_int_rows_slow, body, "f.csv", 4, ",")
+@given(data=st.data())
+def test_fast_int_parse_matches_row_by_row(bodies, n_cols, delimiter, data):
+    body = data.draw(bodies)
+    fast = _outcome(_parse_rows, body, "f.csv", np.int64, n_cols, delimiter)
+    slow = _outcome(_parse_rows_slow, body, "f.csv", np.int64, n_cols, delimiter)
     if body.strip():
         assert fast == slow
     else:
@@ -182,7 +190,7 @@ def test_fast_feature_parse_matches_row_by_row(tmp_path_factory, body, dim):
     p.write_text(f"D={dim}\n{body}")
     fast = _outcome(lambda: read_feature_file(p).vectors)
     if body.strip():
-        assert fast == _outcome(_parse_feature_rows_slow, body, p, dim)
+        assert fast == _outcome(_parse_rows_slow, body, p, np.float64, dim, None)
     else:
         assert fast[0] == "ParseError" and "no rows" in fast[1]
 
@@ -233,9 +241,20 @@ def test_feature_file_single_row_ok(tmp_path):
 def test_feature_file_ragged(tmp_path):
     p = tmp_path / "f.txt"
     p.write_text("D=3\n1 0 0\n0 1\n")
-    with pytest.raises(ParseError, match=":3: row has 2 values, expected 3") as ei:
+    with pytest.raises(ParseError, match=":3: expected 3 fields, got 2") as ei:
         read_feature_file(p)
     assert ei.value.line == 3
+
+
+def test_blank_body_under_a_huge_header_has_no_rows(tmp_path):
+    ft = tmp_path / "f.txt"
+    ft.write_text("D=99999999999999999999\n\n")
+    with pytest.raises(ParseError, match="feature file has no rows"):
+        read_feature_file(ft)
+    pl = tmp_path / "p.txt"
+    pl.write_text("1,99999999999,99999999999\n")
+    with pytest.raises(ParseError, match="expected 2 plane rows, got 0"):
+        read_planes_file(pl)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from gestemo.dataio import read_planes_file, write_planes_file
 from gestemo.encode import (
     DenseSpikePlanes,
     dense_spike_planes,
     downsample_planes,
     group_sizes,
-    read_planes_file,
     scale_planes,
-    write_planes_file,
 )
 from gestemo.errors import GestemoError, ParseError
 from gestemo.events import (
@@ -191,10 +190,14 @@ def test_planes_file_round_trip(tmp_path):
     assert np.array_equal(back.counts, planes.counts)
 
 
-def test_planes_file_not_utf8_is_a_parse_error(tmp_path):
+@pytest.mark.parametrize("data, message", [
+    (b"1,2,1\n0 1\n\xff\xfe 0\n", "not UTF-8 text"),
+    (b"1,1,1\n99999999999999999999\n0\n", ":2: integer value outside the int64 range"),
+], ids=["not_utf8", "int64_overflow"])
+def test_planes_file_bad_body_is_a_parse_error(tmp_path, data, message):
     path = tmp_path / "planes.csv"
-    path.write_bytes(b"1,2,1\n0 1\n\xff\xfe 0\n")
-    with pytest.raises(ParseError, match="not UTF-8 text"):
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=message):
         read_planes_file(path)
 
 
