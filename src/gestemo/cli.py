@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import shutil
@@ -295,10 +296,8 @@ def cmd_train(ns) -> int:
     model = init_model(arch, feature_dim, hidden=cfg["hidden"],
                        head_mid=cfg["head_mid"], seed=cfg["seed"],
                        branch=cfg["branch"])
-    log: List[str] = []
-    history = train(data, model, arch, lif, tcfg, log)
-    for line in log:
-        print(line)
+    history = train(data, model, arch, lif, tcfg,
+                    functools.partial(print, flush=True))
     ckpt = Checkpoint(
         model=model, arch=arch, lif=lif, fusion=fusion,
         seed=cfg["seed"],

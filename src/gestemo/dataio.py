@@ -53,6 +53,15 @@ _WRITE_CHUNK = 65_536
 
 _EVENT_HEADER = re.compile(r"^t,x,y,p geometry=(\d+)x(\d+)$")
 _FEATURE_HEADER = re.compile(r"^D=(\d+)$")
+#: an integer field that int() refuses only for its length
+_DIGITS = re.compile(r"\s*[+-]?[0-9]+\s*")
+#: characters of a bad field or header quoted in an error message
+_QUOTE_MAX = 40
+
+
+def _quote(text: str) -> str:
+    """repr of text, cut to its first _QUOTE_MAX characters."""
+    return repr(text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "...")
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ def read_events_file(path) -> EventStream:
     header, body = _read_text(path)
     m = _EVENT_HEADER.match(header)
     if not m:
-        raise ParseError(f"{path}: bad event header {header!r}", line=1)
+        raise ParseError(f"{path}: bad event header {_quote(header)}", line=1)
     geometry = Geometry(int(m.group(1)), int(m.group(2)))
     rows = _parse_rows(body, path, np.int64, 4, ",")
     if rows.shape[0] == 0:
@@ -126,7 +135,7 @@ def read_feature_file(path) -> FrameFeatureSequence:
     header, body = _read_text(path)
     m = _FEATURE_HEADER.match(header)
     if not m:
-        raise ParseError(f"{path}: bad feature header {header!r}", line=1)
+        raise ParseError(f"{path}: bad feature header {_quote(header)}", line=1)
     dim = int(m.group(1))
     rows = _parse_rows(body, path, np.float64, dim, None)
     if len(rows) == 0:
@@ -199,8 +208,12 @@ def _parse_rows_slow(body: str, path, dtype, n_cols: int, delimiter) -> np.ndarr
                 try:
                     values.append(convert(v))
                 except ValueError:
-                    raise ParseError(f"{path}:{lineno}: {kind} value {v!r}",
-                                     line=lineno)
+                    if convert is not int or not _DIGITS.fullmatch(v):
+                        raise ParseError(f"{path}:{lineno}: {kind} value {_quote(v)}",
+                                         line=lineno)
+                    # int() refuses over 4,300 digits, far past int64: the
+                    # range check below reports it
+                    values.append(1 << 64)
             try:
                 row = np.array(values, dtype=dtype)
             except OverflowError:
@@ -231,9 +244,9 @@ def read_planes_file(path) -> DenseSpikePlanes:
     try:
         k, w, h = (int(v) for v in header.split(","))
     except ValueError:
-        raise ParseError(f"{path}: bad planes header {header!r}", line=1)
+        raise ParseError(f"{path}: bad planes header {_quote(header)}", line=1)
     if min(k, w, h) < 1:
-        raise ParseError(f"{path}:1: K, W and H must be >= 1, got {header!r}",
+        raise ParseError(f"{path}:1: K, W and H must be >= 1, got {_quote(header)}",
                          line=1)
     rows = _parse_rows(body, path, np.int64, h * w, None)
     if len(rows) != k * 2:

@@ -15,7 +15,7 @@ seeded generator, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -314,7 +314,7 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
 
 def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
                  lif_cfg: LifConfig, cfg: TrainConfig,
-                 log: Optional[List[str]]) -> List[dict]:
+                 log: Optional[Callable[[str], None]]) -> List[dict]:
     if cfg.branch != "video_only" and (data.planes is None or model.snn is None):
         raise GestemoError("event branch requested without planes or params")
     if cfg.branch != "snn_only" and (data.features is None or model.lstm is None):
@@ -353,14 +353,15 @@ def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
         _check_loss(entry["loss"], epoch)
         history.append(entry)
         if log is not None:
-            log.append(f"epoch {epoch:3d} [{cfg.branch}] loss {entry['loss']:.6f}")
+            log(f"epoch {epoch:3d} [{cfg.branch}] loss {entry['loss']:.6f}")
     return history
 
 
 def train(data: TrainData, model: ModelParams, arch: SnnArchitecture,
           lif_cfg: LifConfig = LifConfig(), cfg: TrainConfig = TrainConfig(),
-          log: Optional[List[str]] = None) -> List[dict]:
-    """Fit the model in place and return the per-epoch loss history.  An
+          log: Optional[Callable[[str], None]] = None) -> List[dict]:
+    """Fit the model in place and return the per-epoch loss history; log,
+    when given, is called with one line per epoch as the epoch ends.  An
     overflow, invalid value or division by zero in the arithmetic is
     reported as divergence, like an out-of-bounds loss."""
     if len(data) == 0:

@@ -98,6 +98,39 @@ def test_events_file_refuses_float_text(tmp_path, cell):
     assert str(ei.value) == f"{p}:2: non-integer value {cell!r}"
 
 
+@pytest.mark.parametrize("digits", ["1" * 5000, "-" + "9" * 5000, " +" + "1" * 4301])
+def test_integer_too_long_for_int_is_out_of_range(tmp_path, digits):
+    # int() refuses more than 4,300 digits; such a field is an integer all
+    # the same, just far outside int64
+    events = tmp_path / "e.csv"
+    events.write_text(f"t,x,y,p geometry=346x260\n0,1,1,1\n{digits},1,1,1\n")
+    planes = tmp_path / "planes.csv"
+    planes.write_text(f"1,2,1\n0 1\n{digits} 0\n")
+    for path, reader in ((events, read_events_file), (planes, read_planes_file)):
+        with pytest.raises(ParseError) as ei:
+            reader(path)
+        assert str(ei.value) == f"{path}:3: integer value outside the int64 range"
+        assert ei.value.line == 3
+
+
+def test_bad_field_and_header_quotes_are_cut(tmp_path):
+    long_bad = "x" * 5000
+    events = tmp_path / "e.csv"
+    events.write_text(f"t,x,y,p geometry=346x260\n{long_bad},1,1,1\n")
+    planes = tmp_path / "planes.csv"
+    planes.write_text(f"1,2,1\n0 {long_bad}\n0 0\n")
+    header = tmp_path / "h.csv"
+    header.write_text(f"t,x,y,p {long_bad}\n0,1,1,1\n")
+    for path, reader, where in ((events, read_events_file, ":2: non-integer value "),
+                                (planes, read_planes_file, ":2: non-integer value "),
+                                (header, read_events_file, ": bad event header ")):
+        with pytest.raises(ParseError) as ei:
+            reader(path)
+        message = str(ei.value)
+        assert message.startswith(f"{path}{where}'")
+        assert len(message) < len(str(path)) + 100
+
+
 def test_loadtxt_warning_falls_back_to_row_by_row(tmp_path, monkeypatch):
     # numpy versions that parse '1.5' into an int64 column through float
     # warn instead of refusing; the warning must not let the value through

@@ -3,9 +3,12 @@ network gradients against central finite differences on the relaxed forward
 pass, which the analytic backward matches everywhere away from the clip
 kinks."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from gestemo import snn
 from gestemo.errors import GestemoError
 from gestemo.snn import (
     DEFAULT_SURROGATE_WIDTH,
@@ -417,8 +420,7 @@ ORACLE_ARCHS = {
 }
 
 
-def _oracle_case(arch_name, reset, spike_fn, batch):
-    arch = ORACLE_ARCHS[arch_name]
+def _oracle_case(arch, reset, spike_fn, batch):
     cfg = LifConfig(beta=0.9, theta=0.4, reset=reset)
     params = init_params(arch, seed=batch + 1)
     rng = np.random.default_rng(batch)
@@ -440,20 +442,58 @@ def _oracle_case(arch_name, reset, spike_fn, batch):
 def test_binary_forward_and_gradients_match_reference_bit_for_bit(
         arch_name, reset, batch):
     (want_out, want_grads), (out, plain, grads) = _oracle_case(
-        arch_name, reset, "binary", batch)
+        ORACLE_ARCHS[arch_name], reset, "binary", batch)
     assert np.array_equal(out, want_out)
     assert np.array_equal(plain, want_out)
+    assert_grads_equal(grads, want_grads)
+
+
+def assert_grads_equal(grads, want_grads):
     assert sorted(grads) == sorted(want_grads)
     for name in want_grads:
         assert np.any(want_grads[name] != 0), name
         assert np.array_equal(grads[name], want_grads[name]), name
 
 
+#: the davis346 plane size; its large layers take their weight gradients to
+#: the worker thread, which no ORACLE_ARCHS case is large enough to do
+DAVIS346_ARCH = default_architecture(3, 65, 87)
+
+
+@pytest.mark.parametrize("batch, offloaded", [(8, [0, 2, 4]), (4, [2, 4])])
+def test_offloaded_weight_gradients_match_reference_bit_for_bit(
+        batch, offloaded, monkeypatch):
+    # a second CPU, whatever the machine, so the worker path runs
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    routed = snn._offloaded_layers(snn._plan(DAVIS346_ARCH), batch)
+    assert [li for li, on in enumerate(routed) if on] == offloaded
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # interleave the two threads as finely as possible
+    try:
+        (want_out, want_grads), (out, plain, grads) = _oracle_case(
+            DAVIS346_ARCH, "to_zero", "binary", batch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(out, want_out)
+    assert_grads_equal(grads, want_grads)
+
+
+@pytest.mark.parametrize("cpus, arch", [
+    ({0}, DAVIS346_ARCH),
+    ({0, 1}, default_architecture(3, 32, 32)),
+], ids=["one_cpu", "32x32_planes"])
+def test_every_layer_stays_inline(cpus, arch, monkeypatch):
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    assert not any(snn._offloaded_layers(snn._plan(arch), 8))
+
+
 @pytest.mark.parametrize("reset", ["to_zero", "subtract_theta"])
 @pytest.mark.parametrize("arch_name", sorted(ORACLE_ARCHS))
 def test_relaxed_forward_and_gradients_match_reference(arch_name, reset):
     (want_out, want_grads), (out, plain, grads) = _oracle_case(
-        arch_name, reset, "relaxed", 3)
+        ORACLE_ARCHS[arch_name], reset, "relaxed", 3)
     assert np.allclose(out, want_out, rtol=0, atol=1e-12)
     assert np.allclose(plain, want_out, rtol=0, atol=1e-12)
     for name in want_grads:

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gestemo import training
+from gestemo import snn, training
 from gestemo.dataio import FrameFeatureSequence
 from gestemo.errors import DivergedLossError, GestemoError
 from gestemo.events import (
@@ -350,6 +350,40 @@ def test_diverged_loss_raises():
     with pytest.raises(DivergedLossError):
         train(data, model, ARCH,
               cfg=TrainConfig(epochs=6, lr=1e8, branch="video_only", seed=6))
+
+
+def test_overflow_on_the_gradient_worker_is_divergence(monkeypatch):
+    # A dense layer large enough for the worker thread.  Its zero weights
+    # keep the huge planes out of the forward pass, and both layers hold
+    # their membranes inside the surrogate window, silent.  The huge second
+    # layer then sends a gradient of about 1e147 back, so only the first
+    # layer's weight gradient, (1e147 x 1e200) on the worker, overflows.
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    arch = SnnArchitecture(layers=(Dense(1250, 512), Dense(512, 3)),
+                           input_shape=(2, 25, 25), num_classes=3)
+    assert snn._offloaded_layers(snn._plan(arch), 4) == [True, False]
+    params = {"fc0.w": np.zeros((512, 1250)), "fc0.b": np.full(512, 0.1),
+              "fc1.w": np.full((3, 512), 1e150), "fc1.b": np.full(3, 0.1)}
+    data = TrainData(np.full((4, 12, 2, 25, 25), 1e200), None,
+                     np.array([0, 1, 2, 0]), tuple(EmotionClass))
+    weight_backward, calls = snn._weight_backward, []
+
+    def counted(*args):
+        calls.append("begin")
+        try:
+            return weight_backward(*args)
+        finally:
+            calls.append("end")
+
+    monkeypatch.setattr(snn, "_weight_backward", counted)
+    with pytest.raises(DivergedLossError, match="overflow encountered in matmul"):
+        train(data, ModelParams(snn=params), arch,
+              cfg=TrainConfig(epochs=1, branch="snn_only"))
+    at_raise = list(calls)
+    snn._WORKER.submit(lambda: None).result(timeout=60)   # FIFO: after any leftover
+    assert calls == at_raise
+    assert at_raise.count("begin") == at_raise.count("end") > 0
 
 
 def test_train_empty_split():
