@@ -23,6 +23,7 @@ from .dataio import (
     read_feature_file,
     read_manifest,
     read_planes_file,
+    read_tags_file,
     write_events_file,
     write_feature_file,
     write_manifest,

@@ -19,8 +19,6 @@ import warnings
 from dataclasses import fields
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .align import segment_events, split_indices
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataio import (
@@ -31,6 +29,7 @@ from .dataio import (
     read_events_file,
     read_feature_file,
     read_manifest,
+    read_tags_file,
     write_events_file,
     write_manifest,
     write_planes_file,
@@ -67,6 +66,14 @@ EXIT_DIVERGED = 3
 
 class _UsageError(Exception):
     pass
+
+
+def _stderr(line: str) -> None:
+    """Print one line to stderr.  Text echoed from input, such as a path,
+    may hold a line break or another unprintable character; each is
+    escaped, so a message stays one line."""
+    print("".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                  for c in line), file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,21 +168,12 @@ def cmd_synth(ns) -> int:
     return EXIT_OK
 
 
-def _read_tags(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            vals = [line.strip() for line in f if line.strip()]
-        return np.asarray([int(v) for v in vals], dtype=np.int64)
-    except ValueError as e:  # not an integer, or not UTF-8
-        raise GestemoError(f"{path}: tags must be integers ({e})")
-
-
 def cmd_align(ns) -> int:
     for p in (ns.events, ns.tags):
         if not os.path.isfile(p):
             raise _UsageError(f"no such file: {p}")
     stream = read_events_file(ns.events)
-    tags = _read_tags(ns.tags)
+    tags = read_tags_file(ns.tags)
     cuts = split_indices(tags, stream.t)
     os.makedirs(ns.out, exist_ok=True)
     with open(os.path.join(ns.out, "positions.csv"), "w", encoding="utf-8") as f:
@@ -227,7 +225,7 @@ def cmd_stats(ns) -> int:
             try:
                 sample = load_sample(manifest, e.id)
             except (GestemoError, OSError) as exc:
-                print(f"warning: skipping sample {e.id!r}: {exc}", file=sys.stderr)
+                _stderr(f"warning: skipping sample {e.id!r}: {exc}")
                 continue
             yield sample
     # a library warning goes out as one stderr line, like the skips above
@@ -235,11 +233,11 @@ def cmd_stats(ns) -> int:
         warnings.simplefilter("always")
         summary = summarize(readable(), ns.bin_width)
     for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+        _stderr(f"warning: {w.message}")
     if summary.n_samples == 0:
         raise GestemoError("no readable samples in manifest")
     if not summary.frame_histogram["counts"]:
-        print("warning: no feature files; frame histogram empty", file=sys.stderr)
+        _stderr("warning: no feature files; frame histogram empty")
     os.makedirs(ns.out, exist_ok=True)
 
     def emit(name: str, lines: List[str]) -> None:
@@ -395,7 +393,7 @@ def _import_class_dirs(src: str, out: str, train_fraction: float) -> SplitManife
         gdir = os.path.join(src, g.value)
         csvs = sorted(f for f in os.listdir(gdir) if f.endswith(".csv"))
         if not csvs:
-            print(f"warning: {gdir} has no event csv files", file=sys.stderr)
+            _stderr(f"warning: {gdir} has no event csv files")
             continue
         n_train = train_count(train_fraction, len(csvs))
         for i, name in enumerate(csvs):
@@ -417,8 +415,7 @@ def _import_class_dirs(src: str, out: str, train_fraction: float) -> SplitManife
     if not entries:
         raise GestemoError(f"{src}: no event files found in any gesture directory")
     if not any_features:
-        print("note: no feature files found; frame branch will be unavailable",
-              file=sys.stderr)
+        _stderr("note: no feature files found; frame branch will be unavailable")
     manifest = SplitManifest(root=os.path.abspath(out), entries=entries)
     write_manifest(manifest, os.path.join(out, "manifest.json"))
     return manifest
@@ -525,20 +522,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         ns = parser.parse_args(argv)
     except _UsageError as e:
-        print(str(e), file=sys.stderr)
+        _stderr(str(e))
         return EXIT_USAGE
     except SystemExit as e:  # --help
         return int(e.code or 0)
     try:
         return int(ns.func(ns) or EXIT_OK)
     except _UsageError as e:
-        print(str(e), file=sys.stderr)
+        _stderr(str(e))
         return EXIT_USAGE
     except DivergedLossError as e:
-        print(f"error: training diverged: {e}", file=sys.stderr)
+        _stderr(f"error: training diverged: {e}")
         return EXIT_DIVERGED
     except (GestemoError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _stderr(f"error: {e}")
         return EXIT_DATA
 
 

@@ -8,12 +8,14 @@ Four plain-text formats, chosen to be human-inspectable and diffable:
                    per video frame
 * plane file    -- header ``K,W,H`` then K*2 whitespace-separated rows of
                    H*W integer counts, in (k, polarity) order
+* tag file      -- one integer timestamp per line, no header
 * manifest      -- a single JSON document listing samples, labels, file
                    paths (relative to the manifest's directory) and their
                    train/test split
 
-Event, feature and plane rows share one parser, ``_parse_rows``, and so
-one wording for each kind of bad row, always naming ``file:line``.
+Event, feature, plane and tag rows share one parser, ``_parse_rows``, and
+so one wording for each kind of bad row, always naming ``file:line``.
+Header sizes must fit int64, like integer fields.
 
 Feature loaders expose truncate/pad normalization: most recordings sit
 under 100 frames, so the default pads or truncates to 100.  Padding is
@@ -100,7 +102,31 @@ def _read_text(path) -> Tuple[str, str]:
         with open(path, "r", encoding="utf-8") as f:
             return f.readline().rstrip("\n"), f.read()
     except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text ({e.reason})")
+        raise ParseError(f"{path}: not UTF-8 text ({e})")
+
+
+def _int_field(text: str) -> int:
+    """int(text), or 2**64 for a decimal integer too long for int() (over
+    4,300 digits, far past int64), so that a range check refuses it.
+    ValueError for anything else."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _DIGITS.fullmatch(text):
+            raise
+        return 1 << 64
+
+
+def _header_ints(path, kind: str, header: str, texts) -> List[int]:
+    """The integer sizes a file header declares, each within int64."""
+    try:
+        values = [_int_field(v) for v in texts]
+    except ValueError:
+        raise ParseError(f"{path}: bad {kind} header {_quote(header)}", line=1)
+    if any(not -(1 << 63) <= v < 1 << 63 for v in values):
+        raise ParseError(f"{path}:1: {kind} header {_quote(header)} holds a value "
+                         f"outside the int64 range", line=1)
+    return values
 
 
 def read_events_file(path) -> EventStream:
@@ -109,7 +135,7 @@ def read_events_file(path) -> EventStream:
     m = _EVENT_HEADER.match(header)
     if not m:
         raise ParseError(f"{path}: bad event header {_quote(header)}", line=1)
-    geometry = Geometry(int(m.group(1)), int(m.group(2)))
+    geometry = Geometry(*_header_ints(path, "event", header, m.groups()))
     rows = _parse_rows(body, path, np.int64, 4, ",")
     if rows.shape[0] == 0:
         return EventStream.empty(geometry)
@@ -136,7 +162,7 @@ def read_feature_file(path) -> FrameFeatureSequence:
     m = _FEATURE_HEADER.match(header)
     if not m:
         raise ParseError(f"{path}: bad feature header {_quote(header)}", line=1)
-    dim = int(m.group(1))
+    dim, = _header_ints(path, "feature", header, m.groups())
     rows = _parse_rows(body, path, np.float64, dim, None)
     if len(rows) == 0:
         raise ParseError(f"{path}: feature file has no rows")
@@ -174,25 +200,28 @@ def _fast_rows(body: str, dtype, n_cols: int, delimiter) -> Optional[np.ndarray]
     return rows
 
 
-def _parse_rows(body: str, path, dtype, n_cols: int, delimiter) -> np.ndarray:
-    """The (N, n_cols) rows of a file body that starts on line 2, blank lines
-    skipped: one C-level parse, or row by row where that refuses.  A blank
-    body gives an empty array, never a (0, n_cols) one: n_cols may come from
-    a header and exceed any array dimension."""
+def _parse_rows(body: str, path, dtype, n_cols: int, delimiter,
+                first_line: int = 2) -> np.ndarray:
+    """The (N, n_cols) rows of a file body that starts on file line
+    first_line, blank lines skipped: one C-level parse, or row by row where
+    that refuses.  A blank body gives an empty array, never a (0, n_cols)
+    one: n_cols may come from a header and exceed any array dimension."""
     rows = _fast_rows(body, dtype, n_cols, delimiter) if body.strip() else None
     if rows is None:
-        rows = _parse_rows_slow(body, path, dtype, n_cols, delimiter)
+        rows = _parse_rows_slow(body, path, dtype, n_cols, delimiter, first_line)
     return rows
 
 
-def _parse_rows_slow(body: str, path, dtype, n_cols: int, delimiter) -> np.ndarray:
+def _parse_rows_slow(body: str, path, dtype, n_cols: int, delimiter,
+                     first_line: int = 2) -> np.ndarray:
     """Row-by-row parse: the reference the fast path must agree with, and the
     source of errors that name the offending file line.  Each row is checked
     for its field count, then for each value, then for range and
     finiteness."""
-    convert, kind = (int, "non-integer") if dtype is np.int64 else (float, "non-numeric")
+    convert, kind = ((_int_field, "non-integer") if dtype is np.int64
+                     else (float, "non-numeric"))
     rows = []
-    for lineno, physical in enumerate(body.split("\n"), start=2):
+    for lineno, physical in enumerate(body.split("\n"), start=first_line):
         # comma rows end wherever str.splitlines ends a line; whitespace rows
         # are whole physical lines.  Errors count file lines.
         for line in physical.splitlines() if delimiter else (physical,):
@@ -208,12 +237,8 @@ def _parse_rows_slow(body: str, path, dtype, n_cols: int, delimiter) -> np.ndarr
                 try:
                     values.append(convert(v))
                 except ValueError:
-                    if convert is not int or not _DIGITS.fullmatch(v):
-                        raise ParseError(f"{path}:{lineno}: {kind} value {_quote(v)}",
-                                         line=lineno)
-                    # int() refuses over 4,300 digits, far past int64: the
-                    # range check below reports it
-                    values.append(1 << 64)
+                    raise ParseError(f"{path}:{lineno}: {kind} value {_quote(v)}",
+                                     line=lineno)
             try:
                 row = np.array(values, dtype=dtype)
             except OverflowError:
@@ -241,10 +266,10 @@ def read_planes_file(path) -> DenseSpikePlanes:
     row length."""
     header, body = _read_text(path)
     header = header.strip()
-    try:
-        k, w, h = (int(v) for v in header.split(","))
-    except ValueError:
+    parts = header.split(",")
+    if len(parts) != 3:
         raise ParseError(f"{path}: bad planes header {_quote(header)}", line=1)
+    k, w, h = _header_ints(path, "planes", header, parts)
     if min(k, w, h) < 1:
         raise ParseError(f"{path}:1: K, W and H must be >= 1, got {_quote(header)}",
                          line=1)
@@ -253,6 +278,13 @@ def read_planes_file(path) -> DenseSpikePlanes:
         raise ParseError(f"{path}: expected {k * 2} plane rows, got {len(rows)}")
     return DenseSpikePlanes(k=k, geometry=Geometry(w, h),
                             counts=rows.reshape(k, 2, h, w))
+
+
+def read_tags_file(path) -> np.ndarray:
+    """Parse a tag file into an int64 array, one timestamp per line."""
+    first, rest = _read_text(path)
+    return _parse_rows(first + "\n" + rest, path, np.int64, 1, None,
+                       first_line=1).reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import GestemoError, check_option, require_keys
 
-HEAD_DROPOUT = 0.5
-
 
 def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Logistic into `out`, mask-free; bit-equal to 1/(1+exp(-z)) for z >= 0
@@ -99,17 +97,13 @@ class RecurrentTape:
 
 def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
                       record: bool = False):
-    """Run the LSTM over time and return the final hidden state.
+    """Run the LSTM over time and return the (B, H) final hidden state.
 
-    x: (T, D) for one sequence or (B, T, D) for a batch.  With zero input
-    and zero biases the output is exactly zero (tanh(0) gates through).
-    Without `record` every step reuses slot 0 of one-step buffers, so no
-    T-sized state is kept.
+    x: a (B, T, D) batch of sequences.  With zero input and zero biases the
+    output is exactly zero (tanh(0) gates through).  Without `record` every
+    step reuses slot 0 of one-step buffers, so no T-sized state is kept.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
     if x.ndim != 3 or x.shape[2] != params.dim:
         raise GestemoError(f"features shape {x.shape}, expected (B,T,{params.dim})")
     b, t_len, _ = x.shape
@@ -136,8 +130,7 @@ def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
         c += np.multiply(i, g, out=ig)
         np.multiply(o, np.tanh(c, out=tape.tc[s]), out=tape.h[s1])
     h = tape.h[s1].copy()
-    h_last = h[0] if single else h
-    return (h_last, tape) if record else h_last
+    return (h, tape) if record else h
 
 
 def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
@@ -231,37 +224,33 @@ class HeadTape:
     mask: Optional[np.ndarray]   # dropout keep mask scaled, or None in eval
 
 
-def head_forward(h: np.ndarray, params: HeadParams, *, train: bool = False,
+def head_forward(h: np.ndarray, params: HeadParams, *,
                  rng: Optional[np.random.Generator] = None,
-                 dropout: float = HEAD_DROPOUT, record: bool = False):
-    """h (B, H) or (H,) -> logits (B, C).
+                 dropout: float = 0.0, record: bool = False):
+    """h (B, H) -> logits (B, C).
 
-    In train mode each post-ReLU unit is dropped with probability `dropout`
-    and survivors are scaled by 1/(1-dropout), so the expected train output
-    equals the eval output.  Eval mode applies no mask and no scaling.
+    With dropout > 0 (training) each post-ReLU unit is dropped with that
+    probability, drawn from rng, and survivors are scaled by 1/(1-dropout),
+    so the expected output is the eval output, which dropout 0 gives.
     """
     h = np.asarray(h, dtype=np.float64)
-    single = h.ndim == 1
-    if single:
-        h = h[None]
-    if h.shape[1] != params.w1.shape[1]:
-        raise GestemoError(f"head input width {h.shape[1]} != {params.w1.shape[1]}")
+    if h.ndim != 2 or h.shape[1] != params.w1.shape[1]:
+        raise GestemoError(f"head input shape {h.shape}, expected "
+                           f"(B,{params.w1.shape[1]})")
+    check_option("dropout", dropout)
     z1 = h @ params.w1.T + params.b1
     a = np.maximum(z1, 0.0)
     mask = None
-    if train:
-        check_option("dropout", dropout)
-        if dropout > 0.0:
-            if rng is None:
-                raise GestemoError("train-mode head needs an rng for dropout")
-            keep = 1.0 - dropout
-            mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
-            a = a * mask
+    if dropout > 0.0:
+        if rng is None:
+            raise GestemoError("head dropout needs an rng")
+        keep = 1.0 - dropout
+        mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
+        a = a * mask
     logits = a @ params.w2.T + params.b2
-    out = logits[0] if single else logits
     if record:
-        return out, HeadTape(h=h, z1=z1, a=a, mask=mask)
-    return out
+        return logits, HeadTape(h=h, z1=z1, a=a, mask=mask)
+    return logits
 
 
 def head_backward(tape: Optional[HeadTape], d_logits: np.ndarray,

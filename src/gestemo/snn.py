@@ -29,7 +29,7 @@ import numbers
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -75,8 +75,9 @@ class Conv:
 
 @dataclass(frozen=True)
 class Pool:
+    """Sum pooling of window x window blocks; a remainder row or column is dropped."""
+
     window: int
-    mode: str = "sum"  # or "max"
 
 
 @dataclass(frozen=True)
@@ -107,14 +108,12 @@ class SnnArchitecture:
         # tuples keep the architecture hashable, so its plan can be cached
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        sizes = [*self.input_shape, self.num_classes, *(
-            v for layer in self.layers for k, v in vars(layer).items() if k != "mode")]
+        sizes = [*self.input_shape, self.num_classes,
+                 *(v for layer in self.layers for v in vars(layer).values())]
         bad = [v for v in sizes if isinstance(v, bool)
                or not isinstance(v, numbers.Integral) or v < 1]
         if bad:
             raise GestemoError(f"architecture sizes must be integers >= 1, got {bad[0]!r}")
-        if any(getattr(layer, "mode", "sum") not in ("sum", "max") for layer in self.layers):
-            raise GestemoError("pool mode must be sum or max")
         shapes = self.output_shapes()  # raises on incompatibility
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise GestemoError("architecture must end with a Dense layer")
@@ -175,7 +174,9 @@ class SnnArchitecture:
         return {
             "input_shape": list(self.input_shape),
             "num_classes": self.num_classes,
-            "layers": [dict(kind=_LAYER_KIND[type(l)], **vars(l)) for l in self.layers],
+            "layers": [dict(kind=_LAYER_KIND[type(l)], **vars(l),
+                            **({"mode": "sum"} if isinstance(l, Pool) else {}))
+                       for l in self.layers],
         }
 
     @classmethod
@@ -184,12 +185,14 @@ class SnnArchitecture:
         for spec in d["layers"]:
             spec = dict(spec)
             kind = spec.pop("kind")
+            if kind == "pool" and spec.pop("mode", "sum") != "sum":
+                raise GestemoError("pool mode must be sum")
             layers.append({"conv": Conv, "pool": Pool, "fc": Dense}[kind](**spec))
         return cls(tuple(layers), tuple(d["input_shape"]), d["num_classes"])
 
 
-def default_architecture(num_classes: int, height: int = 32, width: int = 32,
-                         pool_mode: str = "sum") -> SnnArchitecture:
+def default_architecture(num_classes: int, height: int = 32,
+                         width: int = 32) -> SnnArchitecture:
     """Desk-scale default: two conv/pool blocks and two dense layers.  The
     second pool needs at least one cell, so planes must be 10x10 or more."""
     if height < 10 or width < 10:
@@ -203,9 +206,9 @@ def default_architecture(num_classes: int, height: int = 32, width: int = 32,
     return SnnArchitecture(
         layers=(
             Conv(2, 16, 3),
-            Pool(2, pool_mode),
+            Pool(2),
             Conv(16, 32, 3),
-            Pool(2, pool_mode),
+            Pool(2),
             Dense(flat, 256),
             Dense(256, num_classes),
         ),
@@ -406,20 +409,16 @@ def _layer_forward(plan: _Plan, li: int, x: np.ndarray,
         win = layer.window
         hc, wc = (h // win) * win, (w // win) * win
         if x.dtype == bool:
-            # binary spikes: add (or max) the win*win strided slices as
-            # integers, which is exact
+            # binary spikes: add the win*win strided slices as integers,
+            # which is exact
             u = x.view(np.uint8)
             parts = [u[:, :, i:hc:win, j:wc:win] for i in range(win) for j in range(win)]
-            if layer.mode == "max":
-                return functools.reduce(np.maximum, parts)
             acc = parts[0].astype(np.min_scalar_type(win * win))
             for part in parts[1:]:
                 acc += part
             return acc
-        blocks = x[:, :, :hc, :wc].reshape(b, c, h // win, win, w // win, win)
-        if layer.mode == "sum":
-            return blocks.sum(axis=(3, 5))
-        return blocks.max(axis=(3, 5))
+        return x[:, :, :hc, :wc].reshape(b, c, h // win, win, w // win, win) \
+            .sum(axis=(3, 5))
     flat = _as_float(x).reshape(b, -1)
     return flat @ params[f"fc{li}.w"].T + params[f"fc{li}.b"]
 
@@ -460,21 +459,8 @@ def _input_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
         win = layer.window
         nh, nw = h // win, w // win
         d_in = np.zeros((b, c, h, w))
-        if layer.mode == "sum":
-            d_in[:, :, :nh * win, :nw * win].reshape(b, c, nh, win, nw, win)[...] = \
-                d_out[:, :, :, None, :, None]
-        else:
-            blocks = x[:, :, :nh * win, :nw * win] \
-                .reshape(b, c, nh, win, nw, win).transpose(0, 1, 2, 4, 3, 5) \
-                .reshape(b, c, nh, nw, win * win)
-            arg = blocks.argmax(axis=-1)
-            view = d_in[:, :, :nh * win, :nw * win] \
-                .reshape(b, c, nh, win, nw, win).transpose(0, 1, 2, 4, 3, 5) \
-                .reshape(b, c, nh, nw, win * win)
-            np.put_along_axis(view, arg[..., None], d_out[..., None], axis=-1)
-            d_in[:, :, :nh * win, :nw * win] = view \
-                .reshape(b, c, nh, nw, win, win).transpose(0, 1, 2, 4, 3, 5) \
-                .reshape(b, c, nh * win, nw * win)
+        d_in[:, :, :nh * win, :nw * win].reshape(b, c, nh, win, nw, win)[...] = \
+            d_out[:, :, :, None, :, None]
         return d_in
     return (d_out @ params[f"fc{li}.w"]).reshape((b,) + plan.in_shapes[li])
 
@@ -490,12 +476,11 @@ class SnnTape:
 
     plan: _Plan
     cfg: LifConfig
-    spike_fn: str
     surrogate_width: float
     x: np.ndarray                       # (B, K, C, H, W)
-    vpre: List[np.ndarray] = field(default_factory=list)    # per layer (K, B, ...)
-    spikes: List[np.ndarray] = field(default_factory=list)
-    s_dg: Optional[np.ndarray] = None
+    vpre: List[np.ndarray]              # per layer (K, B, ...)
+    spikes: List[np.ndarray]
+    s_dg: np.ndarray                    # (B, classes)
 
 
 def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
@@ -505,18 +490,14 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
                 record: bool = False):
     """Run the stack for K steps, feeding plane k at step k.
 
-    planes: conditioned array of any real dtype, cast to float64; (K, C,
-    H, W) for one sample or (B, K, C, H, W) for a batch.  Returns the
-    averaged class-sized output (and the tape when record=True); membranes
-    always start at zero.
+    planes: a (B, K, C, H, W) batch of conditioned planes of any real
+    dtype, cast to float64.  Returns the (B, classes) spike rates (and the
+    tape when record=True); membranes always start at zero.
     """
     _require_params(arch, params)
     if spike_fn not in _SPIKE_DTYPE:
         raise ValueError(f"unknown spike function {spike_fn!r}")
     x = np.asarray(planes, dtype=np.float64)
-    single = x.ndim == 4
-    if single:
-        x = x[None]
     if x.ndim != 5 or x.shape[2:] != tuple(arch.input_shape):
         raise GestemoError(
             f"planes shape {x.shape} incompatible with input {arch.input_shape}")
@@ -538,23 +519,20 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
         out_sum += cur
     s_dg = out_sum / k
     if record:
-        tape = SnnTape(plan, cfg, spike_fn, surrogate_width, x, vpre, spikes, s_dg)
-        return (s_dg[0], tape) if single else (s_dg, tape)
-    return s_dg[0] if single else s_dg
+        return s_dg, SnnTape(plan, cfg, surrogate_width, x, vpre, spikes, s_dg)
+    return s_dg
 
 
 def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
                              params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Backpropagate an arbitrary loss gradient d(loss)/d(s_dg) through the
     recorded K steps; returns gradients for every weighted layer."""
-    if tape is None or tape.s_dg is None:
+    if tape is None:
         raise GestemoError("snn_backward requires a recorded forward tape")
     plan, cfg = tape.plan, tape.cfg
     arch = plan.arch
     k, b = tape.spikes[0].shape[0], tape.spikes[0].shape[1]
     d_sdg = np.asarray(d_sdg, dtype=np.float64)
-    if d_sdg.ndim == 1:
-        d_sdg = d_sdg[None]
     if d_sdg.shape != (b, arch.num_classes):
         raise GestemoError(f"d_sdg shape {d_sdg.shape} != ({b},{arch.num_classes})")
     grads = {name: np.zeros_like(params[name]) for name in arch.param_names()}
@@ -598,12 +576,12 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
 def mse_spike_loss(s_dg: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
     """Mean over the batch of (1/C) * sum_c (s_c - target_c)^2.
 
-    targets: int class labels (B,), or one-hot or soft targets (B, C).
-    Returns (loss, d_loss/d_s_dg).
+    s_dg: (B, C) spike rates; targets: int class labels (B,), or one-hot or
+    soft targets (B, C).  Returns (loss, d_loss/d_s_dg).
     """
     s = np.asarray(s_dg, dtype=np.float64)
-    if s.ndim == 1:
-        s = s[None]
+    if s.ndim != 2:
+        raise GestemoError(f"spike rates of shape {s.shape}, expected (B, C)")
     b, c = s.shape
     t = np.asarray(targets)
     if t.ndim == 1 and t.shape[0] == b and not np.issubdtype(t.dtype, np.floating):
@@ -623,7 +601,7 @@ def snn_backward(tape: Optional[SnnTape], targets: np.ndarray,
                  params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Gradients of mse_spike_loss against targets: int class labels (B,),
     or one-hot or soft targets (B, C)."""
-    if tape is None or tape.s_dg is None:
+    if tape is None:
         raise GestemoError("snn_backward requires a recorded forward tape")
     return snn_backward_from_output(tape, mse_spike_loss(tape.s_dg, targets)[1],
                                     params)

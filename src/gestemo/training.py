@@ -24,7 +24,6 @@ from .dataio import DEFAULT_FRAME_LIMIT
 from .errors import DivergedLossError, GestemoError, check_option
 from .events import LABELED_GESTURES, EmotionClass, GestureClass, SampleRecord, emotion_of
 from .fusion import (
-    HEAD_DROPOUT,
     FusionConfig,
     HeadParams,
     RecurrentParams,
@@ -65,17 +64,16 @@ def class_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def weighted_cross_entropy(logits: np.ndarray, labels: np.ndarray,
                            weights: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean over the batch of -w[y] * log softmax(logits)[y].
+    """Mean over the batch of -w[y] * log softmax(logits)[y], for (B, C)
+    logits and B labels.
 
     Returns (loss, d_loss/d_logits).  Log-sum-exp uses max subtraction, so
     large scores cannot overflow.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None]
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if z.shape[0] != labels.size:
-        raise GestemoError(f"{z.shape[0]} score rows vs {labels.size} labels")
+    if z.ndim != 2 or z.shape[0] != labels.size:
+        raise GestemoError(f"scores of shape {z.shape} for {labels.size} labels")
     b = z.shape[0]
     zs = z - z.max(axis=1, keepdims=True)
     logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
@@ -258,7 +256,7 @@ class TrainConfig:
     mode: str = "joint"
     lam: float = 1.0
     batch_size: int = 0          # 0 means full batch
-    dropout: float = HEAD_DROPOUT
+    dropout: float = 0.5         # head dropout rate while training
     surrogate_width: float = DEFAULT_SURROGATE_WIDTH
 
     def __post_init__(self):
@@ -289,8 +287,8 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
             surrogate_width=cfg.surrogate_width, record=True)
     if use_video:
         h, rtape = recurrent_forward(data.features[idx], model.lstm, record=True)
-        logits, htape = head_forward(h, model.head, train=True, rng=rng,
-                                     dropout=cfg.dropout, record=True)
+        logits, htape = head_forward(h, model.head, rng=rng, dropout=cfg.dropout,
+                                     record=True)
     if cfg.branch == "snn_only":
         loss_mse, d_sdg = mse_spike_loss(s_dg, y)
         d_logits = None
@@ -398,7 +396,7 @@ def scores_for(data: TrainData, model: ModelParams, arch: SnnArchitecture,
         s_dg = snn_forward(data.planes, model.snn, arch, lif_cfg)
     if branch != "snn_only":
         h = recurrent_forward(data.features, model.lstm)
-        logits = head_forward(h, model.head, train=False)
+        logits = head_forward(h, model.head)
     if branch == "snn_only":
         return s_dg
     if branch == "video_only":

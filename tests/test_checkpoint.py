@@ -167,6 +167,8 @@ HEADER_EDITS = {
                           "architecture sizes must be integers >= 1, got 3.0"),
     "arch_zero_stride": (lambda h: h["arch"]["layers"][0].update(stride=0),
                          "architecture sizes must be integers >= 1, got 0"),
+    "arch_max_pool": (lambda h: h["arch"]["layers"][1].update(mode="max"),
+                      "pool mode must be sum"),
     "fc_transposed": (lambda h: tensor_spec(h, "fc2.w")["shape"].reverse(),
                       r"tensor 'fc2.w' has shape \(36, 3\), the architecture "
                       r"needs \(3, 36\)"),

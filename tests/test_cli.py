@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gestemo.checkpoint import load_checkpoint
@@ -131,6 +131,26 @@ def test_align_non_integer_tags(tmp_path, capsys):
     tags = tmp_path / "tags.txt"
     tags.write_text("12.5\n")
     assert main(["align", str(ev), str(tags)]) == 2
+    assert capsys.readouterr().err == f"error: {tags}:1: non-integer value '12.5'\n"
+
+
+def test_align_tag_outside_int64_is_one_line_data_error(tmp_path):
+    ev = tmp_path / "events.csv"
+    write_events_file(synth_stream(StreamSpec(Geometry(8, 8), 1000, 5), 0), ev)
+    tags = tmp_path / "tags.txt"
+    tags.write_text("10\n\n99999999999999999999\n")
+    code, out, err = run_main("align", str(ev), str(tags),
+                              "--out", str(tmp_path / "a"))
+    assert code == 2 and out == ""
+    assert err == f"error: {tags}:3: integer value outside the int64 range\n"
+
+
+def test_encode_header_size_outside_int64_is_one_line_data_error(tmp_path):
+    ev = tmp_path / "events.csv"
+    ev.write_text("t,x,y,p geometry=4x11111111111111111111\n0,1,1,1\n")
+    code, out, err = run_main("encode", str(ev), "--out", str(tmp_path / "p.txt"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {ev}:1: event header ") and err.count("\n") == 1
 
 
 def test_encode_default_k(tmp_path, capsys):
@@ -517,6 +537,8 @@ BAD_HEADERS = {
     "fc4_transposed": (swap_fc4_shape,
                        "tensor 'fc4.w' has shape (128, 256), the architecture "
                        "needs (256, 128)"),
+    "pool_max": (lambda h: h["arch"]["layers"][1].update(mode="max"),
+                 "pool mode must be sum"),
 }
 
 
@@ -783,6 +805,21 @@ def test_malformed_manifest_is_one_line_data_error(tmp_path, doc, message):
     assert err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("root, shown", [
+    ("\r", "\\r"), ("\x1e", "\\x1e"), ("\u2028", "\\u2028"),
+    ("d\u00e9j\u00e0", "d\u00e9j\u00e0"),   # printable text stays as it is
+])
+def test_stderr_escapes_unprintable_characters(parse_corpus, tmp_path, root, shown):
+    doc = json.loads(open(parse_corpus).read())
+    doc["root"] = root
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main("stats", str(path), "--out", str(tmp_path / "s"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.splitlines()) == 1
+    assert f"{tmp_path}/{shown}/" in err
+
+
 def test_manifest_document_ends_in_an_exit_code_with_one_line(parse_corpus,
                                                               tmp_path):
     m = read_manifest(parse_corpus)
@@ -799,6 +836,11 @@ def test_manifest_document_ends_in_an_exit_code_with_one_line(parse_corpus,
     @settings(max_examples=150, deadline=None)
     @given(edits=st.lists(st.tuples(st.sampled_from(places),
                                     st.one_of(st.none(), values)), max_size=2))
+    # a line break or another unprintable character in a path
+    @example(edits=[(("root",), "\r")])
+    @example(edits=[(("root",), "\x1e")])
+    # two unreadable samples, each skipped with a warning
+    @example(edits=[(("entries", i, "events"), entries[i]["features"]) for i in (0, 1)])
     def check(edits):
         doc = {"root": m.root, "entries": [dict(e) for e in entries]}
         for place, value in edits:  # value None deletes
@@ -824,7 +866,12 @@ def test_manifest_document_ends_in_an_exit_code_with_one_line(parse_corpus,
         code, lines = run_counting_warnings("stats", str(path),
                                             "--out", str(tmp_path / "s"))
         assert code in (0, 1, 2, 3)
-        assert len(lines) <= 1
+        if code == 0:
+            # one warning per skipped sample, and one more may follow
+            assert all(line.startswith("warning: ") for line in lines)
+            assert len(lines) <= len(entries) + 1
+        else:
+            assert len(lines) <= 1
     check()
 
 

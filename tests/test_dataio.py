@@ -18,6 +18,7 @@ from gestemo.dataio import (
     read_feature_file,
     read_manifest,
     read_planes_file,
+    read_tags_file,
     write_events_file,
     write_feature_file,
     write_manifest,
@@ -281,13 +282,50 @@ def test_feature_file_ragged(tmp_path):
 
 def test_blank_body_under_a_huge_header_has_no_rows(tmp_path):
     ft = tmp_path / "f.txt"
-    ft.write_text("D=99999999999999999999\n\n")
+    ft.write_text("D=9223372036854775807\n\n")   # the largest D a header may declare
     with pytest.raises(ParseError, match="feature file has no rows"):
         read_feature_file(ft)
     pl = tmp_path / "p.txt"
     pl.write_text("1,99999999999,99999999999\n")
     with pytest.raises(ParseError, match="expected 2 plane rows, got 0"):
         read_planes_file(pl)
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_events_file, "t,x,y,p geometry=4x11111111111111111111\n"),
+    (read_events_file, f"t,x,y,p geometry=4x{'1' * 4400}\n"),
+    (read_feature_file, "D=9223372036854775808\n1\n"),
+    (read_feature_file, f"D={'1' * 4400}\n1\n"),
+    (read_planes_file, "1,2,-9223372036854775809\n"),
+    (read_planes_file, f"{'1' * 4400},2,2\n"),
+], ids=["event_20_digits", "event_4400_digits", "feature_2_63",
+        "feature_4400_digits", "planes_below_int64", "planes_4400_digits"])
+def test_header_size_outside_int64_is_one_line_parse_error(tmp_path, reader, text):
+    p = tmp_path / "f.txt"
+    p.write_text(text)
+    with pytest.raises(ParseError) as ei:
+        reader(p)
+    message = str(ei.value)
+    assert ei.value.line == 1
+    assert message.startswith(f"{p}:1: ")
+    assert message.endswith("holds a value outside the int64 range")
+    assert len(message) < len(str(p)) + 120
+
+
+def test_tags_file_rows_count_from_line_one(tmp_path):
+    p = tmp_path / "tags.txt"
+    p.write_text("5\n\n-3\n 22 \n")
+    tags = read_tags_file(p)
+    assert tags.dtype == np.int64 and tags.tolist() == [5, -3, 22]
+    p.write_text("")
+    assert read_tags_file(p).shape == (0,)
+    for text, message in [("5\n\n12.5\n", ":3: non-integer value '12.5'"),
+                          ("9" * 30 + "\n", ":1: integer value outside the int64 range"),
+                          ("1 2\n", ":1: expected 1 fields, got 2")]:
+        p.write_text(text)
+        with pytest.raises(ParseError) as ei:
+            read_tags_file(p)
+        assert str(ei.value) == f"{p}{message}"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])

@@ -45,8 +45,8 @@ def test_init_recurrent_params():
 
 def test_zero_input_zero_bias_gives_zero_state():
     p = init_recurrent_params(dim=4, hidden=6, seed=0)
-    h = recurrent_forward(np.zeros((9, 4)), p)
-    assert np.array_equal(h, np.zeros(6))
+    h = recurrent_forward(np.zeros((1, 9, 4)), p)
+    assert np.array_equal(h, np.zeros((1, 6)))
 
 
 def scalar_lstm_reference(xs, wx, wh, b):
@@ -72,8 +72,8 @@ def test_matches_scalar_reference():
         wh=np.array(wh).reshape(4, 1),
         b=np.array(b),
     )
-    h = recurrent_forward(np.array(xs).reshape(3, 1), p)
-    assert h[0] == pytest.approx(scalar_lstm_reference(xs, wx, wh, b), abs=1e-12)
+    h = recurrent_forward(np.array(xs).reshape(1, 3, 1), p)
+    assert h[0, 0] == pytest.approx(scalar_lstm_reference(xs, wx, wh, b), abs=1e-12)
 
 
 def test_recurrent_batch_matches_single():
@@ -82,13 +82,17 @@ def test_recurrent_batch_matches_single():
     x = rng.normal(size=(4, 7, 3))
     batch = recurrent_forward(x, p)
     for i in range(4):
-        assert np.allclose(recurrent_forward(x[i], p), batch[i], atol=1e-15)
+        assert np.allclose(recurrent_forward(x[i:i + 1], p), batch[i:i + 1],
+                           atol=1e-15)
 
 
 def test_recurrent_rejects_wrong_width():
     p = init_recurrent_params(dim=3, hidden=2, seed=0)
     with pytest.raises(GestemoError, match=r"features shape \(1, 5, 4\), expected \(B,T,3\)"):
-        recurrent_forward(np.zeros((5, 4)), p)
+        recurrent_forward(np.zeros((1, 5, 4)), p)
+    # one sequence without its batch axis
+    with pytest.raises(GestemoError, match=r"features shape \(5, 3\), expected \(B,T,3\)"):
+        recurrent_forward(np.zeros((5, 3)), p)
 
 
 def test_recurrent_backward_requires_tape():
@@ -251,8 +255,8 @@ def test_head_params_validation():
 
 def test_head_eval_zero_input_zero_bias():
     p = init_head_params(hidden=6, mid=4, num_classes=3, seed=0)
-    out = head_forward(np.zeros(6), p)
-    assert np.array_equal(out, np.zeros(3))
+    out = head_forward(np.zeros((1, 6)), p)
+    assert np.array_equal(out, np.zeros((1, 3)))
 
 
 def test_head_eval_deterministic():
@@ -264,25 +268,35 @@ def test_head_eval_deterministic():
 
 def test_head_train_needs_rng():
     p = init_head_params(hidden=4, mid=4, num_classes=2, seed=0)
-    with pytest.raises(GestemoError, match="train-mode head needs an rng for dropout"):
-        head_forward(np.ones(4), p, train=True)
+    with pytest.raises(GestemoError, match="head dropout needs an rng"):
+        head_forward(np.ones((1, 4)), p, dropout=0.5)
 
 
 def test_head_zero_dropout_train_equals_eval():
     p = init_head_params(hidden=4, mid=4, num_classes=2, seed=3)
-    h = np.array([0.5, -0.2, 1.0, 0.1])
-    train = head_forward(h, p, train=True, dropout=0.0)
+    h = np.array([[0.5, -0.2, 1.0, 0.1]])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    train = head_forward(h, p, rng=rng, dropout=0.0)
     assert np.array_equal(train, head_forward(h, p))
+    assert rng.bit_generator.state == state   # no mask was drawn
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 3), (1, 1, 4)])
+def test_head_rejects_wrong_input_shape(shape):
+    p = init_head_params(hidden=4, mid=4, num_classes=2, seed=0)
+    with pytest.raises(GestemoError, match=r"head input shape .*, expected \(B,4\)"):
+        head_forward(np.ones(shape), p)
 
 
 def test_dropout_expectation_matches_eval():
     p = init_head_params(hidden=8, mid=16, num_classes=3, seed=4)
     rng = np.random.default_rng(5)
-    h = rng.normal(size=8)
+    h = rng.normal(size=(1, 8))
     eval_out = head_forward(h, p)
     mask_rng = np.random.default_rng(6)
     n = 10_000
-    draws = np.stack([head_forward(h, p, train=True, rng=mask_rng)
+    draws = np.stack([head_forward(h, p, rng=mask_rng, dropout=0.5)
                       for _ in range(n)])
     mean = draws.mean(axis=0)
     stderr = draws.std(axis=0) / np.sqrt(n)
@@ -295,7 +309,7 @@ def test_head_gradient_matches_fd():
     h = rng.normal(size=(2, 5))
     r = rng.normal(size=(2, 3))
     mask_rng = np.random.default_rng(9)
-    logits, tape = head_forward(h, p, train=True, rng=mask_rng, record=True)
+    logits, tape = head_forward(h, p, rng=mask_rng, dropout=0.5, record=True)
     grads, d_h = head_backward(tape, r, p)
 
     def loss(hv, pv):

@@ -116,8 +116,13 @@ def test_default_architecture_shapes():
 
 
 def test_architecture_round_trip():
-    arch = default_architecture(3, height=16, width=16, pool_mode="max")
-    assert SnnArchitecture.from_dict(arch.to_dict()) == arch
+    arch = default_architecture(3, height=16, width=16)
+    d = arch.to_dict()
+    assert d["layers"][1] == {"kind": "pool", "window": 2, "mode": "sum"}
+    assert SnnArchitecture.from_dict(d) == arch
+    d["layers"][1]["mode"] = "max"
+    with pytest.raises(GestemoError, match="pool mode must be sum"):
+        SnnArchitecture.from_dict(d)
 
 
 def small_arch():
@@ -131,17 +136,17 @@ def small_arch():
 def test_forward_zero_planes_silent():
     arch = small_arch()
     params = init_params(arch, seed=1)
-    out = snn_forward(np.zeros((3, 2, 8, 8)), params, arch)
-    assert np.array_equal(out, np.zeros(3))
+    out = snn_forward(np.zeros((1, 3, 2, 8, 8)), params, arch)
+    assert np.array_equal(out, np.zeros((1, 3)))
 
 
 def test_forward_output_is_spike_rate():
     arch = small_arch()
     params = init_params(arch, seed=2)
     rng = np.random.default_rng(0)
-    planes = rng.random((5, 2, 8, 8))
+    planes = rng.random((1, 5, 2, 8, 8))
     out = snn_forward(planes, params, arch)
-    assert out.shape == (3,)
+    assert out.shape == (1, 3)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     assert np.array_equal(out * 5, np.round(out * 5))  # K spike sums
 
@@ -155,15 +160,15 @@ def test_forward_deterministic_and_batch_consistent():
     again = snn_forward(batch, params, arch)
     assert np.array_equal(out, again)
     for i in range(4):
-        single = snn_forward(batch[i], params, arch)
-        assert np.array_equal(single, out[i])
+        single = snn_forward(batch[i:i + 1], params, arch)
+        assert np.array_equal(single, out[i:i + 1])
 
 
 def test_forward_records_binary_spikes():
     arch = small_arch()
     params = init_params(arch, seed=5)
     rng = np.random.default_rng(6)
-    planes = rng.random((4, 2, 8, 8)) * 3.0
+    planes = rng.random((1, 4, 2, 8, 8)) * 3.0
     out, tape = snn_forward(planes, params, arch, record=True)
     for s in tape.spikes:
         assert set(np.unique(s)) <= {0.0, 1.0}
@@ -174,14 +179,17 @@ def test_forward_rejects_wrong_input_shape():
     arch = small_arch()
     params = init_params(arch, seed=1)
     with pytest.raises(GestemoError, match="incompatible with input"):
-        snn_forward(np.zeros((3, 2, 9, 8)), params, arch)
+        snn_forward(np.zeros((1, 3, 2, 9, 8)), params, arch)
+    # one sample without its batch axis
+    with pytest.raises(GestemoError, match=r"planes shape \(3, 2, 8, 8\) incompatible"):
+        snn_forward(np.zeros((3, 2, 8, 8)), params, arch)
 
 
 def test_backward_requires_tape():
     arch = small_arch()
     params = init_params(arch, seed=1)
     with pytest.raises(GestemoError, match="snn_backward requires a recorded forward tape"):
-        snn_backward_from_output(None, np.zeros(3), params)
+        snn_backward_from_output(None, np.zeros((1, 3)), params)
 
 
 def relaxed_loss(planes, params, arch, cfg, onehot):
@@ -218,20 +226,20 @@ def test_single_neuron_gradient_inside_window():
     arch = SnnArchitecture(layers=(Dense(1, 1),), input_shape=(1, 1, 1),
                            num_classes=1)
     params = {"fc0.w": np.array([[0.8]]), "fc0.b": np.array([0.3])}
-    planes = np.array([0.4, 0.7, 0.2]).reshape(3, 1, 1, 1)
-    fd_check(planes, params, arch, LifConfig(), np.array([1.0]),
+    planes = np.array([0.4, 0.7, 0.2]).reshape(1, 3, 1, 1, 1)
+    fd_check(planes, params, arch, LifConfig(), np.array([[1.0]]),
              picks_per_tensor=1)
 
 
 def test_single_neuron_gradient_flat_regions():
     arch = SnnArchitecture(layers=(Dense(1, 1),), input_shape=(1, 1, 1),
                            num_classes=1)
-    planes = np.ones((2, 1, 1, 1))
+    planes = np.ones((1, 2, 1, 1, 1))
     for w, bias in [(0.0, 0.0), (0.0, 3.0)]:  # never fires / saturated
         params = {"fc0.w": np.array([[w]]), "fc0.b": np.array([bias])}
         _, tape = snn_forward(planes, params, arch, LifConfig(),
                               spike_fn="relaxed", record=True)
-        grads = snn_backward(tape, np.array([0.0]), params)
+        grads = snn_backward(tape, np.array([[0.0]]), params)
         assert grads["fc0.w"] == 0.0
         assert grads["fc0.b"] == 0.0
 
@@ -252,20 +260,6 @@ def test_full_network_gradient_matches_fd_subtract_reset():
     planes = rng.random((2, 3, 2, 8, 8)) * 1.5
     onehot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     fd_check(planes, params, arch, LifConfig(reset="subtract_theta"), onehot)
-
-
-def test_max_pool_gradient_matches_fd():
-    arch = SnnArchitecture(
-        layers=(Conv(2, 3, 3), Pool(2, "max"), Dense(27, 2)),
-        input_shape=(2, 8, 8),
-        num_classes=2,
-    )
-    params = init_params(arch, seed=21)
-    rng = np.random.default_rng(22)
-    # moderate drive keeps relaxed spikes strictly inside the surrogate
-    # window so the pooled argmax is unique and stable under perturbation
-    planes = rng.random((1, 2, 2, 8, 8)) * 1.2
-    fd_check(planes, params, arch, LifConfig(), np.array([[1.0, 0.0]]))
 
 
 def test_backward_accepts_integer_labels():
@@ -317,8 +311,7 @@ def _ref_layer_forward(arch, li, x, params):
         win = layer.window
         blocks = x[:, :, :(h // win) * win, :(w // win) * win] \
             .reshape(b, c, h // win, win, w // win, win)
-        return blocks.sum(axis=(3, 5)) if layer.mode == "sum" \
-            else blocks.max(axis=(3, 5))
+        return blocks.sum(axis=(3, 5))
     return x.reshape(b, -1) @ params[f"fc{li}.w"].T + params[f"fc{li}.b"]
 
 
@@ -349,19 +342,8 @@ def _ref_layer_backward(arch, li, x, d_out, params, grads, need_d_in):
         win = layer.window
         nh, nw = h // win, w // win
         d_in = np.zeros((b, c, h, w))
-        if layer.mode == "sum":
-            d_in[:, :, :nh * win, :nw * win] = np.repeat(
-                np.repeat(d_out, win, axis=2), win, axis=3)
-            return d_in
-        blocks = x[:, :, :nh * win, :nw * win] \
-            .reshape(b, c, nh, win, nw, win).transpose(0, 1, 2, 4, 3, 5) \
-            .reshape(b, c, nh, nw, win * win)
-        arg = blocks.argmax(axis=-1)
-        view = np.zeros((b, c, nh, nw, win * win))
-        np.put_along_axis(view, arg[..., None], d_out[..., None], axis=-1)
-        d_in[:, :, :nh * win, :nw * win] = view \
-            .reshape(b, c, nh, nw, win, win).transpose(0, 1, 2, 4, 3, 5) \
-            .reshape(b, c, nh * win, nw * win)
+        d_in[:, :, :nh * win, :nw * win] = np.repeat(
+            np.repeat(d_out, win, axis=2), win, axis=3)
         return d_in
     flat = x.reshape(b, -1)
     grads[f"fc{li}.w"] += d_out.T @ flat
@@ -413,7 +395,6 @@ def _ref_run(planes, params, arch, cfg, spike_fn, width, d_sdg):
 ORACLE_ARCHS = {
     # sum pooling with a remainder row and column (29x23 -> 27x21 -> 13x10)
     "sum_pool": default_architecture(3, 29, 23),
-    "max_pool": default_architecture(3, 16, 16, pool_mode="max"),
     "stride2_conv": SnnArchitecture(
         layers=(Conv(2, 4, 3, stride=2), Pool(2), Conv(4, 5, 2), Dense(10, 3)),
         input_shape=(2, 13, 12), num_classes=3),

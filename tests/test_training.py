@@ -80,7 +80,7 @@ def test_class_weights_missing_class():
 
 
 def test_wce_confident_prediction_near_zero():
-    loss, _ = weighted_cross_entropy(np.array([100.0, 0.0, 0.0]), [0],
+    loss, _ = weighted_cross_entropy(np.array([[100.0, 0.0, 0.0]]), [0],
                                      np.ones(3))
     assert loss == pytest.approx(0.0, abs=1e-12)
 
@@ -118,9 +118,20 @@ def test_wce_gradient_matches_fd():
 
 
 def test_wce_overflow_safe():
-    loss, grad = weighted_cross_entropy(np.array([1e4, -1e4, 0.0]), [1],
+    loss, grad = weighted_cross_entropy(np.array([[1e4, -1e4, 0.0]]), [1],
                                         np.ones(3))
     assert np.isfinite(loss) and np.all(np.isfinite(grad))
+
+
+@pytest.mark.parametrize("loss, message", [
+    (lambda s: weighted_cross_entropy(s, [0], np.ones(3)),
+     r"scores of shape \(3,\) for 1 labels"),
+    (lambda s: mse_spike_loss(s, [0]),
+     r"spike rates of shape \(3,\), expected \(B, C\)"),
+], ids=["wce", "mse"])
+def test_losses_take_a_batch_of_score_rows(loss, message):
+    with pytest.raises(GestemoError, match=message):
+        loss(np.zeros(3))
 
 
 def test_mse_spike_values():
