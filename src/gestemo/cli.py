@@ -537,6 +537,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (GestemoError, OSError) as e:
         _stderr(f"error: {e}")
         return EXIT_DATA
+    except MemoryError as e:   # a size declared by an input file or option
+        _stderr(f"error: out of memory: {str(e) or 'allocation failed'}")
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -373,14 +373,22 @@ OFFLOAD_MIN_WORK = 500_000
 #: worker tasks in flight before the backward pass waits for the oldest;
 #: each holds a copy of one step's layer gradient
 _MAX_PENDING = 3
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gestemo-snn-grad")
+#: one FIFO thread: the forward's second batch half, the backward's
+#: offloaded weight gradients
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gestemo-snn")
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; the worker thread is used only with
+    more than one."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _offloaded_layers(plan: _Plan, b: int) -> List[bool]:
     """Per layer, whether its weight gradients go to the worker thread at
     batch size b: only with a second CPU, and only for a large layer."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+    cpus = _cpus()
     work = [b * plan.col_idx[li].size if isinstance(layer, Conv)
             else layer.in_width * layer.out_width if isinstance(layer, Dense)
             else 0 for li, layer in enumerate(plan.arch.layers)]
@@ -504,19 +512,47 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     b, k = x.shape[0], x.shape[1]
     plan = _plan(arch)
     sdtype = _SPIKE_DTYPE[spike_fn]
+    # the spatial block is every Conv and Pool layer, all before the first Dense
+    n_sp = next(li for li, layer in enumerate(arch.layers) if isinstance(layer, Dense))
     v = [np.zeros((b,) + shp) for shp in plan.out_shapes]
-    steps = k if record else 1   # without a tape, one step's buffers are reused
-    vpre = [np.empty((steps, b) + shp) for shp in plan.out_shapes]
-    spikes = [np.empty((steps, b) + shp, dtype=sdtype) for shp in plan.out_shapes]
+    # without a tape, one step's buffers are reused, except the spikes of the
+    # last spatial layer: the dense tail reads them after the whole block
+    vpre = [np.empty((k if record else 1, b) + shp) for shp in plan.out_shapes]
+    spikes = [np.empty((k if record or li == n_sp - 1 else 1, b) + shp, dtype=sdtype)
+              for li, shp in enumerate(plan.out_shapes)]
     out_sum = np.zeros((b, arch.num_classes))
-    for t in range(k):
-        cur = x[:, t]
-        slot = t if record else 0
-        for li in range(len(arch.layers)):
-            current = _layer_forward(plan, li, cur, params)
-            cur = spikes[li][slot]
-            _lif_forward(v[li], current, vpre[li][slot], cur, cfg, surrogate_width)
-        out_sum += cur
+
+    def run(layers: range, rows: slice) -> None:
+        """The layers in `layers` over all K steps, for batch rows `rows`."""
+        for t in range(k):
+            cur = spikes[layers.start - 1][t, rows] if layers.start else x[rows, t]
+            for li in layers:
+                s = spikes[li][t % len(spikes[li]), rows]
+                _lif_forward(v[li][rows], _layer_forward(plan, li, cur, params),
+                             vpre[li][t % len(vpre[li]), rows], s, cfg,
+                             surrogate_width)
+                cur = s
+            if layers.stop == len(arch.layers):
+                out_sum[rows] += cur
+
+    # A conv GEMM runs per sample and pool and LIF are elementwise, so the
+    # spatial block may run on two row halves, the second on the worker
+    # thread.  A dense GEMM's bits depend on its row count: the tail runs
+    # on the whole batch.
+    half = b // 2 if n_sp and b >= 2 and _cpus() > 1 else b
+    task = None
+    try:
+        if half < b:
+            # errstate lives in the context, which a thread does not inherit
+            task = _WORKER.submit(contextvars.copy_context().run, run,
+                                  range(n_sp), slice(half, b))
+        run(range(n_sp), slice(0, half))
+        if task is not None:
+            task.result()
+    finally:
+        if task is not None:
+            wait([task])   # no task may write these buffers after this call
+    run(range(n_sp, len(arch.layers)), slice(None))
     s_dg = out_sum / k
     if record:
         return s_dg, SnnTape(plan, cfg, surrogate_width, x, vpre, spikes, s_dg)

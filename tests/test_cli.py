@@ -369,14 +369,34 @@ def test_train_config_invalid_json(tmp_path, capsys):
                  "--out", str(tmp_path / "m.ckpt")]) == 1
 
 
-def run_cli(*args, module="gestemo.cli"):
-    """Run the command line in a fresh interpreter, as a user would."""
+def run_cli(*args, module="gestemo.cli", address_space=None):
+    """Run the command line in a fresh interpreter, as a user would; with
+    address_space, under that RLIMIT_AS in bytes, so an allocation a
+    regression makes too large fails instead of exhausting the machine."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["gestemo.cli"].__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", module, *args],
+    run = ["-m", module]
+    if address_space is not None:
+        run = ["-c", "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, "
+               f"({address_space}, {address_space})); "
+               f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)"]
+    return subprocess.run([sys.executable, *run, *args],
                           capture_output=True, text=True, env=env)
+
+
+def test_out_of_memory_is_one_line_exit_2(tmp_path):
+    # a 45-byte event file whose header declares 60000x60000 pixels: the
+    # planes would take 644 GiB
+    events = tmp_path / "huge.csv"
+    events.write_text("t,x,y,p geometry=60000x60000\n0,1,1,1\n5,2,2,0\n")
+    proc = run_cli("encode", str(events), "--out", str(tmp_path / "p.txt"),
+                   address_space=2 * 1024 ** 3)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+    assert not (tmp_path / "p.txt").exists()
 
 
 def test_train_config_bad_value_type_is_usage_error(tmp_path):

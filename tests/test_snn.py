@@ -4,6 +4,7 @@ pass, which the analytic backward matches everywhere away from the clip
 kinks."""
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -468,6 +469,78 @@ def test_every_layer_stays_inline(cpus, arch, monkeypatch):
     monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: cpus,
                         raising=False)
     assert not any(snn._offloaded_layers(snn._plan(arch), 8))
+
+
+def _lif_calls(monkeypatch, cpus):
+    """Run with `cpus` CPUs and record (on the worker thread, batch rows) for
+    every forward LIF step."""
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    lif_forward, calls = snn._lif_forward, []
+
+    def recorded(v, *args):
+        calls.append((threading.current_thread().name.startswith("gestemo-snn"),
+                      v.shape[0]))
+        return lif_forward(v, *args)
+
+    monkeypatch.setattr(snn, "_lif_forward", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [2, 3, 8])
+@pytest.mark.parametrize("reset", ["to_zero", "subtract_theta"])
+@pytest.mark.parametrize("arch_name", sorted(ORACLE_ARCHS))
+def test_split_forward_matches_reference_bit_for_bit(arch_name, reset, batch,
+                                                     monkeypatch):
+    arch = ORACLE_ARCHS[arch_name]
+    calls = _lif_calls(monkeypatch, {0, 1})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # interleave the two threads as finely as possible
+    try:
+        (want_out, want_grads), (out, plain, grads) = _oracle_case(
+            arch, reset, "binary", batch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(plain, want_out)
+    for name in want_grads:   # at batch 2, sum_pool's gradients are all zero
+        assert np.array_equal(grads[name], want_grads[name]), name
+    # the worker ran the second half of the spatial block, the calling
+    # thread the first half and the whole-batch dense tail
+    half = batch // 2
+    assert {rows for worker, rows in calls if worker} == {batch - half}
+    assert {rows for worker, rows in calls if not worker} == {half, batch}
+    # so every taped membrane and spike also equals the one-thread tape's
+    planes = np.random.default_rng(batch).random((batch, 5) + arch.input_shape) * 1.5
+    params = init_params(arch, seed=batch + 1)
+    tapes = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        tapes.append(snn_forward(planes, params, arch,
+                                 LifConfig(beta=0.9, theta=0.4, reset=reset),
+                                 record=True)[1])
+    split, inline = tapes
+    assert np.mean(split.spikes[2]) > 0   # spikes reach the second conv
+    for got, want in zip(split.vpre + split.spikes, inline.vpre + inline.spikes):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cpus, arch, batch", [
+    ({0}, ORACLE_ARCHS["sum_pool"], 3),
+    ({0, 1}, ORACLE_ARCHS["sum_pool"], 1),
+    ({0, 1}, SnnArchitecture(layers=(Dense(50, 8), Dense(8, 3)),
+                             input_shape=(2, 5, 5), num_classes=3), 3),
+], ids=["one_cpu", "batch_1", "dense_only"])
+def test_forward_stays_inline(cpus, arch, batch, monkeypatch):
+    calls = _lif_calls(monkeypatch, cpus)
+    (want_out, want_grads), (out, plain, grads) = _oracle_case(
+        arch, "to_zero", "binary", batch)
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(plain, want_out)
+    assert_grads_equal(grads, want_grads)
+    assert calls and {rows for _, rows in calls} == {batch}
+    assert not any(worker for worker, _ in calls)
 
 
 @pytest.mark.parametrize("reset", ["to_zero", "subtract_theta"])

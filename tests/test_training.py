@@ -2,6 +2,7 @@
 hand-worked 3x3 confusion matrix; the weighted-recall/accuracy identity is
 verified on random matrices."""
 
+import threading
 import weakref
 
 import numpy as np
@@ -395,6 +396,43 @@ def test_overflow_on_the_gradient_worker_is_divergence(monkeypatch):
     snn._WORKER.submit(lambda: None).result(timeout=60)   # FIFO: after any leftover
     assert calls == at_raise
     assert at_raise.count("begin") == at_raise.count("end") > 0
+
+
+def test_overflow_on_the_forward_worker_half_is_divergence(monkeypatch):
+    # Only the sample that the epoch's permutation puts last in the batch,
+    # in the half the worker thread runs, holds huge planes.  Its conv
+    # current, (1e200 x 1e150), overflows on the worker; the calling
+    # thread's half is all zeros.
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    arch = SnnArchitecture(layers=(Conv(2, 2, 3), Dense(18, 3)),
+                           input_shape=(2, 5, 5), num_classes=3)
+    params = {"conv0.w": np.full((2, 2, 3, 3), 1e150), "conv0.b": np.zeros(2),
+              "fc1.w": np.zeros((3, 18)), "fc1.b": np.zeros(3)}
+    cfg = TrainConfig(epochs=1, branch="snn_only")
+    planes = np.zeros((4, 2, 2, 5, 5))
+    planes[np.random.default_rng(cfg.seed).permutation(4)[-1]] = 1e200
+    data = TrainData(planes, None, np.array([0, 1, 2, 0]), tuple(EmotionClass))
+    layer_forward, calls, raised_on = snn._layer_forward, [], []
+
+    def counted(*args):
+        calls.append("begin")
+        try:
+            return layer_forward(*args)
+        except FloatingPointError:
+            raised_on.append(threading.current_thread().name)
+            raise
+        finally:
+            calls.append("end")
+
+    monkeypatch.setattr(snn, "_layer_forward", counted)
+    with pytest.raises(DivergedLossError, match="overflow encountered in matmul"):
+        train(data, ModelParams(snn=params), arch, cfg=cfg)
+    at_raise = list(calls)
+    snn._WORKER.submit(lambda: None).result(timeout=60)   # FIFO: after any leftover
+    assert calls == at_raise
+    assert at_raise.count("begin") == at_raise.count("end") > 0
+    assert len(raised_on) == 1 and raised_on[0].startswith("gestemo-snn")
 
 
 def test_train_empty_split():
