@@ -5,7 +5,7 @@ Run: python3 demos/01_encode_events.py
 
 import numpy as np
 
-from gestemo.encode import dense_spike_planes, downsample_planes, scale_planes
+from gestemo.encode import dense_spike_planes, scale_planes
 from gestemo.events import Geometry, StreamSpec, synth_stream
 
 # a half-second clip on a small sensor, one of the built-in spatial patterns
@@ -20,8 +20,8 @@ print(f"planes: {planes.counts.shape}  (k, polarity, h, w)")
 print(f"per-plane event totals: {planes.per_plane_totals()}")
 print(f"conserved: {planes.total} == {len(stream)}")
 
-# spatial 2x block sums keep every event
-small = downsample_planes(planes, 2)
+# binning each event into its 2x2 pixel block keeps every event
+small = dense_spike_planes(stream, k=12, factor=2)
 print(f"downsampled to {small.geometry.width}x{small.geometry.height}, "
       f"total still {small.total}")
 

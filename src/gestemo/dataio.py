@@ -17,6 +17,9 @@ Event, feature, plane and tag rows share one parser, ``_parse_rows``, and
 so one wording for each kind of bad row, always naming ``file:line``.
 Header sizes must fit int64, like integer fields.
 
+The event, feature and plane writers give one spelling of each value:
+integers without sign or leading zeros, reals as ``%.17g``.
+
 Feature loaders expose truncate/pad normalization: most recordings sit
 under 100 frames, so the default pads or truncates to 100.  Padding is
 applied at the FRONT so a recurrent reader's final state always sees the
@@ -129,6 +132,31 @@ def _header_ints(path, kind: str, header: str, texts) -> List[int]:
     return values
 
 
+def _decimal_rows(cols, seps: str) -> str:
+    """Rows of equal-length, non-empty, non-negative int64 columns as
+    decimal text: each field is followed by its own separator, seps[j]
+    after cols[j], so the bytes equal f"{v}{sep}" field by field.  The
+    digits are made one decimal place at a time over a whole column, each
+    column in its own width, and one mask then drops the leading-zero
+    places."""
+    widths = [len(str(int(c.max()))) for c in cols]
+    ends = np.cumsum(widths) + np.arange(len(cols))  # each separator's place
+    buf = np.empty((len(cols[0]), int(ends[-1]) + 1), np.uint8)
+    keep = np.ones(buf.shape, bool)
+    for c, w, end in zip(cols, widths, ends):
+        v = c
+        for place in range(end - 1, end - w, -1):
+            q = v // 10
+            buf[:, place] = v - q * 10
+            v = q
+        buf[:, end - w] = v
+        for j in range(1, w):  # the place worth 10**j holds a digit if c >= 10**j
+            np.greater_equal(c, 10 ** j, out=keep[:, end - 1 - j])
+    buf += ord("0")
+    buf[:, ends] = np.frombuffer(seps.encode("ascii"), np.uint8)
+    return buf[keep].tobytes().decode("ascii")
+
+
 def read_events_file(path) -> EventStream:
     """Parse an event file; validation (ordering, bounds) happens on load."""
     header, body = _read_text(path)
@@ -150,9 +178,8 @@ def write_events_file(stream: EventStream, path) -> None:
         f.write(f"t,x,y,p geometry={g.width}x{g.height}\n")
         for lo in range(0, len(stream), _WRITE_CHUNK):
             part = slice(lo, lo + _WRITE_CHUNK)
-            cols = (stream.t[part].tolist(), stream.x[part].tolist(),
-                    stream.y[part].tolist(), stream.p[part].tolist())
-            f.write("".join(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(*cols)))
+            f.write(_decimal_rows((stream.t[part], stream.x[part], stream.y[part],
+                                   stream.p[part]), ",,,\n"))
 
 
 def read_feature_file(path) -> FrameFeatureSequence:
@@ -173,8 +200,8 @@ def write_feature_file(seq: FrameFeatureSequence, path) -> None:
     """Writes with enough digits that float64 values round-trip exactly."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"D={seq.dim}\n")
-        for row in seq.vectors:
-            f.write(" ".join(format(v, ".17g") for v in row) + "\n")
+        row = " ".join(["%.17g"] * seq.dim) + "\n"
+        f.write("".join([row % tuple(values) for values in seq.vectors.tolist()]))
 
 
 def _fast_rows(body: str, dtype, n_cols: int, delimiter) -> Optional[np.ndarray]:
@@ -258,7 +285,7 @@ def write_planes_file(planes: DenseSpikePlanes, path) -> None:
         f.write(f"{planes.k},{g.width},{g.height}\n")
         flat = planes.counts.reshape(planes.k * 2, g.height * g.width)
         for row in flat:
-            f.write(" ".join(str(v) for v in row) + "\n")
+            f.write(_decimal_rows((row,), " ")[:-1] + "\n")
 
 
 def read_planes_file(path) -> DenseSpikePlanes:

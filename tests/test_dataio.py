@@ -1,9 +1,10 @@
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gestemo import dataio
@@ -158,11 +159,24 @@ def test_events_file_written_in_chunks_is_byte_identical(tmp_path, monkeypatch):
     assert read_events_file(p) == stream
 
 
+def _text_bytes(text):
+    """The bytes a text-mode writer gives for text: newline per platform."""
+    return text.replace("\n", os.linesep).encode("ascii")
+
+
+def _events_oracle(stream):
+    """Event file text written one value at a time, the reference bytes."""
+    g = stream.geometry
+    return f"t,x,y,p geometry={g.width}x{g.height}\n" + "".join(
+        f"{t},{x},{y},{p}\n" for t, x, y, p in
+        zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist()))
+
+
 @st.composite
 def event_streams(draw):
     g = Geometry(draw(st.integers(1, 400)), draw(st.integers(1, 300)))
     n = draw(st.integers(0, 40))
-    t = sorted(draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)))
+    t = sorted(draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)))
     x = draw(st.lists(st.integers(0, g.width - 1), min_size=n, max_size=n))
     y = draw(st.lists(st.integers(0, g.height - 1), min_size=n, max_size=n))
     p = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -170,11 +184,30 @@ def event_streams(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(event_streams())
-def test_events_file_write_read_property(tmp_path_factory, stream):
+@given(event_streams(), st.integers(1, 8))
+@example(EventStream.empty(Geometry(1, 1)), 1)
+@example(EventStream.from_arrays([2**63 - 1], [0], [0], [1], Geometry(1, 1)), 1)
+@example(EventStream.from_arrays([0, 9, 10, 10**18], [0, 99, 100, 5], [10, 1, 0, 7],
+                                 [1, 0, 1, 0], Geometry(101, 11)), 2)
+def test_events_file_write_read_property(tmp_path_factory, stream, chunk):
     p = tmp_path_factory.mktemp("ev") / "e.csv"
-    write_events_file(stream, p)
+    with mock.patch.object(dataio, "_WRITE_CHUNK", chunk):
+        write_events_file(stream, p)
+    assert p.read_bytes() == _text_bytes(_events_oracle(stream))
     assert read_events_file(p) == stream
+
+
+def test_events_file_bytes_across_the_write_chunk(tmp_path):
+    # the one event past the first chunk is the only one with a 19-digit t
+    n = dataio._WRITE_CHUNK + 1
+    t = np.arange(n)
+    t[-1] = 2**63 - 1
+    rng = np.random.default_rng(1)
+    stream = EventStream.from_arrays(t, rng.integers(0, 346, n), rng.integers(0, 260, n),
+                                     rng.integers(0, 2, n), DAVIS346)
+    p = tmp_path / "e.csv"
+    write_events_file(stream, p)
+    assert p.read_bytes() == _text_bytes(_events_oracle(stream))
 
 
 def _outcome(parse, *args):
@@ -256,6 +289,29 @@ def test_feature_file_roundtrip(tmp_path):
     back = read_feature_file(p)
     assert back.dim == 5
     assert np.array_equal(back.vectors, seq.vectors)  # exact, not approx
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda dim: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)
+             | st.sampled_from(_EDGE_FLOATS), min_size=dim, max_size=dim),
+    min_size=1, max_size=5)))
+@example([[-0.0]])
+@example([[v] for v in _EDGE_FLOATS])
+@example([_EDGE_FLOATS])
+def test_feature_file_bytes_match_per_value_format(tmp_path_factory, rows):
+    seq = FrameFeatureSequence(len(rows[0]), np.array(rows))
+    p = tmp_path_factory.mktemp("ft") / "f.txt"
+    write_feature_file(seq, p)
+    oracle = f"D={seq.dim}\n" + "".join(
+        " ".join(format(v, ".17g") for v in row) + "\n" for row in seq.vectors)
+    assert p.read_bytes() == _text_bytes(oracle)
+    # exact to the bit, the sign of a zero included
+    assert read_feature_file(p).vectors.tobytes() == seq.vectors.tobytes()
 
 
 def test_feature_file_header_and_shape(tmp_path):

@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gestemo.dataio import read_planes_file, write_planes_file
 from gestemo.encode import (
@@ -179,15 +183,47 @@ def test_divide_by_max_all_zero_counts():
     assert scale_planes(planes, "divide_by_max").sum() == 0
 
 
+def _planes_oracle(planes):
+    """Plane file text written one value at a time, the reference bytes."""
+    g = planes.geometry
+    rows = planes.counts.reshape(planes.k * 2, g.height * g.width)
+    text = f"{planes.k},{g.width},{g.height}\n" + "".join(
+        " ".join(str(v) for v in row) + "\n" for row in rows)
+    return text.replace("\n", os.linesep).encode("ascii")
+
+
 def test_planes_file_round_trip(tmp_path):
     s = synth_stream(StreamSpec(Geometry(9, 5), 20_000, 120), seed=12)
     planes = dense_spike_planes(s, k=5)
     path = tmp_path / "planes.csv"
     write_planes_file(planes, path)
+    assert path.read_bytes() == _planes_oracle(planes)
     back = read_planes_file(path)
     assert back.k == planes.k
     assert back.geometry == planes.geometry
     assert np.array_equal(back.counts, planes.counts)
+
+
+@st.composite
+def plane_sets(draw):
+    k, w, h = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, 12) | st.integers(0, 2**63 - 1),
+                           min_size=k * 2 * h * w, max_size=k * 2 * h * w))
+    return DenseSpikePlanes(k=k, geometry=Geometry(w, h),
+                            counts=np.array(counts, np.int64).reshape(k, 2, h, w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(plane_sets())
+@example(DenseSpikePlanes(k=1, geometry=Geometry(1, 1),
+                          counts=np.array([0, 2**63 - 1]).reshape(1, 2, 1, 1)))
+@example(DenseSpikePlanes(k=1, geometry=Geometry(4, 1),
+                          counts=np.array([0, 10, 9, 100, 99, 1000, 7, 0]).reshape(1, 2, 1, 4)))
+def test_planes_file_bytes_match_per_value_format(tmp_path_factory, planes):
+    path = tmp_path_factory.mktemp("pl") / "planes.csv"
+    write_planes_file(planes, path)
+    assert path.read_bytes() == _planes_oracle(planes)
+    assert np.array_equal(read_planes_file(path).counts, planes.counts)
 
 
 @pytest.mark.parametrize("data, message", [
