@@ -280,7 +280,7 @@ def cmd_train(ns) -> int:
         tcfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
         fusion = FusionConfig(cfg["lam"])
         for key in ("k", "downsample", "hidden", "head_mid", "frame_limit",
-                    "scale_mode", "target"):
+                    "scale_mode", "target", "split"):
             check_option(key, cfg[key])
     manifest = read_manifest(ns.manifest)
     target = cfg["target"]
@@ -499,7 +499,7 @@ def build_parser() -> _Parser:
                        help="evaluate a checkpoint on a manifest split")
     p.add_argument("checkpoint", help="checkpoint file")
     p.add_argument("manifest", help="manifest.json path")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=CHOICES["split"])
     p.add_argument("--branch", default=None,
                    choices=CHOICES["branch"])
     p.add_argument("--lambda", dest="lam", type=float, default=None)

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .encode import DenseSpikePlanes
-from .errors import GestemoError, ParseError
+from .errors import CHOICES, GestemoError, ParseError
 from .events import (
     EmotionClass,
     EventStream,
@@ -379,7 +379,7 @@ def read_manifest(path) -> SplitManifest:
         if not isinstance(events, str) or not isinstance(features, (str, type(None))):
             raise ParseError(f"{path}: entry {i} file paths must be strings")
         split = raw.get("split", "train")
-        if split not in ("train", "test"):
+        if split not in CHOICES["split"]:
             raise ParseError(f"{path}: entry {i} has unknown split {split!r}")
         entries.append(ManifestEntry(id=sample_id, gesture=gesture,
                                      events=events, split=split,

@@ -57,6 +57,7 @@ CHOICES = {
     "mode": ("joint", "separate"),
     "target": ("emotion", "gesture"),
     "lif_reset": ("to_zero", "subtract_theta"),
+    "split": ("train", "test"),
 }
 
 

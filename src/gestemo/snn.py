@@ -22,6 +22,7 @@ finite-difference tests check.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import math
@@ -370,12 +371,33 @@ def _plan(arch: SnnArchitecture) -> _Plan:
 #: backward of a 32x32 network (layers up to 295,000 at batch 8) ran up to
 #: 8% slower offloaded, and DAVIS346-size layers (385,000 and up) gained.
 OFFLOAD_MIN_WORK = 500_000
-#: worker tasks in flight before the backward pass waits for the oldest;
-#: each holds a copy of one step's layer gradient
+#: worker tasks in flight before submit waits for the oldest; in the backward
+#: pass each holds a copy of one step's layer gradient
 _MAX_PENDING = 3
-#: one FIFO thread: the forward's second batch half, the backward's
-#: offloaded weight gradients
+#: one FIFO thread, so each tensor's sums keep their order: the forward's
+#: second batch half, the backward's offloaded weight gradients
 _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gestemo-snn")
+
+
+@contextlib.contextmanager
+def _worker_tasks():
+    """Yield submit(fn, *args): fn(*args) on the worker thread, in a copy of
+    the caller's context, where np.errstate lives.  submit awaits the oldest
+    task beyond _MAX_PENDING; a normal exit awaits all in FIFO order, raising
+    the first error, and any exit waits until none runs."""
+    pending = deque()
+
+    def submit(fn, *args) -> None:
+        pending.append(_WORKER.submit(contextvars.copy_context().run, fn, *args))
+        if len(pending) > _MAX_PENDING:
+            pending.popleft().result()
+
+    try:
+        yield submit
+        while pending:
+            pending.popleft().result()
+    finally:
+        wait(pending)
 
 
 def _cpus() -> int:
@@ -540,18 +562,10 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     # thread.  A dense GEMM's bits depend on its row count: the tail runs
     # on the whole batch.
     half = b // 2 if n_sp and b >= 2 and _cpus() > 1 else b
-    task = None
-    try:
+    with _worker_tasks() as submit:
         if half < b:
-            # errstate lives in the context, which a thread does not inherit
-            task = _WORKER.submit(contextvars.copy_context().run, run,
-                                  range(n_sp), slice(half, b))
+            submit(run, range(n_sp), slice(half, b))
         run(range(n_sp), slice(0, half))
-        if task is not None:
-            task.result()
-    finally:
-        if task is not None:
-            wait([task])   # no task may write these buffers after this call
     run(range(n_sp, len(arch.layers)), slice(None))
     s_dg = out_sum / k
     if record:
@@ -580,8 +594,7 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
     scratch = [[buf[:b * math.prod(shp)].reshape((b,) + shp) for buf in bufs]
                for shp in plan.out_shapes]
     offload = _offloaded_layers(plan, b)
-    pending = deque()
-    try:
+    with _worker_tasks() as submit:
         for t in reversed(range(k)):
             d_s = d_sdg / k
             for li in reversed(range(len(arch.layers))):
@@ -590,22 +603,11 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
                                     *scratch[li])
                 x_in = tape.spikes[li - 1][t] if li > 0 else tape.x[:, t]
                 if offload[li]:
-                    # errstate lives in the context, which a thread does not
-                    # inherit; one FIFO worker keeps each tensor's sum order
-                    pending.append(_WORKER.submit(
-                        contextvars.copy_context().run, _weight_backward,
-                        plan, li, x_in, dvp.copy(), grads))
-                    if len(pending) > _MAX_PENDING:
-                        pending.popleft().result()
+                    submit(_weight_backward, plan, li, x_in, dvp.copy(), grads)
                 else:
                     _weight_backward(plan, li, x_in, dvp, grads)
                 if li > 0:
                     d_s = _input_backward(plan, li, x_in, dvp, params)
-        while pending:
-            pending.popleft().result()
-    finally:
-        # no task may write grads, or read the tape, after this call ends
-        wait(pending)
     return grads
 
 

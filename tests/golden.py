@@ -1,0 +1,194 @@
+"""Golden digests: SHA-256 of the files a fixed set of command-line runs
+writes, keyed by the numeric environment that wrote them.
+
+Seeded runs give the same bytes on every commit, so a digest that moves
+means a change moved the numbers.  A dense GEMM's bits depend on the BLAS
+kernel, so a digest holds only under the environment it was made in:
+numpy version, BLAS name and version, OpenBLAS core and machine.
+
+Write (or replace) the entry for the environment this runs in:
+
+    PYTHONPATH=src python tests/golden.py
+
+A change that moves a digest says why.
+"""
+
+import contextlib
+import ctypes
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+from typing import Dict, Optional
+
+import numpy as np
+
+from gestemo import cli
+from gestemo.dataio import read_manifest
+
+DIGEST_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden_digests.json")
+
+#: synth flags of the two corpora.  desk32 has 32x32 planes; davis346 has
+#: the default 346x260 geometry, which --downsample 4 makes 87x65 planes,
+#: large enough that the SNN backward offloads weight gradients
+CORPORA = {
+    "desk32": ["--gestures", "ok,no,victory", "--per-class", "4",
+               "--width", "32", "--height", "32", "--duration-us", "100000",
+               "--min-events", "200", "--max-events", "300",
+               "--min-frames", "3", "--max-frames", "6", "--feature-dim", "4"],
+    "davis346": ["--gestures", "ok,no,victory,good,love", "--per-class", "3",
+                 "--duration-us", "200000", "--min-events", "300",
+                 "--max-events", "400", "--min-frames", "3",
+                 "--max-frames", "6", "--feature-dim", "4"],
+}
+
+TRAIN = ["--epochs", "2", "--k", "4", "--hidden", "4", "--head-mid", "4",
+         "--frame-limit", "6", "--seed", "3", "--batch-size", "4"]
+
+#: training runs: name -> (corpus, flags beyond TRAIN); later flags win
+TRAIN_RUNS = {
+    "fused_joint": ("desk32", []),
+    "fused_separate": ("desk32", ["--mode", "separate"]),
+    "snn_only": ("desk32", ["--branch", "snn_only"]),
+    "video_only": ("desk32", ["--branch", "video_only"]),
+    "batch3": ("desk32", ["--batch-size", "3"]),
+    "dropout0": ("desk32", ["--dropout", "0"]),
+    "scale_none": ("desk32", ["--scale-mode", "none", "--branch", "snn_only"]),
+    "divide_by_max": ("desk32", ["--scale-mode", "divide_by_max",
+                                 "--branch", "snn_only"]),
+    "subtract_theta": ("desk32", ["--lif-reset", "subtract_theta",
+                                  "--branch", "snn_only"]),
+    "davis346_b8": ("davis346", ["--downsample", "4", "--batch-size", "8",
+                                 "--branch", "snn_only"]),
+    "davis346_b7": ("davis346", ["--downsample", "4", "--batch-size", "7"]),
+}
+
+#: evaluation runs: name -> (training run whose checkpoint, corpus)
+EVAL_RUNS = {
+    "eval_fused_joint": ("fused_joint", "desk32"),
+    "eval_davis346_b7": ("davis346_b7", "davis346"),
+}
+
+#: encode runs of the first desk32 event file: name -> flags
+ENCODE_RUNS = {
+    "encode_k12": ["--k", "12"],
+    "encode_clip01_ds2": ["--k", "5", "--downsample", "2",
+                          "--scale-mode", "clip01"],
+}
+
+
+def fingerprint() -> str:
+    """The environment a digest holds under, as one line."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):
+        blas = None
+    return (f"numpy {np.__version__}; blas {blas}; core {_openblas_core()}; "
+            f"machine {platform.machine()}")
+
+
+def _openblas_core() -> Optional[str]:
+    """The kernel set a loaded OpenBLAS picked for this CPU, if one is
+    loaded and the process maps can be read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({ln.split()[-1] for ln in f if "openblas" in ln.lower()
+                           and ln.rstrip().endswith(".so")})
+        for path in libs:
+            lib = ctypes.CDLL(path)
+            for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+                fn = getattr(lib, sym, None)
+                if fn is not None:
+                    fn.restype = ctypes.c_char_p
+                    fn.argtypes = []
+                    return fn().decode()
+    except OSError:
+        pass
+    return None
+
+
+def _cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"gestemo {' '.join(argv)} exited with {code}")
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def synth_corpora(root: str) -> Dict[str, str]:
+    """Write both corpora under root; returns each one's manifest path."""
+    manifests = {}
+    for name, flags in CORPORA.items():
+        _cli("synth", os.path.join(root, name), "--seed", "0", *flags)
+        manifests[name] = os.path.join(root, name, "manifest.json")
+    return manifests
+
+
+def corpus_digests(manifests: Dict[str, str]) -> Dict[str, str]:
+    """Per corpus, one digest of every file under it, manifest included."""
+    digests = {}
+    for name, manifest in manifests.items():
+        root, h = os.path.dirname(manifest), hashlib.sha256()
+        for base, dirs, files in os.walk(root):
+            dirs.sort()
+            for file in sorted(files):
+                path = os.path.join(base, file)
+                h.update(os.path.relpath(path, root).encode() + b"\0")
+                h.update(_sha256(path).encode())
+        digests["synth_" + name] = h.hexdigest()
+    return digests
+
+
+def run_all(out: str, manifests: Dict[str, str]) -> Dict[str, str]:
+    """Run every training, evaluation and encode run, writing into out;
+    returns the digest of each run's output file by run name."""
+    os.makedirs(out, exist_ok=True)
+    digests = {}
+    for name, (corpus, flags) in TRAIN_RUNS.items():
+        path = os.path.join(out, name + ".ckpt")
+        _cli("train", manifests[corpus], *TRAIN, *flags, "--out", path)
+        digests[name] = _sha256(path)
+    for name, (ckpt, corpus) in EVAL_RUNS.items():
+        path = os.path.join(out, name + ".json")
+        _cli("eval", os.path.join(out, ckpt + ".ckpt"), manifests[corpus],
+             "--out", path)
+        digests[name] = _sha256(path)
+    manifest = read_manifest(manifests["desk32"])
+    events = manifest.path_of(manifest.entries[0].events)
+    for name, flags in ENCODE_RUNS.items():
+        path = os.path.join(out, name + ".txt")
+        _cli("encode", events, *flags, "--out", path)
+        digests[name] = _sha256(path)
+    return digests
+
+
+def load_golden() -> Dict[str, Dict[str, str]]:
+    with open(DIGEST_FILE, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def main() -> int:
+    golden = load_golden() if os.path.exists(DIGEST_FILE) else {}
+    fp = fingerprint()
+    with tempfile.TemporaryDirectory() as root:
+        manifests = synth_corpora(root)
+        golden[fp] = {**corpus_digests(manifests),
+                      **run_all(os.path.join(root, "runs"), manifests)}
+    with open(DIGEST_FILE, "w", encoding="utf-8") as f:
+        json.dump(golden, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {len(golden[fp])} digests for {fp} to {DIGEST_FILE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -518,6 +518,21 @@ def run_main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("spelling", ["train flag", "train config", "eval flag"])
+def test_mistyped_split_is_one_line_usage_error(trained, tmp_path, spelling):
+    ckpt, manifest = trained
+    out = tmp_path / "m.ckpt"
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"split": "nope"}))
+    argv = {"train flag": ["train", manifest, "--split", "nope", "--out", str(out)],
+            "train config": ["train", manifest, "--config", str(cfg),
+                             "--out", str(out)],
+            "eval flag": ["eval", str(ckpt), manifest, "--split", "nope"]}[spelling]
+    code, stdout, err = run_main(*argv)
+    assert code == 1 and stdout == "" and err.count("\n") == 1
+    assert "nope" in err and not out.exists()
+
+
 def run_counting_warnings(*argv):
     """run_main, counting any Python warning that escapes as one more
     stderr line: (exit code, stderr lines)."""

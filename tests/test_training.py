@@ -3,6 +3,7 @@ hand-worked 3x3 confusion matrix; the weighted-recall/accuracy identity is
 verified on random matrices."""
 
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -433,6 +434,82 @@ def test_overflow_on_the_forward_worker_half_is_divergence(monkeypatch):
     assert calls == at_raise
     assert at_raise.count("begin") == at_raise.count("end") > 0
     assert len(raised_on) == 1 and raised_on[0].startswith("gestemo-snn")
+
+
+def logged_calls(monkeypatch, name, calls):
+    """Patch snn.<name> to log "begin" and "end" around each call, sleeping
+    0.2 s first on the worker thread, so its task is still running when the
+    calling thread raises."""
+    fn = getattr(snn, name)
+
+    def logged(*args):
+        calls.append("begin")
+        try:
+            if threading.current_thread().name.startswith("gestemo-snn"):
+                time.sleep(0.2)
+            return fn(*args)
+        finally:
+            calls.append("end")
+
+    monkeypatch.setattr(snn, name, logged)
+
+
+def test_overflow_on_the_caller_waits_for_the_forward_worker_half(monkeypatch):
+    # The mirror of the worker-half test: the sample that the epoch's
+    # permutation puts first in the batch, in the calling thread's half,
+    # holds huge planes, and its conv current overflows while the worker
+    # still sleeps in its own half.
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    arch = SnnArchitecture(layers=(Conv(2, 2, 3), Dense(18, 3)),
+                           input_shape=(2, 5, 5), num_classes=3)
+    params = {"conv0.w": np.full((2, 2, 3, 3), 1e150), "conv0.b": np.zeros(2),
+              "fc1.w": np.zeros((3, 18)), "fc1.b": np.zeros(3)}
+    cfg = TrainConfig(epochs=1, branch="snn_only")
+    planes = np.zeros((4, 2, 2, 5, 5))
+    planes[np.random.default_rng(cfg.seed).permutation(4)[0]] = 1e200
+    data = TrainData(planes, None, np.array([0, 1, 2, 0]), tuple(EmotionClass))
+    calls = []
+    logged_calls(monkeypatch, "_layer_forward", calls)
+    with pytest.raises(DivergedLossError, match="overflow encountered in matmul"):
+        train(data, ModelParams(snn=params), arch, cfg=cfg)
+    at_raise = list(calls)
+    snn._WORKER.submit(lambda: None).result(timeout=60)   # FIFO: after any leftover
+    assert calls == at_raise
+    assert at_raise.count("begin") == at_raise.count("end") > 0
+
+
+def test_overflow_on_the_caller_waits_for_a_pending_gradient_task(monkeypatch):
+    # The first layer's weight gradients go to the worker, which sleeps in
+    # them; the calling thread's second input gradient then overflows.
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    arch = SnnArchitecture(layers=(Dense(1250, 512), Dense(512, 3)),
+                           input_shape=(2, 25, 25), num_classes=3)
+    assert snn._offloaded_layers(snn._plan(arch), 4) == [True, False]
+    params = {"fc0.w": np.zeros((512, 1250)), "fc0.b": np.full(512, 0.1),
+              "fc1.w": np.full((3, 512), 0.01), "fc1.b": np.full(3, 0.1)}
+    data = TrainData(np.zeros((4, 3, 2, 25, 25)), None,
+                     np.array([0, 1, 2, 0]), tuple(EmotionClass))
+    calls, input_backward, steps, raised_on = [], snn._input_backward, [], []
+
+    def overflowing(*args):
+        steps.append(None)
+        if len(steps) == 2:   # step K-2: step K-1's task is in flight
+            raised_on.append(threading.current_thread().name)
+            np.float64(1e300) * np.float64(1e300)
+        return input_backward(*args)
+
+    logged_calls(monkeypatch, "_weight_backward", calls)
+    monkeypatch.setattr(snn, "_input_backward", overflowing)
+    with pytest.raises(DivergedLossError, match="overflow encountered"):
+        train(data, ModelParams(snn=params), arch,
+              cfg=TrainConfig(epochs=1, branch="snn_only"))
+    at_raise = list(calls)
+    snn._WORKER.submit(lambda: None).result(timeout=60)   # FIFO: after any leftover
+    assert calls == at_raise
+    assert at_raise.count("begin") == at_raise.count("end") > 0
+    assert raised_on == [threading.current_thread().name]
 
 
 def test_train_empty_split():
