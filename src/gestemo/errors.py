@@ -63,7 +63,7 @@ CHOICES = {
 
 def check_option(key: str, value) -> None:
     """Raise GestemoError("<key> must be ..., got ...") unless value is valid
-    for the option key."""
+    for the option key; an integer option must also fit int64."""
     if key in CHOICES:
         if not isinstance(value, str) or value not in CHOICES[key]:
             raise GestemoError(f"{key} must be one of {', '.join(CHOICES[key])}, "
@@ -72,6 +72,9 @@ def check_option(key: str, value) -> None:
     kind, ok, wording = RANGES[key]
     if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
         raise GestemoError(f"{key} must be {wording}, got {value!r}")
+    if kind is numbers.Integral and value >= 1 << 63:
+        # integer options become int64 sizes, seeds and counts in numpy
+        raise GestemoError(f"{key} must be below 2**63, got {value!r}")
 
 
 def require_keys(d: dict, cls) -> dict:

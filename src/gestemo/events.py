@@ -67,8 +67,9 @@ class Geometry:
     height: int
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise GestemoError(f"geometry must be positive, got {self.width}x{self.height}")
+        if not (1 <= self.width < 1 << 63 and 1 <= self.height < 1 << 63):
+            raise GestemoError(f"geometry must be positive and below 2**63, "
+                               f"got {self.width}x{self.height}")
 
 
 #: DAVIS346 sensor geometry, the capture device the real dataset uses.

@@ -123,37 +123,7 @@ class SnnArchitecture:
                 f"final layer width {shapes[-1]} != ({self.num_classes},)")
 
     def output_shapes(self) -> List[tuple]:
-        shape = tuple(self.input_shape)
-        out = []
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, Conv):
-                if len(shape) != 3 or shape[0] != layer.in_channels:
-                    raise GestemoError(
-                        f"layer {i}: conv expects {layer.in_channels} channels, "
-                        f"input is {shape}")
-                h = (shape[1] - layer.kernel) // layer.stride + 1
-                w = (shape[2] - layer.kernel) // layer.stride + 1
-                if h < 1 or w < 1:
-                    raise GestemoError(f"layer {i}: kernel larger than input {shape}")
-                shape = (layer.out_channels, h, w)
-            elif isinstance(layer, Pool):
-                if len(shape) != 3:
-                    raise GestemoError(f"layer {i}: pool needs spatial input")
-                h, w = shape[1] // layer.window, shape[2] // layer.window
-                if h < 1 or w < 1:
-                    raise GestemoError(f"layer {i}: window exceeds input {shape}")
-                shape = (shape[0], h, w)
-            elif isinstance(layer, Dense):
-                flat = int(np.prod(shape))
-                if flat != layer.in_width:
-                    raise GestemoError(
-                        f"layer {i}: fc expects width {layer.in_width}, input "
-                        f"flattens to {flat}")
-                shape = (layer.out_width,)
-            else:
-                raise GestemoError(f"layer {i}: unknown layer {layer!r}")
-            out.append(shape)
-        return out
+        return _shapes(self.layers, self.input_shape)
 
     def param_shapes(self) -> Dict[str, tuple]:
         """Shape of every weight and bias, in layer order."""
@@ -192,6 +162,42 @@ class SnnArchitecture:
         return cls(tuple(layers), tuple(d["input_shape"]), d["num_classes"])
 
 
+def _shapes(layers, input_shape) -> List[tuple]:
+    """Output shape of each layer in turn over input_shape; raises on the
+    first layer that does not fit its input."""
+    shape = tuple(input_shape)
+    out = []
+    for i, layer in enumerate(layers):
+        if isinstance(layer, Conv):
+            if len(shape) != 3 or shape[0] != layer.in_channels:
+                raise GestemoError(
+                    f"layer {i}: conv expects {layer.in_channels} channels, "
+                    f"input is {shape}")
+            h = (shape[1] - layer.kernel) // layer.stride + 1
+            w = (shape[2] - layer.kernel) // layer.stride + 1
+            if h < 1 or w < 1:
+                raise GestemoError(f"layer {i}: kernel larger than input {shape}")
+            shape = (layer.out_channels, h, w)
+        elif isinstance(layer, Pool):
+            if len(shape) != 3:
+                raise GestemoError(f"layer {i}: pool needs spatial input")
+            h, w = shape[1] // layer.window, shape[2] // layer.window
+            if h < 1 or w < 1:
+                raise GestemoError(f"layer {i}: window exceeds input {shape}")
+            shape = (shape[0], h, w)
+        elif isinstance(layer, Dense):
+            flat = math.prod(shape)
+            if flat != layer.in_width:
+                raise GestemoError(
+                    f"layer {i}: fc expects width {layer.in_width}, input "
+                    f"flattens to {flat}")
+            shape = (layer.out_width,)
+        else:
+            raise GestemoError(f"layer {i}: unknown layer {layer!r}")
+        out.append(shape)
+    return out
+
+
 def default_architecture(num_classes: int, height: int = 32,
                          width: int = 32) -> SnnArchitecture:
     """Desk-scale default: two conv/pool blocks and two dense layers.  The
@@ -199,20 +205,10 @@ def default_architecture(num_classes: int, height: int = 32,
     if height < 10 or width < 10:
         raise GestemoError(f"planes of {width}x{height} are too small for the "
                            "default architecture, which needs at least 10x10")
-    h1 = (height - 3) + 1
-    w1 = (width - 3) + 1
-    h2 = (h1 // 2 - 3) + 1
-    w2 = (w1 // 2 - 3) + 1
-    flat = 32 * (h2 // 2) * (w2 // 2)
+    block = (Conv(2, 16, 3), Pool(2), Conv(16, 32, 3), Pool(2))
+    flat = math.prod(_shapes(block, (2, height, width))[-1])
     return SnnArchitecture(
-        layers=(
-            Conv(2, 16, 3),
-            Pool(2),
-            Conv(16, 32, 3),
-            Pool(2),
-            Dense(flat, 256),
-            Dense(256, num_classes),
-        ),
+        layers=(*block, Dense(flat, 256), Dense(256, num_classes)),
         input_shape=(2, height, width),
         num_classes=num_classes,
     )
@@ -220,26 +216,19 @@ def default_architecture(num_classes: int, height: int = 32,
 
 # -- parameters ----------------------------------------------------------------
 
-def _fans(layer: Layer) -> Tuple[int, int]:
-    if isinstance(layer, Conv):
-        rf = layer.kernel * layer.kernel
-        return layer.in_channels * rf, layer.out_channels * rf
-    return layer.in_width, layer.out_width
-
-
 def init_params(arch: SnnArchitecture, seed: int) -> Dict[str, np.ndarray]:
     """Seeded Xavier-uniform initialization; biases start at zero."""
     rng = np.random.default_rng(seed)
-    shapes = arch.param_shapes()
     params: Dict[str, np.ndarray] = {}
-    for i, layer in enumerate(arch.layers):
-        if isinstance(layer, Pool):
+    for name, shape in arch.param_shapes().items():
+        if name.endswith(".b"):
+            params[name] = np.zeros(shape)
             continue
-        kind = _LAYER_KIND[type(layer)]
-        fan_in, fan_out = _fans(layer)
+        # (out, in) or (out, in, kh, kw): the receptive field is shape[2:]
+        fan_in = math.prod(shape[1:])
+        fan_out = shape[0] * math.prod(shape[2:])
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        params[f"{kind}{i}.w"] = rng.uniform(-bound, bound, size=shapes[f"{kind}{i}.w"])
-        params[f"{kind}{i}.b"] = np.zeros(shapes[f"{kind}{i}.b"])
+        params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
@@ -309,55 +298,37 @@ def _lif_backward(vp: np.ndarray, s: np.ndarray, d_s: np.ndarray,
 
 # -- layer plumbing ---------------------------------------------------------------
 
-def _im2col_indices(cin, hin, win_, kh, kw, stride):
-    ho = (hin - kh) // stride + 1
-    wo = (win_ - kw) // stride + 1
-    c_idx = np.repeat(np.arange(cin), kh * kw)
-    di = np.tile(np.repeat(np.arange(kh), kw), cin)
-    dj = np.tile(np.arange(kw), cin * kh)
-    base = (c_idx * hin + di) * win_ + dj                 # (cin*kh*kw,)
+def _im2col_indices(cin, hin, win_, k, stride) -> np.ndarray:
+    """(P, K) flat input positions of each output position's receptive field."""
+    ho = (hin - k) // stride + 1
+    wo = (win_ - k) // stride + 1
+    c_idx = np.repeat(np.arange(cin), k * k)
+    di = np.tile(np.repeat(np.arange(k), k), cin)
+    dj = np.tile(np.arange(k), cin * k)
+    base = (c_idx * hin + di) * win_ + dj                 # (cin*k*k,)
     oi = np.repeat(np.arange(ho) * stride, wo)
     oj = np.tile(np.arange(wo) * stride, ho)
     offset = oi * win_ + oj                               # (ho*wo,)
-    return offset[:, None] + base[None, :], (ho, wo)      # (P, K)
+    return offset[:, None] + base[None, :]                # (P, K)
 
 
 class _Plan:
-    """Per-layer shapes, parameter names, and cached gather indices."""
+    """Per-layer input and output shapes and conv gather indices.  Nothing
+    changes it once built, so the worker thread may read it too."""
 
     def __init__(self, arch: SnnArchitecture):
         self.arch = arch
-        self.in_shapes: List[tuple] = []
         self.out_shapes = arch.output_shapes()
-        self.col_idx: List[Optional[np.ndarray]] = []
-        # per conv layer: (batch size, row-offset scatter indices) of the
-        # last backward pass
-        self._scatter: Dict[int, Tuple[int, np.ndarray]] = {}
-        shape = tuple(arch.input_shape)
-        for layer in arch.layers:
-            self.in_shapes.append(shape)
-            if isinstance(layer, Conv):
-                idx, _ = _im2col_indices(shape[0], shape[1], shape[2],
-                                         layer.kernel, layer.kernel, layer.stride)
-                self.col_idx.append(idx)
-            else:
-                self.col_idx.append(None)
-            shape = self.out_shapes[len(self.in_shapes) - 1]
+        self.in_shapes = [arch.input_shape, *self.out_shapes[:-1]]
+        self.col_idx: List[Optional[np.ndarray]] = [
+            _im2col_indices(*shape, layer.kernel, layer.stride)
+            if isinstance(layer, Conv) else None
+            for layer, shape in zip(arch.layers, self.in_shapes)]
 
     def cols(self, li: int, x: np.ndarray) -> np.ndarray:
         """im2col of x (B, C, H, W) for conv layer li: (B, P, K) float64,
         C-contiguous."""
         return np.take(_as_float(x).reshape(x.shape[0], -1), self.col_idx[li], axis=1)
-
-    def scatter_index(self, li: int, b: int) -> np.ndarray:
-        """Flat indices into (B * n_in) that col2im adds each column entry to."""
-        hit = self._scatter.get(li)
-        if hit is None or hit[0] != b:
-            n_in = int(np.prod(self.in_shapes[li]))
-            rows = np.arange(b, dtype=np.int64)[:, None] * n_in
-            hit = (b, (rows + self.col_idx[li].ravel()[None, :]).ravel())
-            self._scatter[li] = hit
-        return hit[1]
 
 
 @functools.lru_cache(maxsize=8)
@@ -479,10 +450,12 @@ def _input_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
         co = layer.out_channels
         d2 = d_out.reshape(b, co, -1).transpose(0, 2, 1)        # (B, P, Cout)
         d_cols = d2 @ params[f"conv{li}.w"].reshape(co, -1)     # (B, P, K)
-        n_in = int(np.prod(plan.in_shapes[li]))
-        # scatter-add overlapping windows back, one bin per (sample, input)
-        d_in = np.bincount(plan.scatter_index(li, b), weights=d_cols.ravel(),
-                           minlength=b * n_in)
+        n_in = math.prod(plan.in_shapes[li])
+        idx = plan.col_idx[li].ravel()
+        # scatter-add overlapping windows back, one sample at a time
+        d_in = np.empty((b, n_in))
+        for i in range(b):
+            d_in[i] = np.bincount(idx, weights=d_cols[i].ravel(), minlength=n_in)
         return d_in.reshape((b,) + plan.in_shapes[li])
     if isinstance(layer, Pool):
         c, h, w = plan.in_shapes[li]

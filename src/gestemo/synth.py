@@ -50,17 +50,18 @@ class DatasetSpec:
     train_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not self.gestures or self.per_class < 1:
+        # counts are drawn and allocated as int64
+        if not self.gestures or not 1 <= self.per_class < 1 << 63:
             raise GestemoError("need at least one gesture and one sample per class")
         if len(set(self.gestures)) != len(self.gestures):
             raise GestemoError("duplicate gesture in dataset spec")
         check_option("duration_us", self.duration_us)
-        if not (0 < self.min_events <= self.max_events):
+        if not (0 < self.min_events <= self.max_events < 1 << 63):
             raise GestemoError("bad event count range")
-        if not (1 <= self.min_frames <= self.max_frames):
+        if not (1 <= self.min_frames <= self.max_frames < 1 << 63):
             raise GestemoError("bad frame count range")
-        if self.feature_dim < 1:
-            raise GestemoError("feature dim must be >= 1")
+        if not 1 <= self.feature_dim < 1 << 63:
+            raise GestemoError("feature dim must be >= 1 and below 2**63")
         check_option("train_fraction", self.train_fraction)
 
 

@@ -35,6 +35,9 @@ TINY = [
 FAST_TRAIN = ["--epochs", "1", "--k", "3", "--hidden", "4", "--head-mid", "4",
               "--frame-limit", "5"]
 
+#: 2**63, the first integer past int64
+OVER_INT64 = "9223372036854775808"
+
 
 def tree_bytes(root):
     out = {}
@@ -218,6 +221,23 @@ def test_encode_bad_k_is_usage_error(tmp_path, capsys):
                  "--k", "0"]) == 1
     assert capsys.readouterr().err == "k must be >= 1, got 0\n"
     assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("encode", "--k"), ("encode", "--downsample"),
+    *(("synth", flag) for flag in (
+        "--per-class", "--width", "--height", "--duration-us", "--min-events",
+        "--max-events", "--min-frames", "--max-frames", "--feature-dim"))])
+def test_integer_flag_beyond_int64_is_one_line_usage_error(tmp_path, command, flag):
+    if command == "encode":
+        ev = tmp_path / "events.csv"
+        write_events_file(synth_stream(StreamSpec(Geometry(8, 8), 1000, 5), 0), ev)
+        args = [str(ev), "--out", str(tmp_path / "p.txt")]
+    else:
+        args = [str(tmp_path / "d"), *TINY]
+    code, out, err = run_main(command, *args, flag, OVER_INT64)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert not (tmp_path / "p.txt").exists() and not (tmp_path / "d").exists()
 
 
 def test_encode_rejects_lossy_scale_for_files(tmp_path, capsys):
@@ -445,11 +465,12 @@ def flag_of(key):
 
 #: out-of-range values of every numeric training option
 BAD_VALUES = {
-    "k": ["0"], "downsample": ["0"], "lam": ["-1", "nan"], "epochs": ["-1"],
-    "lr": ["inf"], "batch_size": ["-1"], "dropout": ["1.5"],
-    "surrogate_width": ["0", "nan"], "hidden": ["0"], "head_mid": ["0"],
-    "frame_limit": ["0"], "seed": ["-1"], "lif_beta": ["2"],
-    "lif_theta": ["0", "nan"],
+    "k": ["0", OVER_INT64], "downsample": ["0", OVER_INT64], "lam": ["-1", "nan"],
+    "epochs": ["-1", OVER_INT64], "lr": ["inf"], "batch_size": ["-1", OVER_INT64],
+    "dropout": ["1.5"], "surrogate_width": ["0", "nan"],
+    "hidden": ["0", OVER_INT64], "head_mid": ["0", OVER_INT64],
+    "frame_limit": ["0", OVER_INT64], "seed": ["-1", OVER_INT64],
+    "lif_beta": ["2"], "lif_theta": ["0", "nan"],
 }
 
 
@@ -661,9 +682,10 @@ def test_eval_non_finite_tensor_is_one_line_data_error(trained, tmp_path, value)
 
 def test_stats_bad_bin_width_is_usage_error(tmp_path, capsys):
     manifest = small_corpus(tmp_path)
-    assert main(["stats", manifest, "--bin-width", "0",
-                 "--out", str(tmp_path / "s")]) == 1
-    assert "--bin-width" in capsys.readouterr().err
+    for value in ("0", OVER_INT64):
+        assert main(["stats", manifest, "--bin-width", value,
+                     "--out", str(tmp_path / "s")]) == 1
+        assert "--bin-width" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ network gradients against central finite differences on the relaxed forward
 pass, which the analytic backward matches everywhere away from the clip
 kinks."""
 
+import pickle
 import sys
 import threading
 
@@ -114,6 +115,15 @@ def test_default_architecture_shapes():
     assert arch.param_names() == [
         "conv0.w", "conv0.b", "conv2.w", "conv2.b",
         "fc4.w", "fc4.b", "fc5.w", "fc5.b"]
+
+
+def test_default_architecture_dense_width_matches_hand_formula():
+    for height in range(10, 81):
+        for width in range(10, 81):
+            h2 = (height - 2) // 2 - 2
+            w2 = (width - 2) // 2 - 2
+            dense = default_architecture(3, height, width).layers[4]
+            assert dense.in_width == 32 * (h2 // 2) * (w2 // 2), (height, width)
 
 
 def test_architecture_round_trip():
@@ -552,3 +562,47 @@ def test_relaxed_forward_and_gradients_match_reference(arch_name, reset):
     assert np.allclose(plain, want_out, rtol=0, atol=1e-12)
     for name in want_grads:
         assert np.allclose(grads[name], want_grads[name], rtol=0, atol=1e-12), name
+
+
+def test_init_params_draws_like_per_layer_fans():
+    """Each layer's fans as the layer itself gives them, drawn in layer
+    order: conv (in * k * k, out * k * k), dense (in_width, out_width)."""
+    arch = ORACLE_ARCHS["stride2_conv"]
+    rng = np.random.default_rng(11)
+    want = {}
+    for i, layer in enumerate(arch.layers):
+        if isinstance(layer, Conv):
+            rf = layer.kernel * layer.kernel
+            fan_in, fan_out = layer.in_channels * rf, layer.out_channels * rf
+            name, shape = f"conv{i}", (layer.out_channels, layer.in_channels,
+                                       layer.kernel, layer.kernel)
+        elif isinstance(layer, Dense):
+            fan_in, fan_out = layer.in_width, layer.out_width
+            name, shape = f"fc{i}", (layer.out_width, layer.in_width)
+        else:
+            continue
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        want[name + ".w"] = rng.uniform(-bound, bound, size=shape)
+        want[name + ".b"] = np.zeros(shape[0])
+    got = init_params(arch, seed=11)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_plan_is_unchanged_by_forward_and_backward(monkeypatch):
+    # a second CPU, whatever the machine, so the worker paths may run
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    arch = ORACLE_ARCHS["stride2_conv"]
+    plan = snn._plan(arch)
+    before = pickle.dumps(vars(plan))
+    params = init_params(arch, seed=3)
+    rng = np.random.default_rng(3)
+    for batch in (8, 3):
+        planes = rng.random((batch, 4) + arch.input_shape) * 1.5
+        _, tape = snn_forward(planes, params, arch, LifConfig(theta=0.4),
+                              record=True)
+        assert tape.plan is plan
+        snn_backward(tape, rng.integers(0, 3, batch), params)
+        assert pickle.dumps(vars(plan)) == before, batch
