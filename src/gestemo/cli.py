@@ -9,7 +9,6 @@ unknown config keys are rejected.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -35,7 +34,8 @@ from .dataio import (
     write_planes_file,
 )
 from .encode import DenseSpikePlanes, dense_spike_planes, scale_planes
-from .errors import CHOICES, DivergedLossError, GestemoError, ParseError, check_option
+from .errors import (CHOICES, RANGES, DivergedLossError, GestemoError, ParseError,
+                     check_option)
 from .events import EmotionClass, Geometry, GestureClass
 from .fusion import FusionConfig, predict
 from .snn import LifConfig, default_architecture
@@ -101,13 +101,29 @@ TRAIN_DEFAULTS: Dict[str, object] = {
     "target": "emotion",
 }
 
+#: the data settings train records in a checkpoint and eval reads back:
+#: prepare_tensors' keyword names
+DATA_KEYS = ("k", "downsample", "scale_mode", "frame_limit", "target", "branch")
+
 #: DatasetSpec fields the synth command takes as flags of the same name
 SYNTH_KEYS = tuple(f.name for f in fields(DatasetSpec)
                    if f.name not in ("gestures", "geometry"))
 
 
+def _check_options(values: Dict[str, object]) -> None:
+    """Report the first value the option tables reject as a usage error;
+    None stands for an option not given."""
+    for key, value in values.items():
+        if value is not None and (key in RANGES or key in CHOICES):
+            try:
+                check_option(key, value)
+            except GestemoError as e:
+                raise _UsageError(str(e)) from None
+
+
 def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[str, object]:
-    """defaults < config file < explicit flags; unknown file keys rejected."""
+    """defaults < config file < explicit flags; unknown file keys rejected,
+    and every value checked against the option tables."""
     merged = dict(defaults)
     if getattr(ns, "config", None):
         try:
@@ -135,16 +151,8 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
         flag = getattr(ns, k, None)
         if flag is not None:
             merged[k] = flag
+    _check_options(merged)
     return merged
-
-
-@contextlib.contextmanager
-def _usage_errors(prefix: str = ""):
-    """Report a bad option value (GestemoError) as a usage error."""
-    try:
-        yield
-    except GestemoError as e:
-        raise _UsageError(prefix + str(e)) from None
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -158,9 +166,11 @@ def cmd_synth(ns) -> int:
             raise _UsageError(f"bad gesture list: {e}")
     else:
         gestures = tuple(GestureClass)
-    with _usage_errors():
+    try:
         spec = DatasetSpec(gestures=gestures, geometry=Geometry(ns.width, ns.height),
                            **{key: getattr(ns, key) for key in SYNTH_KEYS})
+    except GestemoError as e:
+        raise _UsageError(str(e)) from None
     manifest = build_dataset(ns.out, spec, seed=ns.seed)
     print(f"wrote {len(manifest.entries)} samples "
           f"({len(manifest.ids('train'))} train / {len(manifest.ids('test'))} test) "
@@ -197,9 +207,6 @@ def cmd_encode(ns) -> int:
         raise _UsageError(
             f"scale mode {ns.scale_mode!r} does not produce integer planes; "
             "use none or clip01 for file output")
-    with _usage_errors():
-        check_option("k", ns.k)
-        check_option("downsample", ns.downsample)
     stream = read_events_file(ns.events)
     planes = dense_spike_planes(stream, ns.k, factor=ns.downsample)
     if ns.scale_mode == "clip01":
@@ -216,8 +223,6 @@ def cmd_encode(ns) -> int:
 
 
 def cmd_stats(ns) -> int:
-    with _usage_errors("--bin-width: "):
-        check_option("bin_width", ns.bin_width)
     manifest = read_manifest(ns.manifest)
 
     def readable():
@@ -267,21 +272,14 @@ def _label_space(manifest: SplitManifest, target: str):
 def _load_split(manifest: SplitManifest, split: str, cfg: Dict[str, object],
                 label_space) -> TrainData:
     samples = [load_sample(manifest, sid) for sid in manifest.ids(split)]
-    return prepare_tensors(
-        samples, cfg["k"], downsample=cfg["downsample"],
-        scale_mode=cfg["scale_mode"], frame_limit=cfg["frame_limit"],
-        target=cfg["target"], label_space=label_space, branch=cfg["branch"])
+    return prepare_tensors(samples, label_space=label_space,
+                           **{key: cfg[key] for key in DATA_KEYS})
 
 
 def cmd_train(ns) -> int:
     cfg = merge_config(ns, TRAIN_DEFAULTS)
-    with _usage_errors():
-        lif = LifConfig(**{f.name: cfg["lif_" + f.name] for f in fields(LifConfig)})
-        tcfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
-        fusion = FusionConfig(cfg["lam"])
-        for key in ("k", "downsample", "hidden", "head_mid", "frame_limit",
-                    "scale_mode", "target", "split"):
-            check_option(key, cfg[key])
+    lif = LifConfig(**{f.name: cfg["lif_" + f.name] for f in fields(LifConfig)})
+    tcfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
     manifest = read_manifest(ns.manifest)
     target = cfg["target"]
     label_space = _label_space(manifest, target)
@@ -297,14 +295,11 @@ def cmd_train(ns) -> int:
     history = train(data, model, arch, lif, tcfg,
                     functools.partial(print, flush=True))
     ckpt = Checkpoint(
-        model=model, arch=arch, lif=lif, fusion=fusion,
+        model=model, arch=arch, lif=lif, fusion=FusionConfig(cfg["lam"]),
         seed=cfg["seed"],
         label_space=tuple(g.value for g in label_space),
-        extra={"branch": cfg["branch"], "mode": cfg["mode"], "target": target,
-               "k": cfg["k"], "downsample": cfg["downsample"],
-               "scale_mode": cfg["scale_mode"], "frame_limit": cfg["frame_limit"],
-               "final_loss": history[-1]["loss"] if history else None,
-               "epochs": cfg["epochs"]})
+        extra={**{key: cfg[key] for key in (*DATA_KEYS, "mode", "epochs")},
+               "final_loss": history[-1]["loss"] if history else None})
     save_checkpoint(ckpt, ns.out)
     print(f"saved checkpoint to {ns.out} "
           f"({len(data)} samples, {len(label_space)} classes, "
@@ -313,12 +308,9 @@ def cmd_train(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
-    with _usage_errors():
-        fusion = None if ns.lam is None else FusionConfig(ns.lam)
     ckpt = load_checkpoint(ns.checkpoint)
     manifest = read_manifest(ns.manifest)
-    cfg = {key: ckpt.extra.get(key, TRAIN_DEFAULTS[key]) for key in
-           ("k", "downsample", "scale_mode", "frame_limit", "target", "branch")}
+    cfg = {key: ckpt.extra.get(key, TRAIN_DEFAULTS[key]) for key in DATA_KEYS}
     target = cfg["target"]
     try:
         for key, value in cfg.items():
@@ -332,7 +324,7 @@ def cmd_eval(ns) -> int:
                          f"{ckpt.arch.num_classes} classes")
     branch = cfg["branch"] = ns.branch or cfg["branch"]
     data = _load_split(manifest, ns.split, cfg, label_space)
-    lam = (fusion or ckpt.fusion).lam
+    lam = ckpt.fusion.lam if ns.lam is None else ns.lam
     report, scores = evaluate(data, ckpt.model, ckpt.arch, ckpt.lif,
                               branch=branch, lam=lam)
     names = [g.value for g in label_space]
@@ -422,8 +414,6 @@ def _import_class_dirs(src: str, out: str, train_fraction: float) -> SplitManife
 
 
 def cmd_import(ns) -> int:
-    with _usage_errors():
-        check_option("train_fraction", ns.train_fraction)
     if not os.path.isdir(ns.src):
         raise _UsageError(f"no such directory: {ns.src}")
     if os.path.isfile(os.path.join(ns.src, "manifest.json")):
@@ -521,6 +511,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        _check_options(vars(ns))
     except _UsageError as e:
         _stderr(str(e))
         return EXIT_USAGE

@@ -210,6 +210,11 @@ def test_split_indices_rejects_unsorted_tags():
         split_indices([30, 10], [10, 20, 30])
 
 
+def test_split_indices_rejects_decreasing_times():
+    with pytest.raises(GestemoError, match="time list decreases at index 2"):
+        split_indices([15], [10, 20, 5])
+
+
 def test_segment_no_cuts_returns_whole_stream():
     s = synth_stream(StreamSpec(DAVIS346, 1000, 6), seed=0)
     segs = segment_events(s, [])

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main(); every command writes
 into tmp_path and assertions read the produced files back."""
 
+import argparse
 import contextlib
 import copy
 import filecmp
@@ -17,10 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gestemo.checkpoint import load_checkpoint
-from gestemo.cli import TRAIN_DEFAULTS, main
-from gestemo.dataio import (FrameFeatureSequence, read_manifest, read_planes_file,
-                            write_events_file, write_feature_file)
-from gestemo.errors import CHOICES
+from gestemo.cli import TRAIN_DEFAULTS, build_parser, main
+from gestemo.dataio import (FrameFeatureSequence, ManifestEntry, SplitManifest,
+                            read_manifest, read_planes_file, write_events_file,
+                            write_feature_file, write_manifest)
+from gestemo.errors import CHOICES, RANGES
 from gestemo.encode import dense_spike_planes, downsample_planes
 from gestemo.events import EventStream, Geometry, GestureClass, StreamSpec, synth_stream
 from gestemo.synth import DatasetSpec, build_dataset
@@ -94,6 +96,7 @@ def test_synth_rejects_unknown_gesture(tmp_path, capsys):
     ("--width", "0", "geometry must be positive"),
     ("--duration-us", "-1", "duration_us must be >= 0, got -1"),
     ("--train-fraction", "nan", "train_fraction must be in (0, 1), got nan"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_synth_bad_flag_value_is_usage_error(tmp_path, flag, value, message):
     out = tmp_path / "d"
@@ -238,6 +241,34 @@ def test_integer_flag_beyond_int64_is_one_line_usage_error(tmp_path, command, fl
     code, out, err = run_main(command, *args, flag, OVER_INT64)
     assert code == 1 and out == "" and err.count("\n") == 1
     assert not (tmp_path / "p.txt").exists() and not (tmp_path / "d").exists()
+
+
+def table_options():
+    """One case per option whose dest the option tables of gestemo.errors
+    name, on every subcommand: (command, flag, rejected value, positional
+    argument count)."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    cases = []
+    for command, sub in commands.items():
+        n_positional = sum(not a.option_strings for a in sub._actions)
+        for a in sub._actions:
+            if a.dest in RANGES or a.dest in CHOICES:
+                flag = a.option_strings[-1]
+                value = {int: "-1", float: "nan"}.get(a.type, "bogus")
+                cases.append(pytest.param(command, flag, value, n_positional,
+                                          id=f"{command}-{flag[2:]}"))
+    return cases
+
+
+@pytest.mark.parametrize("command,flag,value,n_positional", table_options())
+def test_every_table_option_is_checked_before_any_file_access(
+        tmp_path, monkeypatch, command, flag, value, n_positional):
+    monkeypatch.chdir(tmp_path)   # relative default outputs would land here
+    paths = [str(tmp_path / "missing" / str(i)) for i in range(n_positional)]
+    code, out, err = run_main(command, *paths, f"{flag}={value}")
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == []
 
 
 def test_encode_rejects_lossy_scale_for_files(tmp_path, capsys):
@@ -685,7 +716,10 @@ def test_stats_bad_bin_width_is_usage_error(tmp_path, capsys):
     for value in ("0", OVER_INT64):
         assert main(["stats", manifest, "--bin-width", value,
                      "--out", str(tmp_path / "s")]) == 1
-        assert "--bin-width" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "bin_width must be >= 1, got 0\n"
+        f"bin_width must be below 2**63, got {OVER_INT64}\n")
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.fixture(scope="module")
@@ -1003,6 +1037,27 @@ def test_train_planes_below_ten_by_ten_is_one_line_data_error(tmp_path):
                             "--out", str(out))
     assert code == 2 and err.count("\n") == 1
     assert "planes of 8x8 are too small" in err and "at least 10x10" in err
+    assert not out.exists()
+
+
+def test_train_mixed_plane_shapes_is_one_line_data_error(tmp_path):
+    entries = []
+    for side in (16, 20):
+        spec = DatasetSpec(gestures=(GestureClass.OK, GestureClass.NO), per_class=1,
+                           geometry=Geometry(side, side), duration_us=50_000,
+                           min_events=30, max_events=40, min_frames=3,
+                           max_frames=5, feature_dim=3)
+        part = f"d{side}"
+        for e in build_dataset(tmp_path / part, spec, seed=0).entries:
+            entries.append(ManifestEntry(
+                f"{part}-{e.id}", e.gesture, os.path.join(part, e.events), e.split,
+                os.path.join(part, e.features)))
+    manifest = tmp_path / "manifest.json"
+    write_manifest(SplitManifest(str(tmp_path), entries), manifest)
+    out = tmp_path / "m.ckpt"
+    code, stdout, err = run_main("train", str(manifest), *FAST_TRAIN, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == "error: inconsistent plane shapes: [(3, 2, 16, 16), (3, 2, 20, 20)]\n"
     assert not out.exists()
 
 

@@ -368,6 +368,15 @@ def test_header_size_outside_int64_is_one_line_parse_error(tmp_path, reader, tex
     assert len(message) < len(str(p)) + 120
 
 
+@pytest.mark.parametrize("header", ["a,b,c", "1,2"])
+def test_planes_header_not_three_integers_is_a_line_one_parse_error(tmp_path, header):
+    p = tmp_path / "p.txt"
+    p.write_text(f"{header}\n0 0\n0 0\n")
+    with pytest.raises(ParseError, match=f"bad planes header '{header}'") as ei:
+        read_planes_file(p)
+    assert ei.value.line == 1
+
+
 def test_tags_file_rows_count_from_line_one(tmp_path):
     p = tmp_path / "tags.txt"
     p.write_text("5\n\n-3\n 22 \n")
