@@ -12,25 +12,24 @@ import argparse
 import functools
 import json
 import os
-import shutil
 import sys
 import warnings
 from dataclasses import fields
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from .align import segment_events, split_indices
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataio import (
     DEFAULT_FRAME_LIMIT,
-    ManifestEntry,
     SplitManifest,
+    class_ids,
     load_sample,
     read_events_file,
     read_feature_file,
     read_manifest,
     read_tags_file,
+    write_dataset,
     write_events_file,
-    write_manifest,
     write_planes_file,
 )
 from .encode import DenseSpikePlanes, dense_spike_planes, scale_planes
@@ -47,7 +46,7 @@ from .stats import (
     summarize,
     time_sum_csv,
 )
-from .synth import DatasetSpec, build_dataset, train_count
+from .synth import DatasetSpec, build_dataset
 from .training import (
     TrainConfig,
     TrainData,
@@ -351,26 +350,16 @@ def cmd_eval(ns) -> int:
     return EXIT_OK
 
 
-def _import_converted(src: str, out: str) -> SplitManifest:
-    manifest = read_manifest(os.path.join(src, "manifest.json"))
-    os.makedirs(out, exist_ok=True)
-    entries = []
+def _converted_samples(manifest: SplitManifest) -> Iterator[tuple]:
+    """Each entry of a converted tree, read whole, with its id and split."""
     for e in manifest.entries:
-        for rel in (e.events, e.features):
-            if rel is None:
-                continue
-            dst = os.path.join(out, rel)
-            os.makedirs(os.path.dirname(dst), exist_ok=True)
-            src_path = manifest.path_of(rel)
-            if os.path.abspath(src_path) != os.path.abspath(dst):
-                shutil.copyfile(src_path, dst)
-        entries.append(e)
-    result = SplitManifest(root=os.path.abspath(out), entries=entries)
-    write_manifest(result, os.path.join(out, "manifest.json"))
-    return result
+        sample = load_sample(manifest, e.id)
+        yield e.id, e.gesture, e.split, sample.events, sample.features
 
 
-def _import_class_dirs(src: str, out: str, train_fraction: float) -> SplitManifest:
+def _class_dir_samples(src: str, train_fraction: float) -> Iterator[tuple]:
+    """Each <gesture>/<name>.csv under src, with <name>.txt as its features
+    when present, numbered and split per class in name order."""
     found = [g for g in GestureClass
              if os.path.isdir(os.path.join(src, g.value))]
     if not found:
@@ -378,50 +367,36 @@ def _import_class_dirs(src: str, out: str, train_fraction: float) -> SplitManife
             f"{src}: unrecognized layout; expected either a manifest.json or "
             f"per-gesture subdirectories named "
             f"{', '.join(g.value for g in GestureClass)} containing event csv files")
-    os.makedirs(os.path.join(out, "events"), exist_ok=True)
-    entries = []
-    any_features = False
+    n_samples = n_features = 0
     for g in found:
         gdir = os.path.join(src, g.value)
         csvs = sorted(f for f in os.listdir(gdir) if f.endswith(".csv"))
         if not csvs:
             _stderr(f"warning: {gdir} has no event csv files")
-            continue
-        n_train = train_count(train_fraction, len(csvs))
-        for i, name in enumerate(csvs):
+        for name, (sid, split) in zip(csvs, class_ids(g, len(csvs), train_fraction)):
             stream = read_events_file(os.path.join(gdir, name))
-            sid = f"{g.value}-{i:04d}"
-            ev_rel = os.path.join("events", f"{sid}.csv")
-            write_events_file(stream, os.path.join(out, ev_rel))
-            ft_rel = None
             ft_src = os.path.join(gdir, os.path.splitext(name)[0] + ".txt")
-            if os.path.isfile(ft_src):
-                read_feature_file(ft_src)  # validate before adopting
-                ft_rel = os.path.join("features", f"{sid}.txt")
-                os.makedirs(os.path.join(out, "features"), exist_ok=True)
-                shutil.copyfile(ft_src, os.path.join(out, ft_rel))
-                any_features = True
-            entries.append(ManifestEntry(
-                id=sid, gesture=g, events=ev_rel,
-                split="train" if i < n_train else "test", features=ft_rel))
-    if not entries:
+            features = read_feature_file(ft_src) if os.path.isfile(ft_src) else None
+            n_samples += 1
+            n_features += features is not None
+            yield sid, g, split, stream, features
+    if not n_samples:
         raise GestemoError(f"{src}: no event files found in any gesture directory")
-    if not any_features:
+    if not n_features:
         _stderr("note: no feature files found; frame branch will be unavailable")
-    manifest = SplitManifest(root=os.path.abspath(out), entries=entries)
-    write_manifest(manifest, os.path.join(out, "manifest.json"))
-    return manifest
 
 
 def cmd_import(ns) -> int:
     if not os.path.isdir(ns.src):
         raise _UsageError(f"no such directory: {ns.src}")
-    if os.path.isfile(os.path.join(ns.src, "manifest.json")):
-        manifest = _import_converted(ns.src, ns.out)
+    src_manifest = os.path.join(ns.src, "manifest.json")
+    if os.path.isfile(src_manifest):
+        samples = _converted_samples(read_manifest(src_manifest))
         kind = "converted tree"
     else:
-        manifest = _import_class_dirs(ns.src, ns.out, ns.train_fraction)
+        samples = _class_dir_samples(ns.src, ns.train_fraction)
         kind = "per-gesture directories"
+    manifest = write_dataset(ns.out, samples)
     print(f"imported {len(manifest.entries)} samples from {kind} "
           f"into {os.path.abspath(ns.out)}")
     return EXIT_OK

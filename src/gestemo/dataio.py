@@ -11,7 +11,7 @@ Four plain-text formats, chosen to be human-inspectable and diffable:
 * tag file      -- one integer timestamp per line, no header
 * manifest      -- a single JSON document listing samples, labels, file
                    paths (relative to the manifest's directory) and their
-                   train/test split
+                   train/test split; write_dataset writes a whole dataset
 
 Event, feature, plane and tag rows share one parser, ``_parse_rows``, and
 so one wording for each kind of bad row, always naming ``file:line``.
@@ -34,7 +34,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +56,8 @@ DEFAULT_FRAME_LIMIT = 100
 #: in memory
 _WRITE_CHUNK = 65_536
 
-_EVENT_HEADER = re.compile(r"^t,x,y,p geometry=(\d+)x(\d+)$")
+#: W and H at least 1, so every header the pattern takes is a Geometry
+_EVENT_HEADER = re.compile(r"^t,x,y,p geometry=(0*[1-9]\d*)x(0*[1-9]\d*)$")
 _FEATURE_HEADER = re.compile(r"^D=(\d+)$")
 #: an integer field that int() refuses only for its length
 _DIGITS = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -164,11 +165,11 @@ def read_events_file(path) -> EventStream:
     if not m:
         raise ParseError(f"{path}: bad event header {_quote(header)}", line=1)
     geometry = Geometry(*_header_ints(path, "event", header, m.groups()))
-    rows = _parse_rows(body, path, np.int64, 4, ",")
-    if rows.shape[0] == 0:
-        return EventStream.empty(geometry)
-    return EventStream.from_arrays(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3],
-                                   geometry)
+    rows = _parse_rows(body, path, np.int64, 4, ",").reshape(-1, 4)
+    try:
+        return EventStream.from_arrays(*rows.T, geometry)
+    except GestemoError as e:  # order, bounds or polarity
+        raise ParseError(f"{path}: {e}") from None
 
 
 def write_events_file(stream: EventStream, path) -> None:
@@ -410,20 +411,56 @@ def write_manifest(manifest: SplitManifest, path) -> None:
     os.replace(tmp, path)  # manifest appears atomically, after all data files
 
 
+def train_count(train_fraction: float, n: int) -> int:
+    """How many of a class's n samples go to the train split:
+    round(train_fraction * n), kept within [1, n]."""
+    return min(max(int(round(train_fraction * n)), 1), n)
+
+
+def class_ids(gesture: GestureClass, n: int,
+              train_fraction: float) -> Iterator[Tuple[str, str]]:
+    """(id, split) of each of a class's n samples in order: ids
+    <gesture>-<i:04d>, the first train_count(train_fraction, n) in train."""
+    n_train = train_count(train_fraction, n)
+    for i in range(n):
+        yield f"{gesture.value}-{i:04d}", "train" if i < n_train else "test"
+
+
+def write_dataset(root, samples: Iterable[tuple]) -> SplitManifest:
+    """Write each sample, an (id, gesture, split, events, features or None)
+    tuple taken one at a time, as events/<id>.csv and features/<id>.txt
+    under root, then the manifest, last; an id must be a plain file name.
+    Each file is written to <name>.tmp and moved into place after the last
+    sample, so no sample is read from a file an earlier one replaced."""
+    root = os.path.abspath(root)
+    entries = []
+    for sid, gesture, split, stream, features in samples:
+        if sid in ("", ".", "..") or os.path.basename(sid) != sid or "\0" in sid:
+            raise GestemoError(f"sample id {sid!r} is not a plain file name")
+        ev_rel = os.path.join("events", f"{sid}.csv")
+        os.makedirs(os.path.join(root, "events"), exist_ok=True)
+        write_events_file(stream, os.path.join(root, ev_rel + ".tmp"))
+        ft_rel = None
+        if features is not None:
+            ft_rel = os.path.join("features", f"{sid}.txt")
+            os.makedirs(os.path.join(root, "features"), exist_ok=True)
+            write_feature_file(features, os.path.join(root, ft_rel + ".tmp"))
+        entries.append(ManifestEntry(sid, gesture, ev_rel, split, ft_rel))
+    manifest = SplitManifest(root=root, entries=entries)
+    for e in entries:
+        for rel in filter(None, (e.events, e.features)):
+            os.replace(os.path.join(root, rel + ".tmp"), os.path.join(root, rel))
+    os.makedirs(root, exist_ok=True)
+    write_manifest(manifest, os.path.join(root, "manifest.json"))
+    return manifest
+
+
 def load_sample(manifest: SplitManifest, sample_id: str) -> SampleRecord:
     """Assemble a SampleRecord for one manifest entry; emotion is derived
     from the gesture label."""
     e = manifest.entry(sample_id)
-    events_path = manifest.path_of(e.events)
-    if not os.path.isfile(events_path):
-        raise GestemoError(f"sample {sample_id!r}: missing event file {events_path}")
-    stream = read_events_file(events_path)
-    features = None
-    if e.features is not None:
-        fpath = manifest.path_of(e.features)
-        if not os.path.isfile(fpath):
-            raise GestemoError(f"sample {sample_id!r}: missing feature file {fpath}")
-        features = read_feature_file(fpath)
+    stream = read_events_file(manifest.path_of(e.events))
+    features = (None if e.features is None
+                else read_feature_file(manifest.path_of(e.features)))
     return SampleRecord(id=e.id, gesture=e.gesture, emotion=emotion_of(e.gesture),
                         events=stream, features=features)
-

@@ -58,6 +58,7 @@ CHOICES = {
     "target": ("emotion", "gesture"),
     "lif_reset": ("to_zero", "subtract_theta"),
     "split": ("train", "test"),
+    "spike_fn": ("binary", "relaxed"),
 }
 
 

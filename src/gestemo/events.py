@@ -8,6 +8,7 @@ construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -67,8 +68,9 @@ class Geometry:
     height: int
 
     def __post_init__(self):
-        if not (1 <= self.width < 1 << 63 and 1 <= self.height < 1 << 63):
-            raise GestemoError(f"geometry must be positive and below 2**63, "
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   and 1 <= v < 1 << 63 for v in (self.width, self.height)):
+            raise GestemoError(f"geometry must be positive integers below 2**63, "
                                f"got {self.width}x{self.height}")
 
 

@@ -498,8 +498,7 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     tape when record=True); membranes always start at zero.
     """
     _require_params(arch, params)
-    if spike_fn not in _SPIKE_DTYPE:
-        raise ValueError(f"unknown spike function {spike_fn!r}")
+    check_option("spike_fn", spike_fn)
     x = np.asarray(planes, dtype=np.float64)
     if x.ndim != 5 or x.shape[2:] != tuple(arch.input_shape):
         raise GestemoError(

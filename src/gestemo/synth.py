@@ -2,26 +2,24 @@
 
 Each gesture class gets a distinct spatial event pattern (see events) and a
 distinct per-frame feature signature: a fixed random unit direction scaled
-by a half-sine envelope over the clip, plus sample noise.  Every sample is
-written through the standard file formats and listed in a manifest that is
-written last, so a crashed build never leaves a readable-but-wrong dataset.
+by a half-sine envelope over the clip, plus sample noise.  Samples are
+written one at a time through dataio.write_dataset, which writes the
+manifest last, so a crashed build never leaves a readable-but-wrong dataset.
 """
 
 from __future__ import annotations
 
-import os
+import numbers
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from .dataio import (
     FrameFeatureSequence,
-    ManifestEntry,
     SplitManifest,
-    write_events_file,
-    write_feature_file,
-    write_manifest,
+    class_ids,
+    write_dataset,
 )
 from .errors import GestemoError, check_option
 from .events import (
@@ -51,24 +49,25 @@ class DatasetSpec:
 
     def __post_init__(self):
         # counts are drawn and allocated as int64
-        if not self.gestures or not 1 <= self.per_class < 1 << 63:
+        for name in ("per_class", "min_events", "max_events", "min_frames",
+                     "max_frames", "feature_dim"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value >= 1 << 63):
+                raise GestemoError(f"{name} must be an integer below 2**63, "
+                                   f"got {value!r}")
+        if not self.gestures or self.per_class < 1:
             raise GestemoError("need at least one gesture and one sample per class")
         if len(set(self.gestures)) != len(self.gestures):
             raise GestemoError("duplicate gesture in dataset spec")
         check_option("duration_us", self.duration_us)
-        if not (0 < self.min_events <= self.max_events < 1 << 63):
+        if not 0 < self.min_events <= self.max_events:
             raise GestemoError("bad event count range")
-        if not (1 <= self.min_frames <= self.max_frames < 1 << 63):
+        if not 1 <= self.min_frames <= self.max_frames:
             raise GestemoError("bad frame count range")
-        if not 1 <= self.feature_dim < 1 << 63:
-            raise GestemoError("feature dim must be >= 1 and below 2**63")
+        if self.feature_dim < 1:
+            raise GestemoError("feature dim must be >= 1")
         check_option("train_fraction", self.train_fraction)
-
-
-def train_count(train_fraction: float, n: int) -> int:
-    """How many of a class's n samples go to the train split:
-    round(train_fraction * n), kept within [1, n]."""
-    return min(max(int(round(train_fraction * n)), 1), n)
 
 
 def class_direction(gesture: GestureClass, dim: int) -> np.ndarray:
@@ -90,43 +89,25 @@ def synth_features(gesture: GestureClass, n_frames: int, dim: int,
     return FrameFeatureSequence(dim, vectors)
 
 
-def build_dataset(root, spec: DatasetSpec = DatasetSpec(),
-                  seed: int = 0) -> SplitManifest:
-    """Generate event and feature files plus a manifest under root.
-
-    Within each class the first train_count(train_fraction, per_class)
-    samples go to the train split, the rest to test.  Same seed, same bytes.
-    """
-    root = os.path.abspath(root)
-    os.makedirs(os.path.join(root, "events"), exist_ok=True)
-    os.makedirs(os.path.join(root, "features"), exist_ok=True)
-    n_train = train_count(spec.train_fraction, spec.per_class)
-    entries = []
+def _synth_samples(spec: DatasetSpec, seed: int) -> Iterator[tuple]:
+    """The dataset's samples in order, each from its own child seed."""
     ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(spec.gestures) * spec.per_class)
-    ci = 0
     for gesture in spec.gestures:
-        for i in range(spec.per_class):
-            child = children[ci]
-            ci += 1
+        for sid, split in class_ids(gesture, spec.per_class, spec.train_fraction):
+            child, = ss.spawn(1)
             rng = np.random.default_rng(child)
             n_events = int(rng.integers(spec.min_events, spec.max_events + 1))
             n_frames = int(rng.integers(spec.min_frames, spec.max_frames + 1))
-            stream_seed = int(child.generate_state(1)[0])
             stream = synth_stream(
                 StreamSpec(geometry=spec.geometry, duration_us=spec.duration_us,
-                           n_events=n_events,
-                           pattern=PATTERN_OF_GESTURE[gesture]),
-                seed=stream_seed)
-            feats = synth_features(gesture, n_frames, spec.feature_dim, rng)
-            sid = f"{gesture.value}-{i:04d}"
-            ev_rel = os.path.join("events", f"{sid}.csv")
-            ft_rel = os.path.join("features", f"{sid}.txt")
-            write_events_file(stream, os.path.join(root, ev_rel))
-            write_feature_file(feats, os.path.join(root, ft_rel))
-            entries.append(ManifestEntry(
-                id=sid, gesture=gesture, events=ev_rel,
-                split="train" if i < n_train else "test", features=ft_rel))
-    manifest = SplitManifest(root=root, entries=entries)
-    write_manifest(manifest, os.path.join(root, "manifest.json"))
-    return manifest
+                           n_events=n_events, pattern=PATTERN_OF_GESTURE[gesture]),
+                seed=int(child.generate_state(1)[0]))
+            yield (sid, gesture, split, stream,
+                   synth_features(gesture, n_frames, spec.feature_dim, rng))
+
+
+def build_dataset(root, spec: DatasetSpec = DatasetSpec(),
+                  seed: int = 0) -> SplitManifest:
+    """Generate event and feature files plus a manifest under root (see
+    dataio.write_dataset).  Same seed, same bytes."""
+    return write_dataset(root, _synth_samples(spec, seed))

@@ -310,13 +310,18 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
     return loss_mse, loss_wce, grads
 
 
+def _check_branch(data: TrainData, model: ModelParams, branch: str) -> None:
+    """Refuse a branch whose parameters or inputs are missing."""
+    event, frame = branch != "video_only", branch != "snn_only"
+    if event and model.snn is None or frame and None in (model.lstm, model.head):
+        raise GestemoError(f"model has no parameters for branch {branch!r}")
+    if event and data.planes is None or frame and data.features is None:
+        raise GestemoError(f"data has no inputs for branch {branch!r}")
+
+
 def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
                  lif_cfg: LifConfig, cfg: TrainConfig,
                  log: Optional[Callable[[str], None]]) -> List[dict]:
-    if cfg.branch != "video_only" and (data.planes is None or model.snn is None):
-        raise GestemoError("event branch requested without planes or params")
-    if cfg.branch != "snn_only" and (data.features is None or model.lstm is None):
-        raise GestemoError("frame branch requested without features or params")
     n = len(data)
     weights = class_weights(data.labels, arch.num_classes)
     params = model.flat()
@@ -364,6 +369,7 @@ def train(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     reported as divergence, like an out-of-bounds loss."""
     if len(data) == 0:
         raise GestemoError("training split is empty")
+    _check_branch(data, model, cfg.branch)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if cfg.branch != "fused" or cfg.mode != "separate":
@@ -388,9 +394,7 @@ def scores_for(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     if len(data) == 0:
         raise GestemoError("evaluation split is empty")
     check_option("branch", branch)
-    if (branch != "video_only" and model.snn is None
-            or branch != "snn_only" and None in (model.lstm, model.head)):
-        raise GestemoError(f"model has no parameters for branch {branch!r}")
+    _check_branch(data, model, branch)
     s_dg = logits = None
     if branch != "video_only":
         s_dg = snn_forward(data.planes, model.snn, arch, lif_cfg)

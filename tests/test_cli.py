@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from gestemo.checkpoint import load_checkpoint
 from gestemo.cli import TRAIN_DEFAULTS, build_parser, main
 from gestemo.dataio import (FrameFeatureSequence, ManifestEntry, SplitManifest,
-                            read_manifest, read_planes_file, write_events_file,
-                            write_feature_file, write_manifest)
+                            load_sample, read_events_file, read_manifest,
+                            read_planes_file, write_events_file, write_feature_file,
+                            write_manifest)
 from gestemo.errors import CHOICES, RANGES
 from gestemo.encode import dense_spike_planes, downsample_planes
 from gestemo.events import EventStream, Geometry, GestureClass, StreamSpec, synth_stream
@@ -1135,6 +1136,115 @@ def test_import_per_gesture_directories(tmp_path, capsys):
     assert all(e.features for e in m.entries)
 
 
+def as_gesture_dirs(manifest, raw):
+    """The corpus of manifest as per-gesture directories under raw: each
+    sample's files as <gesture>/<id>.csv and <gesture>/<id>.txt."""
+    m = read_manifest(manifest)
+    for e in m.entries:
+        os.makedirs(raw / e.gesture.value, exist_ok=True)
+        for rel, ext in ((e.events, ".csv"), (e.features, ".txt")):
+            with open(m.path_of(rel), "rb") as f:
+                (raw / e.gesture.value / (e.id + ext)).write_bytes(f.read())
+    return raw
+
+
+@pytest.mark.parametrize("layout", ["converted tree", "per-gesture directories"])
+def test_import_of_a_synth_corpus_is_byte_identical(tmp_path, capsys, layout):
+    manifest = small_corpus(tmp_path)
+    src = (os.path.dirname(manifest) if layout == "converted tree"
+           else as_gesture_dirs(manifest, tmp_path / "raw"))
+    dst = tmp_path / "imported"
+    assert main(["import", str(src), str(dst)]) == 0
+    assert f"imported 9 samples from {layout}" in capsys.readouterr().out
+    assert tree_bytes(dst) == tree_bytes(os.path.dirname(manifest))
+
+
+def test_import_of_a_converted_tree_onto_itself_is_unchanged(tmp_path, capsys):
+    root = os.path.dirname(small_corpus(tmp_path))
+    before = tree_bytes(root)
+    assert main(["import", root, root]) == 0
+    assert tree_bytes(root) == before
+
+
+def test_import_onto_itself_reads_every_sample_before_replacing_a_file(
+        tmp_path, capsys):
+    manifest = small_corpus(tmp_path)
+    root = os.path.dirname(manifest)
+    doc = json.loads(open(manifest).read())
+    first, second = doc["entries"][:2]  # each names the other's event file
+    first["events"], second["events"] = second["events"], first["events"]
+    with open(manifest, "w") as f:
+        json.dump(doc, f)
+    before = {e["id"]: read_events_file(os.path.join(root, e["events"]))
+              for e in doc["entries"]}
+    assert main(["import", root, root]) == 0
+    m = read_manifest(manifest)
+    assert {e.id: load_sample(m, e.id).events for e in m.entries} == before
+    assert not [rel for rel in tree_bytes(root) if rel.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("rel,text", [
+    ("events/no-0001.csv", "t,x,y,p geometry=16x16\n5,0,0,1\n3,0,0,1\n"),
+    ("features/no-0001.txt", "D=3\n1 2\n"),
+])
+def test_import_of_a_corrupt_file_is_one_line_data_error(tmp_path, rel, text):
+    root = os.path.dirname(small_corpus(tmp_path))
+    bad = os.path.join(root, rel)
+    with open(bad, "w") as f:
+        f.write(text)
+    dst = tmp_path / "imported"
+    code, out, err = run_main("import", root, str(dst))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    named = err[len("error: "):].split(":")[0]
+    assert err.startswith("error: ") and os.path.samefile(named, bad)
+    assert not (dst / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("sid", ["..", "a/b", "../escape", "/abs"])
+def test_import_refuses_an_id_that_is_not_a_plain_file_name(tmp_path, sid):
+    manifest = small_corpus(tmp_path)
+    doc = json.loads(open(manifest).read())
+    doc["entries"][-1]["id"] = sid
+    with open(manifest, "w") as f:
+        json.dump(doc, f)
+    dst = tmp_path / "nest" / "out"
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run_main("import", os.path.dirname(manifest), str(dst))
+    assert (code, out) == (2, "")
+    assert err == f"error: sample id {sid!r} is not a plain file name\n"
+    assert sorted(os.listdir(tmp_path)) == before + ["nest"]
+    assert os.listdir(tmp_path / "nest") == ["out"]
+    assert not (dst / "manifest.json").exists()
+
+
+def test_import_writes_no_file_outside_out_for_a_path_outside_src(tmp_path, capsys):
+    manifest = small_corpus(tmp_path)
+    doc = json.loads(open(manifest).read())
+    os.replace(os.path.join(os.path.dirname(manifest), doc["entries"][0]["events"]),
+               tmp_path / "escape.csv")
+    doc["entries"][0]["events"] = "../escape.csv"
+    with open(manifest, "w") as f:
+        json.dump(doc, f)
+    dst = tmp_path / "nest" / "out"
+    assert main(["import", os.path.dirname(manifest), str(dst)]) == 0
+    assert os.listdir(tmp_path / "nest") == ["out"]
+    m = read_manifest(dst / "manifest.json")
+    assert m.entries[0].events == os.path.join("events", m.entries[0].id + ".csv")
+    assert tree_bytes(dst)[m.entries[0].events] == (tmp_path / "escape.csv").read_bytes()
+
+
+def test_import_of_gesture_dirs_writes_the_one_spelling(tmp_path, capsys):
+    gdir = tmp_path / "raw" / "ok"
+    gdir.mkdir(parents=True)
+    (gdir / "rec.csv").write_text("t,x,y,p geometry=4x4\r\n+7, 01,0,1\r\n")
+    (gdir / "rec.txt").write_text("D=2\n1.0  2.50\n")
+    dst = tmp_path / "imported"
+    assert main(["import", str(tmp_path / "raw"), str(dst)]) == 0
+    assert (dst / "events" / "ok-0000.csv").read_bytes() == \
+        b"t,x,y,p geometry=4x4\n7,1,0,1\n"
+    assert (dst / "features" / "ok-0000.txt").read_bytes() == b"D=2\n1 2.5\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "5"])
 def test_import_bad_train_fraction_is_usage_error(tmp_path, value):
     src = tmp_path / "raw" / "ok"
@@ -1154,6 +1264,12 @@ def test_import_unknown_layout_diagnostic(tmp_path, capsys):
     (src / "random.bin").write_bytes(b"\x00")
     assert main(["import", str(src), str(tmp_path / "out")]) == 2
     assert "unrecognized layout" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    (src / "ok").mkdir()  # a gesture directory without event files
+    assert main(["import", str(src), str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith(
+        ": no event files found in any gesture directory\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_missing_source(tmp_path, capsys):

@@ -14,6 +14,7 @@ from gestemo.dataio import (
     _parse_rows_slow,
     ManifestEntry,
     SplitManifest,
+    class_ids,
     load_sample,
     read_events_file,
     read_feature_file,
@@ -22,6 +23,7 @@ from gestemo.dataio import (
     read_tags_file,
     write_events_file,
     write_feature_file,
+    write_dataset,
     write_manifest,
 )
 from gestemo.errors import GestemoError, ParseError
@@ -281,6 +283,23 @@ def test_events_file_bad_header(tmp_path):
         read_events_file(p)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("t,x,y,p geometry=4x4\n5,0,0,1\n3,0,0,1\n",
+     ": timestamp decreases at index 1 (5 -> 3)"),
+    ("t,x,y,p geometry=4x4\n1,9,0,1\n", ": event 0 (9,0,t=1) outside 4x4"),
+    ("t,x,y,p geometry=4x4\n1,0,0,2\n", ": event 0 has polarity 2"),
+    ("t,x,y,p geometry=0x5\n", ": bad event header 't,x,y,p geometry=0x5'"),
+    ("t,x,y,p geometry=4x00\n", ": bad event header 't,x,y,p geometry=4x00'"),
+])
+def test_event_file_content_errors_name_the_file(tmp_path, text, message):
+    p = tmp_path / "e.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError) as e:
+        read_events_file(p)
+    assert str(e.value) == f"{p}{message}"
+    assert e.value.line == (1 if "header" in message else None)
+
+
 def test_feature_file_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     seq = FrameFeatureSequence(5, rng.normal(size=(7, 5)))
@@ -476,3 +495,43 @@ def test_split_partition(tmp_path):
     m = _make_dataset(tmp_path)
     train, test = set(m.ids("train")), set(m.ids("test"))
     assert not train & test and train | test == set(m.ids()) == {"a"}
+
+
+def test_class_ids_number_and_split_a_class_in_order():
+    assert list(class_ids(GestureClass.NO, 3, 2 / 3)) == [
+        ("no-0000", "train"), ("no-0001", "train"), ("no-0002", "test")]
+    # at least one sample goes to train, and never more than there are
+    assert [s for _, s in class_ids(GestureClass.OK, 2, 0.01)] == ["train", "test"]
+    assert [s for _, s in class_ids(GestureClass.OK, 2, 0.99)] == ["train", "train"]
+    assert list(class_ids(GestureClass.OK, 0, 0.5)) == []
+
+
+@pytest.mark.parametrize("sid", ["", ".", "..", "a/b", "../x", "/x", "a\0b"])
+def test_write_dataset_refuses_an_id_that_is_not_a_plain_file_name(tmp_path, sid):
+    stream = synth_stream(StreamSpec(Geometry(4, 4), 1000, 5), seed=0)
+    out = tmp_path / "a" / "out"
+    with pytest.raises(GestemoError) as e:
+        write_dataset(out, [(sid, GestureClass.OK, "train", stream, None)])
+    assert str(e.value) == f"sample id {sid!r} is not a plain file name"
+    assert not (tmp_path / "a").exists()
+
+
+def test_write_dataset_layout(tmp_path):
+    stream = synth_stream(StreamSpec(Geometry(4, 4), 1000, 5), seed=0)
+    feats = FrameFeatureSequence(2, [[1.0, 2.5]])
+    m = write_dataset(tmp_path / "d", [
+        ("a", GestureClass.OK, "train", stream, feats),
+        ("b", GestureClass.NO, "test", stream, None)])
+    assert sorted(os.listdir(tmp_path / "d")) == ["events", "features", "manifest.json"]
+    back = read_manifest(tmp_path / "d" / "manifest.json")
+    assert back.entries == m.entries == [
+        ManifestEntry("a", GestureClass.OK, os.path.join("events", "a.csv"), "train",
+                      os.path.join("features", "a.txt")),
+        ManifestEntry("b", GestureClass.NO, os.path.join("events", "b.csv"), "test")]
+    assert (tmp_path / "d" / "features" / "a.txt").read_text() == "D=2\n1 2.5\n"
+    assert load_sample(back, "b").events == stream
+
+
+def test_write_dataset_of_no_samples_writes_an_empty_manifest(tmp_path):
+    m = write_dataset(tmp_path / "d", iter(()))
+    assert m.entries == [] and os.listdir(tmp_path / "d") == ["manifest.json"]

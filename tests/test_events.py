@@ -136,3 +136,12 @@ def test_stream_slice_and_eq():
     right = s.slice(40, 100)
     assert len(left) == 40 and len(right) == 60
     assert list(left.t) + list(right.t) == list(s.t)
+
+
+@pytest.mark.parametrize("width,height", [
+    (3.5, 4), (4, 2.0), (True, True), (4, False), ("4", 4), (0, 4), (4, 1 << 63)])
+def test_geometry_refuses_a_size_that_is_not_a_positive_int64(width, height):
+    with pytest.raises(GestemoError) as e:
+        Geometry(width, height)
+    assert str(e.value) == ("geometry must be positive integers below 2**63, "
+                            f"got {width}x{height}")

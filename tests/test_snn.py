@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gestemo import snn
-from gestemo.errors import GestemoError
+from gestemo.errors import CHOICES, GestemoError
 from gestemo.snn import (
     DEFAULT_SURROGATE_WIDTH,
     Conv,
@@ -194,6 +194,15 @@ def test_forward_rejects_wrong_input_shape():
     # one sample without its batch axis
     with pytest.raises(GestemoError, match=r"planes shape \(3, 2, 8, 8\) incompatible"):
         snn_forward(np.zeros((3, 2, 8, 8)), params, arch)
+
+
+def test_forward_rejects_unknown_spike_function():
+    arch = small_arch()
+    params = init_params(arch, seed=1)
+    with pytest.raises(GestemoError) as e:
+        snn_forward(np.zeros((1, 3, 2, 8, 8)), params, arch, spike_fn="bogus")
+    assert str(e.value) == "spike_fn must be one of binary, relaxed, got 'bogus'"
+    assert CHOICES["spike_fn"] == tuple(snn._SPIKE_DTYPE)
 
 
 def test_backward_requires_tape():

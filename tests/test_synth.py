@@ -38,6 +38,15 @@ def test_spec_validation():
         DatasetSpec(train_fraction=1.0)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("per_class", 2.5), ("per_class", True), ("feature_dim", 2.0),
+    ("min_events", np.float64(800)), ("max_frames", 1 << 63), ("min_frames", "3")])
+def test_spec_refuses_a_size_that_is_not_an_int64(name, value):
+    with pytest.raises(GestemoError) as e:
+        DatasetSpec(**{name: value})
+    assert str(e.value) == f"{name} must be an integer below 2**63, got {value!r}"
+
+
 def test_class_direction_unit_and_stable():
     d1 = class_direction(GestureClass.OK, 8)
     d2 = class_direction(GestureClass.OK, 8)

@@ -605,3 +605,18 @@ def test_emotion_report_rejects_emotion_labels():
                      tuple(EmotionClass))
     with pytest.raises(GestemoError, match="labels are already emotion-level"):
         emotion_report(data, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("mode", ["joint", "separate"])
+@pytest.mark.parametrize("branch", ["fused", "video_only"])
+@pytest.mark.parametrize("missing", ["lstm", "head"])
+def test_train_refuses_a_model_without_a_frame_branch_part(missing, branch, mode):
+    model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=0)
+    before = {k: v.copy() for k, v in model.flat().items()}
+    setattr(model, missing, None)
+    with pytest.raises(GestemoError) as e:
+        train(toy_data(), model, ARCH,
+              cfg=TrainConfig(epochs=1, branch=branch, mode=mode))
+    assert str(e.value) == f"model has no parameters for branch {branch!r}"
+    # refused before any epoch: no parameter moved
+    assert all(np.array_equal(before[k], v) for k, v in model.flat().items())
