@@ -68,9 +68,7 @@ from .snn import (
     SnnArchitecture,
     default_architecture,
     init_params,
-    lif_step,
     mse_spike_loss,
-    snn_backward,
     snn_forward,
 )
 from .stats import ClassStats, FiveNumber, dataset_stats

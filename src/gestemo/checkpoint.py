@@ -9,6 +9,7 @@ the header's order.  Saving and loading round-trips bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -69,7 +70,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def _is_tensor_spec(t) -> bool:
     return (isinstance(t, dict) and isinstance(t.get("name"), str)
             and isinstance(t.get("shape"), list)
-            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
+            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
                     for d in t["shape"]))
 
 
@@ -105,7 +106,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (KeyError, TypeError, ValueError, ArithmeticError, GestemoError) as e:
         raise ParseError(f"{path}: bad model description in header ({e!r})")
     blob = data[nl + 1:]
-    sizes = [int(np.prod(t["shape"], dtype=np.int64)) for t in header["tensors"]]
+    sizes = [math.prod(t["shape"]) for t in header["tensors"]]
     if len(blob) != 8 * sum(sizes):
         raise ParseError(f"{path}: tensor block is {len(blob)} bytes, "
                          f"header promises {8 * sum(sizes)}")

@@ -363,8 +363,8 @@ def read_manifest(path) -> SplitManifest:
             and isinstance(doc.get("entries", []), list)):
         raise ParseError(f"{path}: expected an object with a string root "
                          f"and a list of entries")
-    root = os.path.join(os.path.dirname(os.path.abspath(path)),
-                        doc.get("root", "."))
+    root = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)),
+                                         doc.get("root", ".")))
     entries = []
     for i, raw in enumerate(doc.get("entries", [])):
         if not isinstance(raw, dict):
@@ -431,25 +431,33 @@ def write_dataset(root, samples: Iterable[tuple]) -> SplitManifest:
     tuple taken one at a time, as events/<id>.csv and features/<id>.txt
     under root, then the manifest, last; an id must be a plain file name.
     Each file is written to <name>.tmp and moved into place after the last
-    sample, so no sample is read from a file an earlier one replaced."""
+    sample, so no sample is read from a file an earlier one replaced; a
+    write that fails removes the .tmp files it made."""
     root = os.path.abspath(root)
-    entries = []
-    for sid, gesture, split, stream, features in samples:
-        if sid in ("", ".", "..") or os.path.basename(sid) != sid or "\0" in sid:
-            raise GestemoError(f"sample id {sid!r} is not a plain file name")
-        ev_rel = os.path.join("events", f"{sid}.csv")
-        os.makedirs(os.path.join(root, "events"), exist_ok=True)
-        write_events_file(stream, os.path.join(root, ev_rel + ".tmp"))
-        ft_rel = None
-        if features is not None:
-            ft_rel = os.path.join("features", f"{sid}.txt")
-            os.makedirs(os.path.join(root, "features"), exist_ok=True)
-            write_feature_file(features, os.path.join(root, ft_rel + ".tmp"))
-        entries.append(ManifestEntry(sid, gesture, ev_rel, split, ft_rel))
+    entries, tmps = [], []
+    try:
+        for sid, gesture, split, stream, features in samples:
+            if sid in ("", ".", "..") or os.path.basename(sid) != sid or "\0" in sid:
+                raise GestemoError(f"sample id {sid!r} is not a plain file name")
+            ev_rel = os.path.join("events", f"{sid}.csv")
+            os.makedirs(os.path.join(root, "events"), exist_ok=True)
+            tmps.append(os.path.join(root, ev_rel + ".tmp"))
+            write_events_file(stream, tmps[-1])
+            ft_rel = None
+            if features is not None:
+                ft_rel = os.path.join("features", f"{sid}.txt")
+                os.makedirs(os.path.join(root, "features"), exist_ok=True)
+                tmps.append(os.path.join(root, ft_rel + ".tmp"))
+                write_feature_file(features, tmps[-1])
+            entries.append(ManifestEntry(sid, gesture, ev_rel, split, ft_rel))
+        for tmp in tmps:
+            os.replace(tmp, tmp.removesuffix(".tmp"))
+    except BaseException:
+        for tmp in tmps:   # a file already moved into place has no .tmp
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
     manifest = SplitManifest(root=root, entries=entries)
-    for e in entries:
-        for rel in filter(None, (e.events, e.features)):
-            os.replace(os.path.join(root, rel + ".tmp"), os.path.join(root, rel))
     os.makedirs(root, exist_ok=True)
     write_manifest(manifest, os.path.join(root, "manifest.json"))
     return manifest

@@ -138,9 +138,6 @@ class SnnArchitecture:
                 shapes[f"fc{i}.b"] = (layer.out_width,)
         return shapes
 
-    def param_names(self) -> List[str]:
-        return list(self.param_shapes())
-
     def to_dict(self) -> dict:
         return {
             "input_shape": list(self.input_shape),
@@ -233,28 +230,12 @@ def init_params(arch: SnnArchitecture, seed: int) -> Dict[str, np.ndarray]:
 
 
 def _require_params(arch: SnnArchitecture, params: Dict[str, np.ndarray]) -> None:
-    for name in arch.param_names():
+    for name in arch.param_shapes():
         if name not in params:
             raise GestemoError(f"missing parameter {name!r}")
 
 
 # -- LIF dynamics ----------------------------------------------------------------
-
-def lif_step(potential: np.ndarray, input_current: np.ndarray,
-             cfg: LifConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """One membrane update: leak, integrate, threshold, reset.
-
-    Returns (new_potential, spikes); spikes are exactly 0.0 or 1.0 and fire
-    on v' >= theta (threshold equality fires).
-    """
-    v = np.array(potential, dtype=np.float64)
-    i = np.asarray(input_current, dtype=np.float64)
-    if v.shape != i.shape:
-        raise GestemoError(f"potential {v.shape} vs current {i.shape}")
-    s = np.empty(v.shape, dtype=bool)
-    _lif_forward(v, i, np.empty_like(v), s, cfg, DEFAULT_SURROGATE_WIDTH)
-    return v, s.astype(np.float64)
-
 
 def _lif_forward(v: np.ndarray, current: np.ndarray, vp: np.ndarray,
                  s: np.ndarray, cfg: LifConfig, width: float) -> None:
@@ -483,7 +464,6 @@ class SnnTape:
     x: np.ndarray                       # (B, K, C, H, W)
     vpre: List[np.ndarray]              # per layer (K, B, ...)
     spikes: List[np.ndarray]
-    s_dg: np.ndarray                    # (B, classes)
 
 
 def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
@@ -541,7 +521,7 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     run(range(n_sp, len(arch.layers)), slice(None))
     s_dg = out_sum / k
     if record:
-        return s_dg, SnnTape(plan, cfg, surrogate_width, x, vpre, spikes, s_dg)
+        return s_dg, SnnTape(plan, cfg, surrogate_width, x, vpre, spikes)
     return s_dg
 
 
@@ -550,14 +530,14 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
     """Backpropagate an arbitrary loss gradient d(loss)/d(s_dg) through the
     recorded K steps; returns gradients for every weighted layer."""
     if tape is None:
-        raise GestemoError("snn_backward requires a recorded forward tape")
+        raise GestemoError("snn_backward_from_output requires a recorded tape")
     plan, cfg = tape.plan, tape.cfg
     arch = plan.arch
     k, b = tape.spikes[0].shape[0], tape.spikes[0].shape[1]
     d_sdg = np.asarray(d_sdg, dtype=np.float64)
     if d_sdg.shape != (b, arch.num_classes):
         raise GestemoError(f"d_sdg shape {d_sdg.shape} != ({b},{arch.num_classes})")
-    grads = {name: np.zeros_like(params[name]) for name in arch.param_names()}
+    grads = {name: np.zeros_like(params[name]) for name in arch.param_shapes()}
     dv_carry = [np.zeros((b,) + shp) for shp in plan.out_shapes]
     # one scratch pair serves every layer: a layer's dvp is consumed before
     # the next layer writes the pair again (the worker gets its own copy)
@@ -605,13 +585,3 @@ def mse_spike_loss(s_dg: np.ndarray, targets: np.ndarray) -> Tuple[float, np.nda
     diff = s - target
     loss = float((diff * diff).sum() / (b * c))
     return loss, 2.0 * diff / (b * c)
-
-
-def snn_backward(tape: Optional[SnnTape], targets: np.ndarray,
-                 params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Gradients of mse_spike_loss against targets: int class labels (B,),
-    or one-hot or soft targets (B, C)."""
-    if tape is None:
-        raise GestemoError("snn_backward requires a recorded forward tape")
-    return snn_backward_from_output(tape, mse_spike_loss(tape.s_dg, targets)[1],
-                                    params)

@@ -273,40 +273,33 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
                      arch: SnnArchitecture, lif_cfg: LifConfig, cfg: TrainConfig,
                      weights: np.ndarray, rng: np.random.Generator
                      ) -> Tuple[float, float, Dict[str, np.ndarray]]:
-    """(mse, wce, gradients) of one batch.  The forward tapes are locals
-    here, so they are freed before the caller's optimizer step."""
-    use_snn = cfg.branch != "video_only"
-    use_video = cfg.branch != "snn_only"
+    """(mse, wce, gradients) of one batch: the event part's spike-rate MSE
+    on s_dg, and the frame part's weighted cross entropy on its scores,
+    which are fused with s_dg when the event part runs.  The forward tapes
+    are locals here, so they are freed before the caller's optimizer step."""
     y = data.labels[idx]
     grads: Dict[str, np.ndarray] = {}
-    loss_mse = 0.0
-    loss_wce = 0.0
-    if use_snn:
+    loss_mse = loss_wce = 0.0
+    s_dg = None
+    if cfg.branch != "video_only":
         s_dg, tape = snn_forward(
             data.planes[idx], model.snn, arch, lif_cfg,
             surrogate_width=cfg.surrogate_width, record=True)
-    if use_video:
+        loss_mse, d_sdg = mse_spike_loss(s_dg, y)
+    if cfg.branch != "snn_only":
         h, rtape = recurrent_forward(data.features[idx], model.lstm, record=True)
         logits, htape = head_forward(h, model.head, rng=rng, dropout=cfg.dropout,
                                      record=True)
-    if cfg.branch == "snn_only":
-        loss_mse, d_sdg = mse_spike_loss(s_dg, y)
-        d_logits = None
-    elif cfg.branch == "video_only":
-        loss_wce, d_logits = weighted_cross_entropy(logits, y, weights)
-        d_sdg = None
-    else:
-        y_hat = fuse(s_dg, logits, FusionConfig(cfg.lam))
-        loss_mse, d_sdg = mse_spike_loss(s_dg, y)
-        loss_wce, d_fused = weighted_cross_entropy(y_hat, y, weights)
-        d_sdg = d_sdg + d_fused
-        d_logits = cfg.lam * d_fused
-    if use_snn:
-        grads.update(snn_backward_from_output(tape, d_sdg, model.snn))
-    if use_video:
-        hg, d_h = head_backward(htape, d_logits, model.head)
+        scores = logits if s_dg is None else fuse(s_dg, logits, FusionConfig(cfg.lam))
+        loss_wce, d_scores = weighted_cross_entropy(scores, y, weights)
+        if s_dg is not None:
+            d_sdg = d_sdg + d_scores
+            d_scores = cfg.lam * d_scores
+        hg, d_h = head_backward(htape, d_scores, model.head)
         grads.update(hg)
         grads.update(recurrent_backward(rtape, d_h, model.lstm))
+    if s_dg is not None:
+        grads.update(snn_backward_from_output(tape, d_sdg, model.snn))
     return loss_mse, loss_wce, grads
 
 
@@ -395,17 +388,13 @@ def scores_for(data: TrainData, model: ModelParams, arch: SnnArchitecture,
         raise GestemoError("evaluation split is empty")
     check_option("branch", branch)
     _check_branch(data, model, branch)
-    s_dg = logits = None
+    s_dg = scores = None
     if branch != "video_only":
-        s_dg = snn_forward(data.planes, model.snn, arch, lif_cfg)
+        s_dg = scores = snn_forward(data.planes, model.snn, arch, lif_cfg)
     if branch != "snn_only":
-        h = recurrent_forward(data.features, model.lstm)
-        logits = head_forward(h, model.head)
-    if branch == "snn_only":
-        return s_dg
-    if branch == "video_only":
-        return logits
-    return fuse(s_dg, logits, FusionConfig(lam))
+        logits = head_forward(recurrent_forward(data.features, model.lstm), model.head)
+        scores = logits if s_dg is None else fuse(s_dg, logits, FusionConfig(lam))
+    return scores
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,

@@ -53,6 +53,7 @@ TRAIN = ["--epochs", "2", "--k", "4", "--hidden", "4", "--head-mid", "4",
 TRAIN_RUNS = {
     "fused_joint": ("desk32", []),
     "fused_separate": ("desk32", ["--mode", "separate"]),
+    "fused_lambda": ("desk32", ["--lambda", "0.5"]),
     "snn_only": ("desk32", ["--branch", "snn_only"]),
     "video_only": ("desk32", ["--branch", "video_only"]),
     "batch3": ("desk32", ["--batch-size", "3"]),
@@ -70,6 +71,7 @@ TRAIN_RUNS = {
 #: evaluation runs: name -> (training run whose checkpoint, corpus)
 EVAL_RUNS = {
     "eval_fused_joint": ("fused_joint", "desk32"),
+    "eval_fused_lambda": ("fused_lambda", "desk32"),
     "eval_davis346_b7": ("davis346_b7", "davis346"),
 }
 

@@ -7,12 +7,14 @@ import time
 import numpy as np
 import pytest
 
+from gestemo import snn
 from gestemo.align import SearchTrace, find_position
 from gestemo.cli import main
 from gestemo.dataio import load_sample, read_manifest
 from gestemo.encode import dense_spike_planes
 from gestemo.events import Geometry, GestureClass, StreamSpec, synth_stream
 from gestemo.snn import (
+    DEFAULT_SURROGATE_WIDTH,
     Conv,
     Dense,
     LifConfig,
@@ -20,8 +22,8 @@ from gestemo.snn import (
     SnnArchitecture,
     default_architecture,
     init_params,
-    lif_step,
-    snn_backward,
+    mse_spike_loss,
+    snn_backward_from_output,
     snn_forward,
 )
 from gestemo.stats import dataset_stats
@@ -106,6 +108,16 @@ def test_encoding_bit_exact_against_brute_force():
          "k in {1,7,12,L,3L} (under 30s)", body)
 
 
+def lif_step(v, current, cfg):
+    """One membrane update of v as the SNN runs it, with binary spikes:
+    (new potential, spikes as 0.0 or 1.0)."""
+    v = np.array(v, dtype=np.float64)
+    s = np.empty(v.shape, dtype=bool)
+    snn._lif_forward(v, np.asarray(current, dtype=np.float64), np.empty_like(v), s,
+                     cfg, DEFAULT_SURROGATE_WIDTH)
+    return v, s.astype(np.float64)
+
+
 def test_membrane_dynamics_and_gradients():
     def body():
         # pure decay follows beta^t exactly (to 1e-9 over 20 steps)
@@ -132,12 +144,13 @@ def test_membrane_dynamics_and_gradients():
         rng = np.random.default_rng(12)
         planes = rng.random((2, 3, 2, 8, 8)) * 1.5
         onehot = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        _, tape = snn_forward(planes, params, arch, cfg, spike_fn="relaxed",
-                              record=True)
-        grads = snn_backward(tape, onehot, params)
+        s_dg, tape = snn_forward(planes, params, arch, cfg, spike_fn="relaxed",
+                                 record=True)
+        grads = snn_backward_from_output(tape, mse_spike_loss(s_dg, onehot)[1],
+                                         params)
         h = 1e-6
         pick = np.random.default_rng(13)
-        for name in arch.param_names():
+        for name in arch.param_shapes():
             flat = params[name].ravel()
             for i in pick.choice(flat.size, size=min(4, flat.size),
                                  replace=False):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -9,6 +11,7 @@ from gestemo.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from gestemo.cli import main
 from gestemo.errors import ParseError
 from gestemo.fusion import FusionConfig
 from gestemo.snn import Conv, Dense, LifConfig, Pool, SnnArchitecture
@@ -150,6 +153,8 @@ HEADER_EDITS = {
                         "malformed tensor list or label space"),
     "tensor_negative_dim": (lambda h: h["tensors"][0].update(shape=[-1]),
                             "malformed tensor list or label space"),
+    "tensor_zero_dim": (lambda h: h["tensors"][0].update(shape=[2 ** 70, 0]),
+                        "malformed tensor list or label space"),
     "arch_no_layers": (lambda h: h["arch"].pop("layers"), r"KeyError\('layers'\)"),
     "arch_bad_kind": (lambda h: h["arch"]["layers"][0].update(kind="lstm"),
                       r"KeyError\('lstm'\)"),
@@ -191,6 +196,21 @@ def test_rejects_missing_or_mistyped_header_keys(tmp_path, edit):
     rewrite_header(path, change)
     with pytest.raises(ParseError, match=message):
         load_checkpoint(path)
+
+
+def test_eval_of_a_tensor_too_large_to_count_is_one_parse_error(tmp_path):
+    # 2**32 * 2**32 elements wrap to 0 in int64, which the empty blob matches
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(), path)
+    rewrite_header(path, lambda h: h.update(
+        tensors=[{"name": "huge", "shape": [2 ** 32, 2 ** 32]}]))
+    path.write_bytes(path.read_bytes().split(b"\n", 1)[0] + b"\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", str(path), str(tmp_path / "manifest.json")])
+    assert code == 2
+    assert err.getvalue() == (f"error: {path}: tensor block is 0 bytes, header "
+                              f"promises {8 * 2 ** 64}\n")
 
 
 def test_rejects_non_object_header(tmp_path):

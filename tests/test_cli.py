@@ -1197,7 +1197,9 @@ def test_import_of_a_corrupt_file_is_one_line_data_error(tmp_path, rel, text):
     assert code == 2 and out == "" and err.count("\n") == 1
     named = err[len("error: "):].split(":")[0]
     assert err.startswith("error: ") and os.path.samefile(named, bad)
+    assert "/./" not in err
     assert not (dst / "manifest.json").exists()
+    assert not [rel for rel in tree_bytes(dst) if rel.endswith(".tmp")]
 
 
 @pytest.mark.parametrize("sid", ["..", "a/b", "../escape", "/abs"])
@@ -1215,6 +1217,7 @@ def test_import_refuses_an_id_that_is_not_a_plain_file_name(tmp_path, sid):
     assert sorted(os.listdir(tmp_path)) == before + ["nest"]
     assert os.listdir(tmp_path / "nest") == ["out"]
     assert not (dst / "manifest.json").exists()
+    assert not [rel for rel in tree_bytes(dst) if rel.endswith(".tmp")]
 
 
 def test_import_writes_no_file_outside_out_for_a_path_outside_src(tmp_path, capsys):

@@ -21,8 +21,7 @@ from gestemo.snn import (
     SnnArchitecture,
     default_architecture,
     init_params,
-    lif_step,
-    snn_backward,
+    mse_spike_loss,
     snn_backward_from_output,
     snn_forward,
 )
@@ -39,6 +38,16 @@ def test_lif_config_validation():
         LifConfig(reset="clamp")
     d = LifConfig(beta=0.8, theta=1.2, reset="subtract_theta").to_dict()
     assert LifConfig.from_dict(d) == LifConfig(0.8, 1.2, "subtract_theta")
+
+
+def lif_step(v, current, cfg):
+    """One membrane update of v through snn._lif_forward with binary spikes:
+    (new potential, spikes as 0.0 or 1.0)."""
+    v = np.array(v, dtype=np.float64)
+    s = np.empty(v.shape, dtype=bool)
+    snn._lif_forward(v, np.asarray(current, dtype=np.float64), np.empty_like(v), s,
+                     cfg, DEFAULT_SURROGATE_WIDTH)
+    return v, s.astype(np.float64)
 
 
 def test_lif_step_quiescent_below_threshold():
@@ -59,11 +68,6 @@ def test_lif_step_subtract_reset_keeps_excess():
     v, s = lif_step(np.array([0.0]), np.array([1.0]), cfg)
     assert s[0] == 1.0
     assert v[0] == pytest.approx(0.2)
-
-
-def test_lif_step_shape_mismatch():
-    with pytest.raises(GestemoError, match=r"potential \(3,\) vs current \(4,\)"):
-        lif_step(np.zeros(3), np.zeros(4), LifConfig())
 
 
 def test_first_spike_under_constant_drive():
@@ -103,7 +107,7 @@ def test_init_seeded():
     a = init_params(arch, seed=7)
     b = init_params(arch, seed=7)
     c = init_params(arch, seed=8)
-    for name in arch.param_names():
+    for name in arch.param_shapes():
         assert np.array_equal(a[name], b[name])
     assert not np.array_equal(a["conv0.w"], c["conv0.w"])
 
@@ -112,7 +116,7 @@ def test_default_architecture_shapes():
     arch = default_architecture(10)
     assert arch.output_shapes() == [
         (16, 30, 30), (16, 15, 15), (32, 13, 13), (32, 6, 6), (256,), (10,)]
-    assert arch.param_names() == [
+    assert list(arch.param_shapes()) == [
         "conv0.w", "conv0.b", "conv2.w", "conv2.b",
         "fc4.w", "fc4.b", "fc5.w", "fc5.b"]
 
@@ -208,7 +212,7 @@ def test_forward_rejects_unknown_spike_function():
 def test_backward_requires_tape():
     arch = small_arch()
     params = init_params(arch, seed=1)
-    with pytest.raises(GestemoError, match="snn_backward requires a recorded forward tape"):
+    with pytest.raises(GestemoError, match="snn_backward_from_output requires a recorded tape"):
         snn_backward_from_output(None, np.zeros((1, 3)), params)
 
 
@@ -218,12 +222,12 @@ def relaxed_loss(planes, params, arch, cfg, onehot):
 
 
 def fd_check(planes, params, arch, cfg, onehot, picks_per_tensor=4, h=1e-6):
-    _, tape = snn_forward(planes, params, arch, cfg, spike_fn="relaxed",
-                          record=True)
-    grads = snn_backward(tape, onehot, params)
+    s_dg, tape = snn_forward(planes, params, arch, cfg, spike_fn="relaxed",
+                             record=True)
+    grads = snn_backward_from_output(tape, mse_spike_loss(s_dg, onehot)[1], params)
     rng = np.random.default_rng(99)
     checked = 0
-    for name in arch.param_names():
+    for name in arch.param_shapes():
         flat = params[name].ravel()
         idxs = rng.choice(flat.size, size=min(picks_per_tensor, flat.size),
                           replace=False)
@@ -257,9 +261,10 @@ def test_single_neuron_gradient_flat_regions():
     planes = np.ones((1, 2, 1, 1, 1))
     for w, bias in [(0.0, 0.0), (0.0, 3.0)]:  # never fires / saturated
         params = {"fc0.w": np.array([[w]]), "fc0.b": np.array([bias])}
-        _, tape = snn_forward(planes, params, arch, LifConfig(),
-                              spike_fn="relaxed", record=True)
-        grads = snn_backward(tape, np.array([[0.0]]), params)
+        s_dg, tape = snn_forward(planes, params, arch, LifConfig(),
+                                 spike_fn="relaxed", record=True)
+        grads = snn_backward_from_output(
+            tape, mse_spike_loss(s_dg, np.array([[0.0]]))[1], params)
         assert grads["fc0.w"] == 0.0
         assert grads["fc0.b"] == 0.0
 
@@ -287,11 +292,12 @@ def test_backward_accepts_integer_labels():
     params = init_params(arch, seed=15)
     rng = np.random.default_rng(16)
     planes = rng.random((2, 3, 2, 8, 8))
-    _, tape = snn_forward(planes, params, arch, spike_fn="relaxed", record=True)
-    by_label = snn_backward(tape, np.array([0, 2]), params)
+    s_dg, tape = snn_forward(planes, params, arch, spike_fn="relaxed", record=True)
+    by_label = snn_backward_from_output(
+        tape, mse_spike_loss(s_dg, np.array([0, 2]))[1], params)
     onehot = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    by_onehot = snn_backward(tape, onehot, params)
-    for name in arch.param_names():
+    by_onehot = snn_backward_from_output(tape, mse_spike_loss(s_dg, onehot)[1], params)
+    for name in arch.param_shapes():
         assert np.array_equal(by_label[name], by_onehot[name])
 
 
@@ -394,7 +400,7 @@ def _ref_run(planes, params, arch, cfg, spike_fn, width, d_sdg):
             vpre[li][t], spikes[li][t] = vp, s
             cur = s
         out_sum += cur
-    grads = {name: np.zeros_like(params[name]) for name in arch.param_names()}
+    grads = {name: np.zeros_like(params[name]) for name in arch.param_shapes()}
     dv_carry = [np.zeros((b,) + s) for s in outs]
     for t in reversed(range(k)):
         d_s = d_sdg / k
@@ -610,8 +616,9 @@ def test_plan_is_unchanged_by_forward_and_backward(monkeypatch):
     rng = np.random.default_rng(3)
     for batch in (8, 3):
         planes = rng.random((batch, 4) + arch.input_shape) * 1.5
-        _, tape = snn_forward(planes, params, arch, LifConfig(theta=0.4),
-                              record=True)
+        s_dg, tape = snn_forward(planes, params, arch, LifConfig(theta=0.4),
+                                 record=True)
         assert tape.plan is plan
-        snn_backward(tape, rng.integers(0, 3, batch), params)
+        snn_backward_from_output(
+            tape, mse_spike_loss(s_dg, rng.integers(0, 3, batch))[1], params)
         assert pickle.dumps(vars(plan)) == before, batch

@@ -584,6 +584,15 @@ def test_evaluate_accuracy_matches_predictions():
     assert report.confusion.sum() == len(data)
 
 
+def test_fused_scores_weigh_the_frame_branch_by_lambda():
+    data = toy_data()
+    model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=13)
+    s_dg, logits = (training.scores_for(data, model, ARCH, branch=b)
+                    for b in ("snn_only", "video_only"))
+    fused = training.scores_for(data, model, ARCH, lam=0.5)
+    assert np.array_equal(fused, s_dg + 0.5 * logits)
+
+
 def test_emotion_report_collapses_gestures():
     labels = np.array([LABELED_GESTURES.index(GestureClass.OK),
                        LABELED_GESTURES.index(GestureClass.HELLO),
