@@ -71,7 +71,7 @@ from .snn import (
     mse_spike_loss,
     snn_forward,
 )
-from .stats import ClassStats, FiveNumber, dataset_stats
+from .stats import dataset_stats
 from .synth import DatasetSpec, build_dataset, synth_features
 from .training import (
     AdamState,

@@ -38,14 +38,7 @@ from .errors import (CHOICES, RANGES, DivergedLossError, GestemoError, ParseErro
 from .events import EmotionClass, Geometry, GestureClass
 from .fusion import FusionConfig, predict
 from .snn import LifConfig, default_architecture
-from .stats import (
-    DEFAULT_BIN_WIDTH,
-    class_counts_csv,
-    frame_histogram_csv,
-    polarity_box_csv,
-    summarize,
-    time_sum_csv,
-)
+from .stats import DEFAULT_BIN_WIDTH, summarize, write_stats
 from .synth import DatasetSpec, build_dataset
 from .training import (
     TrainConfig,
@@ -235,26 +228,15 @@ def cmd_stats(ns) -> int:
     # a library warning goes out as one stderr line, like the skips above
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        summary = summarize(readable(), ns.bin_width)
+        doc = summarize(readable(), ns.bin_width)
     for w in caught:
         _stderr(f"warning: {w.message}")
-    if summary.n_samples == 0:
+    if doc["n_samples"] == 0:
         raise GestemoError("no readable samples in manifest")
-    if not summary.frame_histogram["counts"]:
+    if not doc["frame_histogram"]["counts"]:
         _stderr("warning: no feature files; frame histogram empty")
-    os.makedirs(ns.out, exist_ok=True)
-
-    def emit(name: str, lines: List[str]) -> None:
-        with open(os.path.join(ns.out, name), "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-    with open(os.path.join(ns.out, "stats.json"), "w", encoding="utf-8") as f:
-        json.dump(summary.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    emit("frame_hist.csv", frame_histogram_csv(summary.frame_histogram))
-    emit("class_counts.csv", class_counts_csv(summary.class_counts))
-    emit("time_sum.csv", time_sum_csv(summary.event_time_sum_s))
-    emit("polarity_box.csv", polarity_box_csv(summary.polarity_boxes))
-    print(f"wrote stats for {summary.n_samples} samples to {os.path.abspath(ns.out)}")
+    write_stats(doc, ns.out)
+    print(f"wrote stats for {doc['n_samples']} samples to {os.path.abspath(ns.out)}")
     return EXIT_OK
 
 

@@ -373,7 +373,7 @@ def read_manifest(path) -> SplitManifest:
             gesture = GestureClass(raw["gesture"])
             sample_id, events = str(raw["id"]), raw["events"]
         except ValueError:
-            raise GestemoError(f"entry {i}: unknown gesture {raw['gesture']!r}")
+            raise ParseError(f"{path}: entry {i}: unknown gesture {raw['gesture']!r}")
         except KeyError as e:
             raise ParseError(f"{path}: entry {i} missing key {e}")
         features = raw.get("features")

@@ -41,6 +41,12 @@ RANGES = {
     "seed": (numbers.Integral, lambda v: v >= 0, ">= 0"),
     "duration_us": (numbers.Integral, lambda v: v >= 0, ">= 0"),
     "bin_width": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "per_class": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "min_events": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "max_events": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "min_frames": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "max_frames": (numbers.Integral, lambda v: v >= 1, ">= 1"),
+    "feature_dim": (numbers.Integral, lambda v: v >= 1, ">= 1"),
     "lr": (numbers.Real, lambda v: 0 < v < math.inf, "finite and > 0"),
     "lam": (numbers.Real, lambda v: 0 <= v < math.inf, "finite and >= 0"),
     "dropout": (numbers.Real, lambda v: 0 <= v < 1, "in [0, 1)"),

@@ -75,6 +75,13 @@ EVAL_RUNS = {
     "eval_davis346_b7": ("davis346_b7", "davis346"),
 }
 
+#: stats runs: corpus -> flags.  desk32's 3-6 frames would fill one bin at
+#: the default width
+STATS_RUNS = {
+    "desk32": ["--bin-width", "2"],
+    "davis346": [],
+}
+
 #: encode runs of the first desk32 event file: name -> flags
 ENCODE_RUNS = {
     "encode_k12": ["--k", "12"],
@@ -135,24 +142,45 @@ def synth_corpora(root: str) -> Dict[str, str]:
     return manifests
 
 
+def _tree_sha256(root: str) -> str:
+    """One digest of every file under root, with its relative path."""
+    h = hashlib.sha256()
+    for base, dirs, files in os.walk(root):
+        dirs.sort()
+        for file in sorted(files):
+            path = os.path.join(base, file)
+            h.update(os.path.relpath(path, root).encode() + b"\0")
+            h.update(_sha256(path).encode())
+    return h.hexdigest()
+
+
 def corpus_digests(manifests: Dict[str, str]) -> Dict[str, str]:
     """Per corpus, one digest of every file under it, manifest included."""
-    digests = {}
-    for name, manifest in manifests.items():
-        root, h = os.path.dirname(manifest), hashlib.sha256()
-        for base, dirs, files in os.walk(root):
-            dirs.sort()
-            for file in sorted(files):
-                path = os.path.join(base, file)
-                h.update(os.path.relpath(path, root).encode() + b"\0")
-                h.update(_sha256(path).encode())
-        digests["synth_" + name] = h.hexdigest()
-    return digests
+    return {"synth_" + name: _tree_sha256(os.path.dirname(manifest))
+            for name, manifest in manifests.items()}
+
+
+def _eval_with_scores(*argv: str) -> bytes:
+    """Run eval and return the bytes of the score array it computed, which
+    its metrics file does not hold."""
+    scores = []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        scores.append(result[1])
+        return result
+    real, cli.evaluate = cli.evaluate, recording
+    try:
+        _cli("eval", *argv)
+    finally:
+        cli.evaluate = real
+    return np.ascontiguousarray(scores[0]).tobytes()
 
 
 def run_all(out: str, manifests: Dict[str, str]) -> Dict[str, str]:
-    """Run every training, evaluation and encode run, writing into out;
-    returns the digest of each run's output file by run name."""
+    """Run every training, evaluation, stats and encode run, writing into
+    out; returns the digest of each run's output by run name, and of each
+    evaluation's score array as scores_<run>."""
     os.makedirs(out, exist_ok=True)
     digests = {}
     for name, (corpus, flags) in TRAIN_RUNS.items():
@@ -161,9 +189,14 @@ def run_all(out: str, manifests: Dict[str, str]) -> Dict[str, str]:
         digests[name] = _sha256(path)
     for name, (ckpt, corpus) in EVAL_RUNS.items():
         path = os.path.join(out, name + ".json")
-        _cli("eval", os.path.join(out, ckpt + ".ckpt"), manifests[corpus],
-             "--out", path)
+        scores = _eval_with_scores(os.path.join(out, ckpt + ".ckpt"),
+                                   manifests[corpus], "--out", path)
         digests[name] = _sha256(path)
+        digests["scores_" + name] = hashlib.sha256(scores).hexdigest()
+    for corpus, flags in STATS_RUNS.items():
+        path = os.path.join(out, "stats_" + corpus)
+        _cli("stats", manifests[corpus], *flags, "--out", path)
+        digests["stats_" + corpus] = _tree_sha256(path)
     manifest = read_manifest(manifests["desk32"])
     events = manifest.path_of(manifest.entries[0].events)
     for name, flags in ENCODE_RUNS.items():

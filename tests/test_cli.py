@@ -93,7 +93,7 @@ def test_synth_rejects_unknown_gesture(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--per-class", "0", "at least one gesture and one sample per class"),
+    ("--per-class", "0", "per_class must be >= 1"),
     ("--width", "0", "geometry must be positive"),
     ("--duration-us", "-1", "duration_us must be >= 0, got -1"),
     ("--train-fraction", "nan", "train_fraction must be in (0, 1), got nan"),
@@ -888,6 +888,8 @@ def test_train_config_document_ends_in_an_exit_code_with_one_line(
     ({"entries": [{"id": "a", "gesture": "ok"}]}, "entry 0 missing key 'events'"),
     ({"root": 5, "entries": []},
      "expected an object with a string root and a list of entries"),
+    ({"entries": [{"id": "a", "gesture": "nope", "events": "a.csv"}]},
+     "entry 0: unknown gesture 'nope'"),
 ])
 def test_malformed_manifest_is_one_line_data_error(tmp_path, doc, message):
     path = tmp_path / "manifest.json"

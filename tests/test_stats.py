@@ -1,6 +1,7 @@
 """Quartiles, histograms, and per-class rollups against hand-checked
 fixtures written through the normal file formats."""
 
+import json
 import weakref
 
 import numpy as np
@@ -23,45 +24,37 @@ from gestemo.events import (
     StreamSpec,
     synth_stream,
 )
-from gestemo.stats import (
-    FiveNumber,
-    class_counts_csv,
-    dataset_stats,
-    frame_histogram_csv,
-    polarity_box_csv,
-    summarize,
-    time_sum_csv,
-)
+from gestemo.stats import dataset_stats, five_number, summarize, write_stats
 
 
 def test_five_number_linear_quartiles():
-    fn = FiveNumber.from_values([1, 2, 3, 4, 5])
-    assert (fn.minimum, fn.q1, fn.median, fn.q3, fn.maximum) == (1, 2, 3, 4, 5)
-    assert fn.outliers == ()
+    fn = five_number([1, 2, 3, 4, 5])
+    assert fn == {"min": 1, "q1": 2, "median": 3, "q3": 4, "max": 5,
+                  "outliers": []}
 
 
 def test_five_number_single_value():
-    fn = FiveNumber.from_values([7.0])
-    assert fn.minimum == fn.q1 == fn.median == fn.q3 == fn.maximum == 7.0
+    fn = five_number([7.0])
+    assert fn["min"] == fn["q1"] == fn["median"] == fn["q3"] == fn["max"] == 7.0
 
 
 def test_five_number_ordering_invariant():
     rng = np.random.default_rng(1)
     for _ in range(50):
         v = rng.normal(size=int(rng.integers(1, 40)))
-        fn = FiveNumber.from_values(v)
-        assert fn.minimum <= fn.q1 <= fn.median <= fn.q3 <= fn.maximum
+        fn = five_number(v)
+        assert fn["min"] <= fn["q1"] <= fn["median"] <= fn["q3"] <= fn["max"]
 
 
 def test_five_number_outliers():
-    fn = FiveNumber.from_values([1, 2, 3, 4, 5, 100, -50])
-    assert 100.0 in fn.outliers and -50.0 in fn.outliers
-    assert fn.outliers == tuple(sorted(fn.outliers))
+    fn = five_number([1, 2, 3, 4, 5, 100, -50])
+    assert 100.0 in fn["outliers"] and -50.0 in fn["outliers"]
+    assert fn["outliers"] == sorted(fn["outliers"])
 
 
 def test_five_number_empty():
     with pytest.raises(GestemoError, match="five-number summary of an empty sequence"):
-        FiveNumber.from_values([])
+        five_number([])
 
 
 def build_corpus(root, recs):
@@ -106,7 +99,7 @@ def test_histogram_bins(tmp_path):
         ("b", GestureClass.OK, stream_with_duration(1000, 5, 2), 5),
         ("c", GestureClass.NO, stream_with_duration(1000, 5, 3), 150),
     ])
-    hist = summary_of(m, bin_width=100).frame_histogram
+    hist = summary_of(m, bin_width=100)["frame_histogram"]
     assert hist["bin_edges"] == [0, 100, 200]
     assert hist["counts"] == [2, 1]
 
@@ -135,7 +128,7 @@ def test_class_counts_includes_zero_classes(tmp_path):
         ("b", GestureClass.OK, stream_with_duration(1000, 5, 2), 5),
         ("c", GestureClass.LOVE, stream_with_duration(1000, 5, 3), 5),
     ])
-    counts = summary_of(m).class_counts
+    counts = summary_of(m)["class_counts"]
     assert len(counts) == len(GestureClass)
     assert counts["ok"] == 2 and counts["love"] == 1
     assert counts["kill"] == 0 and counts["other"] == 0
@@ -145,7 +138,7 @@ def test_event_time_sum_microseconds_to_seconds(tmp_path):
     m = build_corpus(tmp_path, [
         ("a", GestureClass.OK, stream_with_duration(2_000_000, 40, 1), 5),
     ])
-    assert summary_of(m).event_time_sum_s["ok"] == pytest.approx(2.0)
+    assert summary_of(m)["event_time_sum_s"]["ok"] == pytest.approx(2.0)
 
 
 def test_event_time_sum_accumulates_per_class(tmp_path):
@@ -154,7 +147,7 @@ def test_event_time_sum_accumulates_per_class(tmp_path):
         ("b", GestureClass.YES, stream_with_duration(1_000_000, 30, 2), 5),
         ("c", GestureClass.NO, stream_with_duration(500_000, 30, 3), 5),
     ])
-    sums = summary_of(m).event_time_sum_s
+    sums = summary_of(m)["event_time_sum_s"]
     assert sums["yes"] == pytest.approx(2.0)
     assert sums["no"] == pytest.approx(0.5)
     assert sums["ok"] == 0.0
@@ -167,8 +160,8 @@ def test_event_time_sum_warns_on_empty_stream(tmp_path):
         ("b", GestureClass.OK, stream_with_duration(1_000_000, 30, 1), 5),
     ])
     with pytest.warns(UserWarning, match="empty event stream"):
-        sums = summary_of(m).event_time_sum_s
-    assert sums["ok"] == pytest.approx(1.0)
+        doc = summary_of(m)
+    assert doc["event_time_sum_s"]["ok"] == pytest.approx(1.0)
 
 
 def test_polarity_box_stats(tmp_path):
@@ -180,13 +173,13 @@ def test_polarity_box_stats(tmp_path):
         ("a", GestureClass.OK, s1, 5),
         ("b", GestureClass.OK, s2, 5),
     ])
-    boxes = summary_of(m).polarity_boxes
+    boxes = summary_of(m)["polarity_boxes"]
     assert set(boxes) == {"ok"}  # absent classes stay absent here
     ok = boxes["ok"]
-    assert ok.count == 2
-    assert ok.positive.minimum == 2 and ok.positive.maximum == 3
-    assert ok.negative.minimum == 0 and ok.negative.maximum == 1
-    assert ok.time_sum_s == pytest.approx(4e-6)
+    assert ok["gesture"] == "ok" and ok["count"] == 2
+    assert ok["positive"]["min"] == 2 and ok["positive"]["max"] == 3
+    assert ok["negative"]["min"] == 0 and ok["negative"]["max"] == 1
+    assert ok["time_sum_s"] == pytest.approx(4e-6)
 
 
 def test_dataset_stats_deterministic(tmp_path):
@@ -215,7 +208,7 @@ def test_summarize_holds_one_sample_at_a_time(tmp_path):
             refs.append(weakref.ref(s.events.t))
             yield s
             del s
-    assert summarize(samples()).to_dict() == dataset_stats(m)
+    assert summarize(samples()) == dataset_stats(m)
     assert len(refs) == 4 and all(r() is None for r in refs)
 
 
@@ -223,14 +216,20 @@ def test_csv_emitters(tmp_path):
     m = build_corpus(tmp_path, [
         ("a", GestureClass.OK, stream_with_duration(1000, 8, 1), 12),
     ])
-    summary = summary_of(m)
-    hist_lines = frame_histogram_csv(summary.frame_histogram)
-    assert hist_lines[0] == "bin_start,bin_end,count"
-    assert hist_lines[1] == "0,100,1"
-    cc_lines = class_counts_csv(summary.class_counts)
-    assert len(cc_lines) == 1 + len(GestureClass)
-    ts_lines = time_sum_csv(summary.event_time_sum_s)
-    assert ts_lines[0] == "class,seconds"
-    box_lines = polarity_box_csv(summary.polarity_boxes)
+    doc = summary_of(m)
+    out = tmp_path / "stats"
+    write_stats(doc, str(out))
+
+    def lines(name):
+        return (out / name).read_text(encoding="utf-8").splitlines()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "class_counts.csv", "frame_hist.csv", "polarity_box.csv",
+        "stats.json", "time_sum.csv"]
+    assert json.loads((out / "stats.json").read_text(encoding="utf-8")) == doc
+    assert lines("frame_hist.csv") == ["bin_start,bin_end,count", "0,100,1"]
+    cc_lines = lines("class_counts.csv")
+    assert len(cc_lines) == 1 + len(GestureClass) and cc_lines[1] == "ok,1"
+    assert lines("time_sum.csv")[:2] == ["class,seconds", "ok,0.001000"]
+    box_lines = lines("polarity_box.csv")
     assert box_lines[0] == "class,polarity,min,q1,median,q3,max,n_outliers"
     assert len(box_lines) == 3  # header + two polarities for the one class

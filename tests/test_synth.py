@@ -28,8 +28,10 @@ SMALL = DatasetSpec(
 
 
 def test_spec_validation():
-    with pytest.raises(GestemoError, match="at least one gesture and one sample"):
+    with pytest.raises(GestemoError, match="per_class must be >= 1, got 0"):
         DatasetSpec(per_class=0)
+    with pytest.raises(GestemoError, match="need at least one gesture"):
+        DatasetSpec(gestures=())
     with pytest.raises(GestemoError, match="duplicate gesture"):
         DatasetSpec(gestures=(GestureClass.OK, GestureClass.OK))
     with pytest.raises(GestemoError, match="bad event count range"):
@@ -44,7 +46,8 @@ def test_spec_validation():
 def test_spec_refuses_a_size_that_is_not_an_int64(name, value):
     with pytest.raises(GestemoError) as e:
         DatasetSpec(**{name: value})
-    assert str(e.value) == f"{name} must be an integer below 2**63, got {value!r}"
+    wording = "below 2**63" if value == 1 << 63 else ">= 1"
+    assert str(e.value) == f"{name} must be {wording}, got {value!r}"
 
 
 def test_class_direction_unit_and_stable():
