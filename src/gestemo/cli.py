@@ -306,8 +306,11 @@ def cmd_eval(ns) -> int:
     branch = cfg["branch"] = ns.branch or cfg["branch"]
     data = _load_split(manifest, ns.split, cfg, label_space)
     lam = ckpt.fusion.lam if ns.lam is None else ns.lam
-    report, scores = evaluate(data, ckpt.model, ckpt.arch, ckpt.lif,
-                              branch=branch, lam=lam)
+    try:
+        report, scores = evaluate(data, ckpt.model, ckpt.arch, ckpt.lif,
+                                  branch=branch, lam=lam)
+    except FloatingPointError as e:
+        raise GestemoError(f"{e} while scoring the {ns.split} split") from None
     names = [g.value for g in label_space]
     doc = report.to_dict(names)
     doc["target"] = target

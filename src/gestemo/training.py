@@ -383,17 +383,21 @@ def train(data: TrainData, model: ModelParams, arch: SnnArchitecture,
 def scores_for(data: TrainData, model: ModelParams, arch: SnnArchitecture,
                lif_cfg: LifConfig = LifConfig(), *, branch: str = "fused",
                lam: float = 1.0) -> np.ndarray:
-    """Class scores for every sample, eval mode (no dropout, binary spikes)."""
+    """Class scores for every sample, eval mode (no dropout, binary spikes).
+    An overflow, invalid value or division by zero in the arithmetic
+    raises FloatingPointError instead of giving scores computed from it."""
     if len(data) == 0:
         raise GestemoError("evaluation split is empty")
     check_option("branch", branch)
     _check_branch(data, model, branch)
     s_dg = scores = None
-    if branch != "video_only":
-        s_dg = scores = snn_forward(data.planes, model.snn, arch, lif_cfg)
-    if branch != "snn_only":
-        logits = head_forward(recurrent_forward(data.features, model.lstm), model.head)
-        scores = logits if s_dg is None else fuse(s_dg, logits, FusionConfig(lam))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        if branch != "video_only":
+            s_dg = scores = snn_forward(data.planes, model.snn, arch, lif_cfg)
+        if branch != "snn_only":
+            logits = head_forward(recurrent_forward(data.features, model.lstm),
+                                  model.head)
+            scores = logits if s_dg is None else fuse(s_dg, logits, FusionConfig(lam))
     return scores
 
 

@@ -56,6 +56,7 @@ TRAIN_RUNS = {
     "fused_lambda": ("desk32", ["--lambda", "0.5"]),
     "snn_only": ("desk32", ["--branch", "snn_only"]),
     "video_only": ("desk32", ["--branch", "video_only"]),
+    "video_b7": ("desk32", ["--branch", "video_only", "--batch-size", "7"]),
     "batch3": ("desk32", ["--batch-size", "3"]),
     "dropout0": ("desk32", ["--dropout", "0"]),
     "scale_none": ("desk32", ["--scale-mode", "none", "--branch", "snn_only"]),

@@ -8,6 +8,7 @@ import filecmp
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -20,9 +21,9 @@ from hypothesis import strategies as st
 from gestemo.checkpoint import load_checkpoint
 from gestemo.cli import TRAIN_DEFAULTS, build_parser, main
 from gestemo.dataio import (FrameFeatureSequence, ManifestEntry, SplitManifest,
-                            load_sample, read_events_file, read_manifest,
-                            read_planes_file, write_events_file, write_feature_file,
-                            write_manifest)
+                            load_sample, read_events_file, read_feature_file,
+                            read_manifest, read_planes_file, write_events_file,
+                            write_feature_file, write_manifest)
 from gestemo.errors import CHOICES, RANGES
 from gestemo.encode import dense_spike_planes, downsample_planes
 from gestemo.events import EventStream, Geometry, GestureClass, StreamSpec, synth_stream
@@ -710,6 +711,31 @@ def test_eval_non_finite_tensor_is_one_line_data_error(trained, tmp_path, value)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"tensor {first!r} holds non-finite values" in err
+
+
+def test_eval_overflow_is_one_line_data_error(trained, tmp_path):
+    # test features of +-max float, signed like the input weight row of
+    # largest L1 norm, overflow that row's input projection in the LSTM;
+    # eval used to warn and then print metrics computed from the infinities
+    ckpt, manifest = trained
+    wx = load_checkpoint(ckpt).model.lstm.wx
+    row = wx[np.argmax(np.abs(wx).sum(axis=1))]
+    assert np.abs(row).sum() > 1.0
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(manifest), data)
+    m = read_manifest(data / "manifest.json")
+    for sid in m.ids("test"):
+        path = m.path_of(m.entry(sid).features)
+        n_frames = len(read_feature_file(path).vectors)
+        write_feature_file(FrameFeatureSequence(len(row), np.tile(
+            np.sign(row) * np.finfo(np.float64).max, (n_frames, 1))), path)
+    out = tmp_path / "metrics.json"
+    proc = run_cli("eval", str(ckpt), str(data / "manifest.json"), "--out", str(out))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: overflow encountered")
+    assert proc.stderr.endswith(" while scoring the test split\n")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_stats_bad_bin_width_is_usage_error(tmp_path, capsys):

@@ -199,16 +199,25 @@ def _ref_backward(x, gates, cs, hs, d_hlast, params):
     return {"lstm.wx": g_wx, "lstm.wh": g_wh, "lstm.b": g_b}
 
 
+#: (batch, feature dim, hidden): the training sizes at every batch from 1
+#: to 9, on both sides of recurrent_forward's layout rule, and at a
+#: whole-split eval size; then the golden runs' LSTM (--hidden 4 over
+#: 4-dim features) at their largest batch
+LSTM_SHAPES = [(batch, 16, 128) for batch in [*range(1, 10), 30]] + [(7, 4, 4)]
+
+
 @pytest.mark.parametrize("scale", [1.0, 30.0])
-@pytest.mark.parametrize("batch", [1, 3, 8, 30])
-def test_lstm_matches_frozen_reference_bit_for_bit(batch, scale):
-    # the training sizes (H=128, D=16), since BLAS picks kernels by shape;
+@pytest.mark.parametrize("batch,dim,hidden", LSTM_SHAPES,
+                         ids=[str(b) if h == 128 else f"golden{b}"
+                              for b, _, h in LSTM_SHAPES])
+def test_lstm_matches_frozen_reference_bit_for_bit(batch, dim, hidden, scale):
+    # BLAS picks kernels by shape, so the shapes the code runs at;
     # scale 30 drives gates into both saturated ends
-    p = init_recurrent_params(dim=16, hidden=128, seed=batch)
+    p = init_recurrent_params(dim=dim, hidden=hidden, seed=batch)
     rng = np.random.default_rng(batch)
     p.b[:] = rng.normal(scale=scale, size=p.b.shape)
-    x = rng.normal(scale=scale, size=(batch, 40, 16))
-    d_hlast = rng.normal(size=(batch, 128))
+    x = rng.normal(scale=scale, size=(batch, 40, dim))
+    d_hlast = rng.normal(size=(batch, hidden))
     want_h, want_gates, want_c, want_hs = _ref_forward(x, p)
     want_grads = _ref_backward(x, want_gates, want_c, want_hs, d_hlast, p)
 
@@ -222,10 +231,12 @@ def test_lstm_matches_frozen_reference_bit_for_bit(batch, scale):
     assert np.array_equal(tape.tc, np.tanh(want_c[1:]))
     for name in p.as_dict():
         assert np.array_equal(grads[name], want_grads[name]), name
-    sig = np.concatenate([want_gates[..., :256], want_gates[..., 384:]], axis=-1)
+    sig = np.concatenate([want_gates[..., :2 * hidden],
+                          want_gates[..., 3 * hidden:]], axis=-1)
     assert (sig > 0.5).any() and (sig < 0.5).any()
     if scale > 1.0:
-        assert (sig == 1.0).any() and (np.abs(want_gates[..., 256:384]) == 1.0).any()
+        assert (sig == 1.0).any() \
+            and (np.abs(want_gates[..., 2 * hidden:3 * hidden]) == 1.0).any()
 
 
 def test_sigmoid_matches_masked_form_on_edge_values():
@@ -237,12 +248,12 @@ def test_sigmoid_matches_masked_form_on_edge_values():
     z = np.concatenate([edges, np.linspace(-130.0, 130.0, 20_001),
                         rng.normal(scale=40.0, size=20_000),
                         np.ldexp(rng.uniform(-1, 1, 2_000), rng.integers(-1074, 8, 2_000))])
-    got = _sigmoid(z, np.empty_like(z))
+    got = _sigmoid(z, np.empty_like(z), np.empty(z.shape, dtype=bool))
     assert np.array_equal(got, _ref_sigmoid(z), equal_nan=True)
     # the same on a strided (B, 2H) block of a wider array
     wide = z[:40_000].reshape(100, 400)
     out = np.empty((100, 400))
-    _sigmoid(wide[:, :256], out[:, :256])
+    _sigmoid(wide[:, :256], out[:, :256], np.empty((100, 256), dtype=bool))
     assert np.array_equal(out[:, :256], _ref_sigmoid(wide[:, :256]), equal_nan=True)
 
 
