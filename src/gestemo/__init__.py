@@ -51,8 +51,6 @@ from .events import (
 )
 from .fusion import (
     FusionConfig,
-    HeadParams,
-    RecurrentParams,
     fuse,
     head_forward,
     init_head_params,

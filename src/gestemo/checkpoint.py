@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
 
 from .errors import GestemoError, ParseError
-from .fusion import FusionConfig, HeadParams, RecurrentParams
+from .fusion import FusionConfig, frame_shapes
 from .snn import LifConfig, SnnArchitecture
 from .training import ModelParams
 
@@ -27,9 +28,6 @@ FORMAT_VERSION = 1
 #: their JSON types
 _HEADER_TYPES = {"seed": int, "arch": dict, "lif": dict, "fusion": dict,
                  "label_space": list, "tensors": list, "extra": dict}
-
-_LSTM_KEYS = ("lstm.wx", "lstm.wh", "lstm.b")
-_HEAD_KEYS = ("head.w1", "head.b1", "head.w2", "head.b2")
 
 
 @dataclass
@@ -46,6 +44,8 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ckpt to path through <path>.tmp, so a failed write leaves any
+    checkpoint already at path as it was."""
     tensors = ckpt.model.flat()
     names = sorted(tensors)
     header = {
@@ -59,12 +59,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
         "extra": ckpt.extra,
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True, separators=(",", ":"))
-                .encode("utf-8"))
-        f.write(b"\n")
-        for n in names:
-            f.write(np.ascontiguousarray(tensors[n], dtype="<f8").tobytes())
+    tmp = str(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header, sort_keys=True, separators=(",", ":"))
+                    .encode("utf-8"))
+            f.write(b"\n")
+            for n in names:
+                f.write(np.ascontiguousarray(tensors[n], dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _is_tensor_spec(t) -> bool:
@@ -128,27 +135,26 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _model_of(arrays: Dict[str, np.ndarray], arch: SnnArchitecture) -> ModelParams:
-    """The branches present in arrays, each checked against the architecture
-    and against the other branch's dimensions."""
-    model = ModelParams()
-    snn = {k: v for k, v in arrays.items() if k not in _LSTM_KEYS + _HEAD_KEYS}
-    if snn:
-        want = arch.param_shapes()
-        for name in sorted(set(want) | set(snn)):
-            got = snn[name].shape if name in snn else None
-            if got != want.get(name):
-                raise GestemoError(f"tensor {name!r} has shape {got}, the "
-                                   f"architecture needs {want.get(name)}")
-        model.snn = snn
-    video = [k for k in _LSTM_KEYS + _HEAD_KEYS if k in arrays]
-    if video:
-        if len(video) != len(_LSTM_KEYS + _HEAD_KEYS):
-            raise GestemoError(f"frame branch has only tensors {video}")
-        model.lstm = RecurrentParams(*(arrays[k] for k in _LSTM_KEYS))
-        model.head = HeadParams(*(arrays[k] for k in _HEAD_KEYS))
-        if model.head.w1.shape[1] != model.lstm.hidden \
-                or model.head.w2.shape[0] != arch.num_classes:
+    """The branches present in arrays, split by name prefix, with every
+    tensor's shape checked against the architecture's param_shapes() and,
+    for a frame branch, frame_shapes() at the sizes its lstm.wx and head.w1
+    state."""
+    lstm = {k: v for k, v in arrays.items() if k.startswith("lstm.")}
+    head = {k: v for k, v in arrays.items() if k.startswith("head.")}
+    snn = {k: v for k, v in arrays.items() if k not in lstm and k not in head}
+    want = arch.param_shapes() if snn else {}
+    if lstm or head:
+        wx, w1 = lstm.get("lstm.wx"), head.get("head.w1")
+        if wx is None or w1 is None or wx.ndim != 2 or wx.shape[0] % 4 \
+                or w1.ndim != 2:
             raise GestemoError(
-                f"head shapes {model.head.w1.shape}, {model.head.w2.shape} do not "
-                f"fit {model.lstm.hidden} LSTM units and {arch.num_classes} classes")
-    return model
+                "frame branch needs a (4H, D) 'lstm.wx' and an (M, H) 'head.w1', "
+                f"got {({k: arrays[k].shape for k in sorted({**lstm, **head})})}")
+        want.update(frame_shapes(wx.shape[1], wx.shape[0] // 4, w1.shape[0],
+                                 arch.num_classes))
+    for name in [*want, *sorted(set(arrays) - set(want))]:
+        got = arrays[name].shape if name in arrays else None
+        if got != want.get(name):
+            raise GestemoError(f"tensor {name!r} has shape {got}, the "
+                               f"architecture needs {want.get(name)}")
+    return ModelParams(snn=snn or None, lstm=lstm or None, head=head or None)

@@ -8,6 +8,10 @@ The fused score is simply
 
 with no normalization before the sum; the predicted class is the argmax.
 
+Parameters are {name: array} dicts like the spiking branch's: "lstm.*"
+for the LSTM and "head.*" for the head, shaped as frame_shapes states.
+The functions here trust those shapes; load_checkpoint checks them.
+
 Each LSTM step writes its gate activations, cell state, hidden state and
 tanh(c) straight into preallocated tape slots, and backprop reads tanh(c)
 back from the tape.  Every product keeps the operands and association
@@ -51,45 +55,24 @@ def _blocks(a: np.ndarray):
 
 # -- recurrent branch ------------------------------------------------------------
 
-@dataclass
-class RecurrentParams:
-    """LSTM weights; rows of wx/wh hold the four gates stacked i, f, g, o."""
-
-    wx: np.ndarray   # (4H, D)
-    wh: np.ndarray   # (4H, H)
-    b: np.ndarray    # (4H,)
-
-    def __post_init__(self):
-        if self.wx.ndim != 2 or self.wh.ndim != 2 or self.b.ndim != 1:
-            raise GestemoError("recurrent params must be 2d, 2d, 1d")
-        four_h = self.wx.shape[0]
-        if four_h % 4 != 0 or self.wh.shape != (four_h, four_h // 4) \
-                or self.b.shape != (four_h,):
-            raise GestemoError(
-                f"inconsistent gate shapes wx={self.wx.shape} wh={self.wh.shape} "
-                f"b={self.b.shape}")
-
-    @property
-    def hidden(self) -> int:
-        return self.wx.shape[0] // 4
-
-    @property
-    def dim(self) -> int:
-        return self.wx.shape[1]
-
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        return {"lstm.wx": self.wx, "lstm.wh": self.wh, "lstm.b": self.b}
+def frame_shapes(dim: int, hidden: int, mid: int,
+                 num_classes: int) -> Dict[str, tuple]:
+    """Shape of every frame-branch tensor: the LSTM over dim-wide features,
+    rows of wx/wh stacking the four gates i, f, g, o, then the head."""
+    return {"lstm.wx": (4 * hidden, dim), "lstm.wh": (4 * hidden, hidden),
+            "lstm.b": (4 * hidden,),
+            "head.w1": (mid, hidden), "head.b1": (mid,),
+            "head.w2": (num_classes, mid), "head.b2": (num_classes,)}
 
 
-def init_recurrent_params(dim: int, hidden: int, seed: int = 0) -> RecurrentParams:
+def init_recurrent_params(dim: int, hidden: int,
+                          seed: int = 0) -> Dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     bx = math.sqrt(6.0 / (dim + hidden))
     bh = math.sqrt(6.0 / (hidden + hidden))
-    return RecurrentParams(
-        wx=rng.uniform(-bx, bx, size=(4 * hidden, dim)),
-        wh=rng.uniform(-bh, bh, size=(4 * hidden, hidden)),
-        b=np.zeros(4 * hidden),
-    )
+    return {"lstm.wx": rng.uniform(-bx, bx, size=(4 * hidden, dim)),
+            "lstm.wh": rng.uniform(-bh, bh, size=(4 * hidden, hidden)),
+            "lstm.b": np.zeros(4 * hidden)}
 
 
 @dataclass
@@ -104,7 +87,7 @@ class RecurrentTape:
     tc: np.ndarray                 # (T, B, H), tanh(c[t+1])
 
 
-def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
+def recurrent_forward(x: np.ndarray, params: Dict[str, np.ndarray], *,
                       record: bool = False):
     """Run the LSTM over time and return the (B, H) final hidden state.
 
@@ -112,21 +95,22 @@ def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
     output is exactly zero (tanh(0) gates through).  Without `record` every
     step reuses slot 0 of one-step buffers, so no T-sized state is kept.
     """
+    wx, wh = params["lstm.wx"], params["lstm.wh"]
+    hid, dim = wh.shape[1], wx.shape[1]
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != params.dim:
-        raise GestemoError(f"features shape {x.shape}, expected (B,T,{params.dim})")
+    if x.ndim != 3 or x.shape[2] != dim:
+        raise GestemoError(f"features shape {x.shape}, expected (B,T,{dim})")
     b, t_len, _ = x.shape
-    hid = params.hidden
     n = t_len if record else 1
     tape = RecurrentTape(x=x, gates=np.empty((n, b, 4 * hid)),
                          c=np.zeros((n + 1, b, hid)), h=np.zeros((n + 1, b, hid)),
                          tc=np.empty((n, b, hid)))
     ig = np.empty((b, hid))
     # precompute all input projections at once
-    zx = x @ params.wx.T                                 # (B, T, 4H)
-    zx += params.b                     # in place: one T-sized array, not two
+    zx = x @ wx.T                                        # (B, T, 4H)
+    zx += params["lstm.b"]             # in place: one T-sized array, not two
     # the layout rule of the module docstring
-    wh_t = np.ascontiguousarray(params.wh.T) if b >= 3 else params.wh.T
+    wh_t = np.ascontiguousarray(wh.T) if b >= 3 else wh.T
     z = np.empty((b, 4 * hid))
     mask = np.empty((b, 4 * hid), dtype=bool)
     s = s1 = 0
@@ -147,18 +131,19 @@ def recurrent_forward(x: np.ndarray, params: RecurrentParams, *,
 
 
 def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
-                       params: RecurrentParams) -> Dict[str, np.ndarray]:
+                       params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Backprop through time; returns the parameter gradients
     {"lstm.wx": ..., "lstm.wh": ..., "lstm.b": ...}."""
     if tape is None:
         raise GestemoError("recurrent_backward requires a recorded tape")
     x = tape.x
     b, t_len, _ = x.shape
-    hid = params.hidden
+    wh = params["lstm.wh"]
+    hid = wh.shape[1]
     d_hlast = np.asarray(d_hlast, dtype=np.float64).reshape(b, hid)
-    g_wx = np.zeros_like(params.wx)
-    g_wh = np.zeros_like(params.wh)
-    g_b = np.zeros_like(params.b)
+    g_wx = np.zeros_like(params["lstm.wx"])
+    g_wh = np.zeros_like(wh)
+    g_b = np.zeros_like(params["lstm.b"])
     dh = d_hlast.copy()
     dc = np.zeros((b, hid))
     dz = np.empty((b, 4 * hid))                          # d(pre-activation) i,f,g,o
@@ -186,47 +171,23 @@ def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
         g_wx += dz.T @ x[:, t]
         g_wh += dz.T @ tape.h[t]
         g_b += dz.sum(axis=0)
-        dh = dz @ params.wh
+        dh = dz @ wh
         dc *= f
     return {"lstm.wx": g_wx, "lstm.wh": g_wh, "lstm.b": g_b}
 
 
 # -- classification head ----------------------------------------------------------
 
-@dataclass
-class HeadParams:
-    """Two dense layers with a ReLU and train-time dropout between them."""
-
-    w1: np.ndarray   # (M, H)
-    b1: np.ndarray   # (M,)
-    w2: np.ndarray   # (C, M)
-    b2: np.ndarray   # (C,)
-
-    def __post_init__(self):
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise GestemoError("head weights must be 2d")
-        if self.b1.shape != (self.w1.shape[0],) or self.b2.shape != (self.w2.shape[0],):
-            raise GestemoError("head bias shapes inconsistent with weights")
-        if self.w2.shape[1] != self.w1.shape[0]:
-            raise GestemoError(
-                f"head layer widths disagree: {self.w1.shape} then {self.w2.shape}")
-
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        return {"head.w1": self.w1, "head.b1": self.b1,
-                "head.w2": self.w2, "head.b2": self.b2}
-
-
 def init_head_params(hidden: int, mid: int, num_classes: int,
-                     seed: int = 0) -> HeadParams:
+                     seed: int = 0) -> Dict[str, np.ndarray]:
+    """Two dense layers with a ReLU and train-time dropout between them."""
     rng = np.random.default_rng(seed)
     b1 = math.sqrt(6.0 / (hidden + mid))
     b2 = math.sqrt(6.0 / (mid + num_classes))
-    return HeadParams(
-        w1=rng.uniform(-b1, b1, size=(mid, hidden)),
-        b1=np.zeros(mid),
-        w2=rng.uniform(-b2, b2, size=(num_classes, mid)),
-        b2=np.zeros(num_classes),
-    )
+    return {"head.w1": rng.uniform(-b1, b1, size=(mid, hidden)),
+            "head.b1": np.zeros(mid),
+            "head.w2": rng.uniform(-b2, b2, size=(num_classes, mid)),
+            "head.b2": np.zeros(num_classes)}
 
 
 @dataclass
@@ -237,7 +198,7 @@ class HeadTape:
     mask: Optional[np.ndarray]   # dropout keep mask scaled, or None in eval
 
 
-def head_forward(h: np.ndarray, params: HeadParams, *,
+def head_forward(h: np.ndarray, params: Dict[str, np.ndarray], *,
                  rng: Optional[np.random.Generator] = None,
                  dropout: float = 0.0, record: bool = False):
     """h (B, H) -> logits (B, C).
@@ -246,12 +207,12 @@ def head_forward(h: np.ndarray, params: HeadParams, *,
     probability, drawn from rng, and survivors are scaled by 1/(1-dropout),
     so the expected output is the eval output, which dropout 0 gives.
     """
+    w1 = params["head.w1"]
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != params.w1.shape[1]:
-        raise GestemoError(f"head input shape {h.shape}, expected "
-                           f"(B,{params.w1.shape[1]})")
+    if h.ndim != 2 or h.shape[1] != w1.shape[1]:
+        raise GestemoError(f"head input shape {h.shape}, expected (B,{w1.shape[1]})")
     check_option("dropout", dropout)
-    z1 = h @ params.w1.T + params.b1
+    z1 = h @ w1.T + params["head.b1"]
     a = np.maximum(z1, 0.0)
     mask = None
     if dropout > 0.0:
@@ -260,14 +221,15 @@ def head_forward(h: np.ndarray, params: HeadParams, *,
         keep = 1.0 - dropout
         mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
         a = a * mask
-    logits = a @ params.w2.T + params.b2
+    logits = a @ params["head.w2"].T + params["head.b2"]
     if record:
         return logits, HeadTape(h=h, z1=z1, a=a, mask=mask)
     return logits
 
 
 def head_backward(tape: Optional[HeadTape], d_logits: np.ndarray,
-                  params: HeadParams) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+                  params: Dict[str, np.ndarray]
+                  ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """Returns ({"head.w1": ...}, d_h)."""
     if tape is None:
         raise GestemoError("head_backward requires a recorded tape")
@@ -275,13 +237,13 @@ def head_backward(tape: Optional[HeadTape], d_logits: np.ndarray,
     d_logits = np.asarray(d_logits, dtype=np.float64).reshape(b, -1)
     g_w2 = d_logits.T @ tape.a
     g_b2 = d_logits.sum(axis=0)
-    d_a = d_logits @ params.w2
+    d_a = d_logits @ params["head.w2"]
     if tape.mask is not None:
         d_a = d_a * tape.mask
     d_z1 = d_a * (tape.z1 > 0.0)
     g_w1 = d_z1.T @ tape.h
     g_b1 = d_z1.sum(axis=0)
-    d_h = d_z1 @ params.w1
+    d_h = d_z1 @ params["head.w1"]
     return {"head.w1": g_w1, "head.b1": g_b1, "head.w2": g_w2, "head.b2": g_b2}, d_h
 
 

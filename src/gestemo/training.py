@@ -25,8 +25,6 @@ from .errors import DivergedLossError, GestemoError, check_option
 from .events import LABELED_GESTURES, EmotionClass, GestureClass, SampleRecord, emotion_of
 from .fusion import (
     FusionConfig,
-    HeadParams,
-    RecurrentParams,
     fuse,
     head_backward,
     head_forward,
@@ -126,22 +124,15 @@ def adam_update(params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray],
 
 @dataclass
 class ModelParams:
-    """All trainable tensors; the flat view shares memory with the branch
-    views, so in-place updates reach both."""
+    """All trainable tensors, one {name: array} dict per branch part; flat()
+    merges them and shares their arrays, so in-place updates reach both."""
 
     snn: Optional[Dict[str, np.ndarray]] = None
-    lstm: Optional[RecurrentParams] = None
-    head: Optional[HeadParams] = None
+    lstm: Optional[Dict[str, np.ndarray]] = None
+    head: Optional[Dict[str, np.ndarray]] = None
 
     def flat(self) -> Dict[str, np.ndarray]:
-        out: Dict[str, np.ndarray] = {}
-        if self.snn is not None:
-            out.update(self.snn)
-        if self.lstm is not None:
-            out.update(self.lstm.as_dict())
-        if self.head is not None:
-            out.update(self.head.as_dict())
-        return out
+        return {**(self.snn or {}), **(self.lstm or {}), **(self.head or {})}
 
 
 def init_model(arch: SnnArchitecture, feature_dim: int, *, hidden: int = 128,

@@ -3,8 +3,9 @@ writes, keyed by the numeric environment that wrote them.
 
 Seeded runs give the same bytes on every commit, so a digest that moves
 means a change moved the numbers.  A dense GEMM's bits depend on the BLAS
-kernel, so a digest holds only under the environment it was made in:
-numpy version, BLAS name and version, OpenBLAS core and machine.
+kernel, and np.exp's on numpy's SIMD dispatch level, so a digest holds
+only under the environment it was made in: numpy version, BLAS name and
+version, OpenBLAS core, machine and SIMD level.
 
 Write (or replace) the entry for the environment this runs in:
 
@@ -99,7 +100,18 @@ def fingerprint() -> str:
     except (KeyError, TypeError):
         blas = None
     return (f"numpy {np.__version__}; blas {blas}; core {_openblas_core()}; "
-            f"machine {platform.machine()}")
+            f"machine {platform.machine()}; simd {_simd_level()}")
+
+
+def _simd_level() -> Optional[str]:
+    """The highest of numpy's dispatch targets enabled here, which
+    NPY_DISABLE_CPU_FEATURES can lower."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return None
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return enabled[-1] if enabled else None
 
 
 def _openblas_core() -> Optional[str]:

@@ -178,7 +178,8 @@ HEADER_EDITS = {
                       r"tensor 'fc2.w' has shape \(36, 3\), the architecture "
                       r"needs \(3, 36\)"),
     "head_w1_transposed": (lambda h: tensor_spec(h, "head.w1")["shape"].reverse(),
-                           "head bias shapes inconsistent with weights"),
+                           r"tensor 'head.w1' has shape \(6, 4\), the architecture "
+                           r"needs \(6, 6\)"),
     "unknown_tensor": (lambda h: tensor_spec(h, "conv0.b").update(name="conv9.b"),
                        "tensor 'conv0.b' has shape None"),
 }
@@ -227,7 +228,8 @@ def test_rejects_head_that_does_not_fit_the_lstm_or_classes(tmp_path):
     ckpt.model = ModelParams(snn=model.snn, lstm=model.lstm, head=other.head)
     path = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, path)
-    with pytest.raises(ParseError, match="do not fit 6 LSTM units and 3 classes"):
+    with pytest.raises(ParseError, match=r"tensor 'head.w1' has shape \(4, 7\), the "
+                                         r"architecture needs \(4, 6\)"):
         load_checkpoint(path)
 
 
@@ -236,5 +238,85 @@ def test_rejects_partial_frame_branch(tmp_path):
     ckpt.model = ModelParams(snn=ckpt.model.snn, lstm=ckpt.model.lstm)
     path = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, path)
-    with pytest.raises(ParseError, match="frame branch has only tensors"):
+    with pytest.raises(ParseError, match="frame branch needs a .* 'head.w1', got "
+                                         r"\{'lstm.b': \(24,\), 'lstm.wh'"):
         load_checkpoint(path)
+
+
+#: frame tensors saved mis-shaped (ARCH's 3 classes, D 5, H 6, M 4), each
+#: with the message fragment that must refuse it: every tensor with one
+#: size off by one, then the old inconsistent-gate and head-width cases
+FRAME_SHAPE_EDITS = {
+    "lstm.wx": ({"lstm.wx": (25, 5)}, r"frame branch needs a \(4H, D\) 'lstm.wx'"),
+    "lstm.wh": ({"lstm.wh": (24, 7)}, r"'lstm.wh' has shape \(24, 7\), the "
+                                      r"architecture needs \(24, 6\)"),
+    "lstm.b": ({"lstm.b": (25,)}, r"'lstm.b' has shape \(25,\)"),
+    # numpy would broadcast this one bias into every gate unit
+    "lstm.b_one": ({"lstm.b": (1,)}, r"'lstm.b' has shape \(1,\), the "
+                                     r"architecture needs \(24,\)"),
+    "head.w1": ({"head.w1": (4, 7)}, r"'head.w1' has shape \(4, 7\)"),
+    "head.b1": ({"head.b1": (5,)}, r"'head.b1' has shape \(5,\), the "
+                                   r"architecture needs \(4,\)"),
+    "head.w2": ({"head.w2": (3, 5)}, r"'head.w2' has shape \(3, 5\), the "
+                                     r"architecture needs \(3, 4\)"),
+    "head.b2": ({"head.b2": (4,)}, r"'head.b2' has shape \(4,\)"),
+    "gates_not_4h": ({"lstm.wx": (6, 2), "lstm.wh": (6, 1), "lstm.b": (6,)},
+                     r"frame branch needs .* got \{.*'lstm.wx': \(6, 2\)"),
+    "gates_wh_wide": ({"lstm.wx": (8, 2), "lstm.wh": (8, 3), "lstm.b": (8,)},
+                      r"'lstm.wh' has shape \(8, 3\), the architecture "
+                      r"needs \(8, 2\)"),
+    "head_w2_of_w1_width": ({"head.w1": (5, 6), "head.b1": (5,)},
+                            r"'head.w2' has shape \(3, 4\), the architecture "
+                            r"needs \(3, 5\)"),
+}
+
+
+def save_with_frame_shapes(path, shapes):
+    """Save make_checkpoint() with the named frame tensors replaced by
+    arrays of the given shapes."""
+    ckpt = make_checkpoint()
+    for name, shape in shapes.items():
+        part = ckpt.model.lstm if name.startswith("lstm.") else ckpt.model.head
+        part[name] = np.full(shape, 0.25)
+    save_checkpoint(ckpt, path)
+
+
+@pytest.mark.parametrize("edit", list(FRAME_SHAPE_EDITS))
+def test_rejects_every_misshaped_frame_tensor(tmp_path, edit):
+    shapes, message = FRAME_SHAPE_EDITS[edit]
+    path = tmp_path / "model.ckpt"
+    save_with_frame_shapes(path, shapes)
+    with pytest.raises(ParseError, match=message):
+        load_checkpoint(path)
+
+
+def test_eval_of_a_one_element_lstm_bias_is_one_line_data_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_with_frame_shapes(path, {"lstm.b": (1,)})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", str(path), str(tmp_path / "manifest.json")])
+    assert code == 2
+    assert err.getvalue() == (f"error: {path}: tensor 'lstm.b' has shape (1,), "
+                              f"the architecture needs (24,)\n")
+
+
+class Unreadable:
+    """A tensor whose bytes cannot be read, as on a failing disk."""
+
+    shape = (3,)
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("read error")
+
+
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(), path)
+    before = path.read_bytes()
+    ckpt = make_checkpoint(seed=5)
+    ckpt.model.head["head.b2"] = Unreadable()
+    with pytest.raises(OSError, match="read error"):
+        save_checkpoint(ckpt, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

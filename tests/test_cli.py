@@ -718,7 +718,7 @@ def test_eval_overflow_is_one_line_data_error(trained, tmp_path):
     # largest L1 norm, overflow that row's input projection in the LSTM;
     # eval used to warn and then print metrics computed from the infinities
     ckpt, manifest = trained
-    wx = load_checkpoint(ckpt).model.lstm.wx
+    wx = load_checkpoint(ckpt).model.lstm["lstm.wx"]
     row = wx[np.argmax(np.abs(wx).sum(axis=1))]
     assert np.abs(row).sum() > 1.0
     data = tmp_path / "data"

@@ -4,6 +4,7 @@ head's dropout against its eval-mode expectation; both backwards against
 central finite differences."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from gestemo.errors import GestemoError
 from gestemo.fusion import (
     _sigmoid,
     FusionConfig,
-    HeadParams,
-    RecurrentParams,
+    frame_shapes,
     fuse,
     head_backward,
     head_forward,
@@ -25,22 +25,20 @@ from gestemo.fusion import (
 )
 
 
-def test_recurrent_params_validation():
-    with pytest.raises(GestemoError, match="inconsistent gate shapes"):
-        RecurrentParams(np.zeros((6, 2)), np.zeros((6, 1)), np.zeros(6))
-    with pytest.raises(GestemoError, match="inconsistent gate shapes"):
-        RecurrentParams(np.zeros((8, 2)), np.zeros((8, 3)), np.zeros(8))
-    p = RecurrentParams(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
-    assert p.hidden == 2 and p.dim == 3
-
-
 def test_init_recurrent_params():
     p = init_recurrent_params(dim=5, hidden=4, seed=3)
     q = init_recurrent_params(dim=5, hidden=4, seed=3)
-    assert p.wx.shape == (16, 5) and p.wh.shape == (16, 4)
-    assert np.array_equal(p.b, np.zeros(16))
-    assert np.array_equal(p.wx, q.wx)
-    assert np.all(np.abs(p.wx) <= math.sqrt(6.0 / 9.0))
+    assert p["lstm.wx"].shape == (16, 5) and p["lstm.wh"].shape == (16, 4)
+    assert np.array_equal(p["lstm.b"], np.zeros(16))
+    assert np.array_equal(p["lstm.wx"], q["lstm.wx"])
+    assert np.all(np.abs(p["lstm.wx"]) <= math.sqrt(6.0 / 9.0))
+
+
+def test_init_params_have_the_frame_shapes():
+    params = {**init_recurrent_params(dim=5, hidden=4, seed=0),
+              **init_head_params(hidden=4, mid=3, num_classes=2, seed=0)}
+    assert [(k, v.shape) for k, v in params.items()] == \
+        list(frame_shapes(5, 4, 3, 2).items())
 
 
 def test_zero_input_zero_bias_gives_zero_state():
@@ -67,11 +65,9 @@ def test_matches_scalar_reference():
     wh = [0.1, 0.2, -0.3, 0.25]
     b = [0.05, -0.1, 0.2, 0.0]
     xs = [0.5, -1.0, 0.8]
-    p = RecurrentParams(
-        wx=np.array(wx).reshape(4, 1),
-        wh=np.array(wh).reshape(4, 1),
-        b=np.array(b),
-    )
+    p = {"lstm.wx": np.array(wx).reshape(4, 1),
+         "lstm.wh": np.array(wh).reshape(4, 1),
+         "lstm.b": np.array(b)}
     h = recurrent_forward(np.array(xs).reshape(1, 3, 1), p)
     assert h[0, 0] == pytest.approx(scalar_lstm_reference(xs, wx, wh, b), abs=1e-12)
 
@@ -110,7 +106,7 @@ def test_recurrent_gradient_matches_fd():
     grads = recurrent_backward(tape, r, p)
 
     h_ = 1e-6
-    for name, arr in (("lstm.wx", p.wx), ("lstm.wh", p.wh), ("lstm.b", p.b)):
+    for name, arr in p.items():
         flat = arr.ravel()
         for i in range(flat.size):
             keep = flat[i]
@@ -215,11 +211,13 @@ def test_lstm_matches_frozen_reference_bit_for_bit(batch, dim, hidden, scale):
     # scale 30 drives gates into both saturated ends
     p = init_recurrent_params(dim=dim, hidden=hidden, seed=batch)
     rng = np.random.default_rng(batch)
-    p.b[:] = rng.normal(scale=scale, size=p.b.shape)
+    p["lstm.b"][:] = rng.normal(scale=scale, size=p["lstm.b"].shape)
     x = rng.normal(scale=scale, size=(batch, 40, dim))
     d_hlast = rng.normal(size=(batch, hidden))
-    want_h, want_gates, want_c, want_hs = _ref_forward(x, p)
-    want_grads = _ref_backward(x, want_gates, want_c, want_hs, d_hlast, p)
+    ref = types.SimpleNamespace(hidden=hidden, wx=p["lstm.wx"], wh=p["lstm.wh"],
+                                b=p["lstm.b"])
+    want_h, want_gates, want_c, want_hs = _ref_forward(x, ref)
+    want_grads = _ref_backward(x, want_gates, want_c, want_hs, d_hlast, ref)
 
     h, tape = recurrent_forward(x, p, record=True)
     grads = recurrent_backward(tape, d_hlast, p)
@@ -229,7 +227,7 @@ def test_lstm_matches_frozen_reference_bit_for_bit(batch, dim, hidden, scale):
     assert np.array_equal(tape.c, want_c)
     assert np.array_equal(tape.h, want_hs)
     assert np.array_equal(tape.tc, np.tanh(want_c[1:]))
-    for name in p.as_dict():
+    for name in p:
         assert np.array_equal(grads[name], want_grads[name]), name
     sig = np.concatenate([want_gates[..., :2 * hidden],
                           want_gates[..., 3 * hidden:]], axis=-1)
@@ -255,13 +253,6 @@ def test_sigmoid_matches_masked_form_on_edge_values():
     out = np.empty((100, 400))
     _sigmoid(wide[:, :256], out[:, :256], np.empty((100, 256), dtype=bool))
     assert np.array_equal(out[:, :256], _ref_sigmoid(wide[:, :256]), equal_nan=True)
-
-
-def test_head_params_validation():
-    with pytest.raises(GestemoError, match="head bias shapes inconsistent with weights"):
-        HeadParams(np.zeros((4, 3)), np.zeros(5), np.zeros((2, 4)), np.zeros(2))
-    with pytest.raises(GestemoError, match="head layer widths disagree"):
-        HeadParams(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 5)), np.zeros(2))
 
 
 def test_head_eval_zero_input_zero_bias():
@@ -325,9 +316,9 @@ def test_head_gradient_matches_fd():
 
     def loss(hv, pv):
         # replay with the recorded mask so the FD surface is the same
-        z1 = hv @ pv.w1.T + pv.b1
+        z1 = hv @ pv["head.w1"].T + pv["head.b1"]
         a = np.maximum(z1, 0.0) * tape.mask
-        return float(np.sum((a @ pv.w2.T + pv.b2) * r))
+        return float(np.sum((a @ pv["head.w2"].T + pv["head.b2"]) * r))
 
     h_ = 1e-6
     for idx in np.ndindex(h.shape):
@@ -339,7 +330,7 @@ def test_head_gradient_matches_fd():
         num = (up - down) / (2 * h_)
         assert num == pytest.approx(d_h[idx], rel=1e-5, abs=1e-9)
 
-    for name, arr in p.as_dict().items():
+    for name, arr in p.items():
         flat = arr.ravel()
         for i in range(flat.size):
             keep = flat[i]

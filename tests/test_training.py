@@ -189,7 +189,7 @@ def test_model_flat_shares_memory():
     model = init_model(ARCH, feature_dim=3, hidden=4, head_mid=4, seed=0)
     flat = model.flat()
     flat["lstm.b"] += 1.0
-    assert np.array_equal(model.lstm.b, np.ones_like(model.lstm.b))
+    assert np.array_equal(model.lstm["lstm.b"], np.ones_like(model.lstm["lstm.b"]))
     flat["conv0.w"][0, 0, 0, 0] = 7.0
     assert model.snn["conv0.w"][0, 0, 0, 0] == 7.0
 
@@ -202,7 +202,7 @@ def test_init_model_branches():
     fused = init_model(ARCH, 3, seed=0, branch="fused")
     assert fused.snn is not None and fused.lstm is not None
     again = init_model(ARCH, 3, seed=0, branch="fused")
-    assert np.array_equal(fused.lstm.wx, again.lstm.wx)
+    assert np.array_equal(fused.lstm["lstm.wx"], again.lstm["lstm.wx"])
 
 
 def make_sample(idx, gesture, n_events=60, n_frames=5, dim=3):
