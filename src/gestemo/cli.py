@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import shutil
 import sys
 import warnings
 from dataclasses import fields
@@ -163,6 +164,18 @@ def cmd_synth(ns) -> int:
                            **{key: getattr(ns, key) for key in SYNTH_KEYS})
     except GestemoError as e:
         raise _UsageError(str(e)) from None
+    # the fewest bytes a sample's files can take: one "0,0,0,0\n" row per
+    # event and one digit and a separator per feature value
+    need = len(gestures) * spec.per_class * (
+        8 * spec.min_events + 2 * spec.min_frames * spec.feature_dim)
+    where = os.path.abspath(ns.out)
+    while not os.path.exists(where):
+        where = os.path.dirname(where)
+    free = shutil.disk_usage(where).free
+    if need > free:
+        raise _UsageError(f"per_class {spec.per_class} for {len(gestures)} gestures "
+                          f"needs at least {need} bytes, more than the {free} "
+                          f"bytes free under {where}")
     manifest = build_dataset(ns.out, spec, seed=ns.seed)
     print(f"wrote {len(manifest.entries)} samples "
           f"({len(manifest.ids('train'))} train / {len(manifest.ids('test'))} test) "

@@ -317,17 +317,11 @@ def _plan(arch: SnnArchitecture) -> _Plan:
     return _Plan(arch)
 
 
-#: per-step work from which a layer's weight gradients run on the worker
-#: thread beside the input-gradient chain: the im2col size B*P*kernel_cols
-#: of a conv layer, in_width*out_width of a dense one.  On two cores the
-#: backward of a 32x32 network (layers up to 295,000 at batch 8) ran up to
-#: 8% slower offloaded, and DAVIS346-size layers (385,000 and up) gained.
-OFFLOAD_MIN_WORK = 500_000
 #: worker tasks in flight before submit waits for the oldest; in the backward
-#: pass each holds a copy of one step's layer gradient
+#: pass a weight-sum task holds a copy of one step's layer gradient
 _MAX_PENDING = 3
 #: one FIFO thread, so each tensor's sums keep their order: the forward's
-#: second batch half, the backward's offloaded weight gradients
+#: second batch half, the backward's first layer and other weight sums
 _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gestemo-snn")
 
 
@@ -359,14 +353,45 @@ def _cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _offloaded_layers(plan: _Plan, b: int) -> List[bool]:
-    """Per layer, whether its weight gradients go to the worker thread at
-    batch size b: only with a second CPU, and only for a large layer."""
-    cpus = _cpus()
-    work = [b * plan.col_idx[li].size if isinstance(layer, Conv)
-            else layer.in_width * layer.out_width if isinstance(layer, Dense)
-            else 0 for li, layer in enumerate(plan.arch.layers)]
-    return [cpus > 1 and w >= OFFLOAD_MIN_WORK for w in work]
+def _backward_on_worker(plan: _Plan, b: int) -> List[bool]:
+    """Per layer, whether its backward task runs on the worker thread at
+    batch size b.  Layer 0's task is its whole backward (LIF backward and
+    weight sums), which nothing downstream waits for; another layer's task
+    is its weight sums alone.
+
+    Each step's work is estimated in float64 elements touched.  The calling
+    thread starts with the input-gradient chain of layers >= 1 (their LIF
+    backward and input gradients); then, largest first, each task goes to
+    the thread it leaves less loaded, the calling thread on a tie.  With one
+    CPU everything runs inline."""
+    if _cpus() < 2:
+        return [False] * len(plan.arch.layers)
+    lif, weights, inputs = [], [], []
+    for li, layer in enumerate(plan.arch.layers):
+        n_in = b * math.prod(plan.in_shapes[li])
+        n_out = b * math.prod(plan.out_shapes[li])
+        lif.append(11 * n_out)   # about eleven elementwise passes
+        if isinstance(layer, Conv):   # im2col gather and one GEMM each
+            gemm = 2 * b * plan.col_idx[li].size
+            weights.append(gemm + n_out)
+            inputs.append(gemm)
+        elif isinstance(layer, Pool):
+            weights.append(0)
+            inputs.append(2 * n_in)
+        else:
+            weights.append(3 * layer.in_width * layer.out_width)
+            inputs.append(layer.in_width * layer.out_width + n_in)
+    caller, worker = sum(lif[1:]) + sum(inputs[1:]), 0
+    tasks = [(lif[0] + weights[0], 0)] + [(w, li) for li, w in enumerate(weights)
+                                          if li > 0 and w > 0]
+    on_worker = [False] * len(plan.arch.layers)
+    for work, li in sorted(tasks, key=lambda task: -task[0]):
+        if worker < caller:
+            worker += work
+            on_worker[li] = True
+        else:
+            caller += work
+    return on_worker
 
 
 def _as_float(x: np.ndarray) -> np.ndarray:
@@ -539,27 +564,43 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
         raise GestemoError(f"d_sdg shape {d_sdg.shape} != ({b},{arch.num_classes})")
     grads = {name: np.zeros_like(params[name]) for name in arch.param_shapes()}
     dv_carry = [np.zeros((b,) + shp) for shp in plan.out_shapes]
-    # one scratch pair serves every layer: a layer's dvp is consumed before
-    # the next layer writes the pair again (the worker gets its own copy)
-    bufs = [np.empty(b * max(math.prod(shp) for shp in plan.out_shapes))
-            for _ in range(2)]
-    scratch = [[buf[:b * math.prod(shp)].reshape((b,) + shp) for buf in bufs]
-               for shp in plan.out_shapes]
-    offload = _offloaded_layers(plan, b)
+    n = len(arch.layers)
+    on_worker = _backward_on_worker(plan, b)
+    # one scratch pair per thread serves every layer that thread runs: a
+    # layer's dvp is consumed before the next layer writes the pair again.
+    # Layer 0 on the worker has a pair of its own; another layer's weight
+    # sums there get a copy of its dvp.
+    scratch = {}
+    for layers in ([0], range(1, n)) if on_worker[0] else [range(n)]:
+        sizes = {li: math.prod(plan.out_shapes[li]) for li in layers}
+        bufs = [np.empty(b * max(sizes.values(), default=0)) for _ in range(2)]
+        scratch.update({li: [buf[:b * size].reshape((b,) + plan.out_shapes[li])
+                             for buf in bufs] for li, size in sizes.items()})
+
+    def lif_backward(li: int, t: int, d_s: np.ndarray) -> np.ndarray:
+        return _lif_backward(tape.vpre[li][t], tape.spikes[li][t], d_s,
+                             dv_carry[li], cfg, tape.surrogate_width, *scratch[li])
+
+    def first_layer_backward(t: int, d_s: np.ndarray) -> None:
+        # no layer reads the input gradient of layer 0
+        _weight_backward(plan, 0, tape.x[:, t], lif_backward(0, t, d_s), grads)
+
     with _worker_tasks() as submit:
         for t in reversed(range(k)):
             d_s = d_sdg / k
-            for li in reversed(range(len(arch.layers))):
-                dvp = _lif_backward(tape.vpre[li][t], tape.spikes[li][t], d_s,
-                                    dv_carry[li], cfg, tape.surrogate_width,
-                                    *scratch[li])
-                x_in = tape.spikes[li - 1][t] if li > 0 else tape.x[:, t]
-                if offload[li]:
+            for li in reversed(range(1, n)):
+                dvp = lif_backward(li, t, d_s)
+                x_in = tape.spikes[li - 1][t]
+                if on_worker[li]:
                     submit(_weight_backward, plan, li, x_in, dvp.copy(), grads)
                 else:
                     _weight_backward(plan, li, x_in, dvp, grads)
-                if li > 0:
-                    d_s = _input_backward(plan, li, x_in, dvp, params)
+                d_s = _input_backward(plan, li, x_in, dvp, params)
+            # d_s is a fresh array, so the worker may read it as it is
+            if on_worker[0]:
+                submit(first_layer_backward, t, d_s)
+            else:
+                first_layer_backward(t, d_s)
     return grads
 
 

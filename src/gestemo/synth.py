@@ -9,6 +9,7 @@ manifest last, so a crashed build never leaves a readable-but-wrong dataset.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 from typing import Iterator, Tuple
 
@@ -58,6 +59,15 @@ class DatasetSpec:
             raise GestemoError("bad event count range")
         if self.min_frames > self.max_frames:
             raise GestemoError("bad frame count range")
+        # one sample's arrays: max_events rows of four int64 columns and
+        # max_frames x feature_dim float64 values
+        sample = 32 * self.max_events + 8 * self.max_frames * self.feature_dim
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if sample > memory:
+            raise GestemoError(
+                f"max_events {self.max_events}, max_frames {self.max_frames} and "
+                f"feature_dim {self.feature_dim} make a sample of {sample} bytes, "
+                f"more than the {memory} bytes of physical memory")
 
 
 def class_direction(gesture: GestureClass, dim: int) -> np.ndarray:

@@ -11,13 +11,16 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gestemo import snn
 from gestemo.checkpoint import load_checkpoint
 from gestemo.cli import TRAIN_DEFAULTS, build_parser, main
 from gestemo.dataio import (FrameFeatureSequence, ManifestEntry, SplitManifest,
@@ -104,6 +107,31 @@ def test_synth_bad_flag_value_is_usage_error(tmp_path, flag, value, message):
     out = tmp_path / "d"
     code, _, err = run_main("synth", str(out), *TINY, flag, value)
     assert code == 1 and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--max-events", "bytes of physical memory"),
+    ("--max-frames", "bytes of physical memory"),
+    ("--feature-dim", "bytes of physical memory"),
+    ("--per-class", "bytes free under"),
+])
+def test_synth_size_beyond_the_machine_is_refused_before_writing(tmp_path, flag,
+                                                                 message):
+    out = tmp_path / "d"
+    code, _, err = run_main("synth", str(out), flag, str(2**63 - 1))
+    assert code == 1 and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+def test_synth_refuses_a_dataset_larger_than_the_free_disk(tmp_path, monkeypatch):
+    # the six TINY samples take at least 6 x (8 x 30 + 2 x 3 x 3) bytes
+    out = tmp_path / "d"
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=1547))
+    code, _, err = run_main("synth", str(out), *TINY)
+    assert code == 1
+    assert err == (f"per_class 2 for 3 gestures needs at least 1548 bytes, "
+                   f"more than the 1547 bytes free under {tmp_path}\n")
     assert not out.exists()
 
 
@@ -1108,6 +1136,29 @@ def test_train_overflow_is_one_line_divergence(parse_corpus, tmp_path):
                                         "--out", str(tmp_path / "m.ckpt"))
     assert code == 3 and len(lines) == 1
     assert lines[0].startswith("error: training diverged: overflow encountered")
+
+
+def test_overflow_in_the_worker_first_layer_backward_is_exit_3(tmp_path,
+                                                               monkeypatch):
+    # with two CPUs the first conv layer's whole backward runs on the SNN's
+    # worker thread; an overflow raised there reaches the user as divergence
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    lif_backward, raised_on = snn._lif_backward, []
+
+    def overflowing(*args):
+        if threading.current_thread().name.startswith("gestemo-snn"):
+            raised_on.append(True)
+            np.float64(1e300) * np.float64(1e300)
+        return lif_backward(*args)
+
+    monkeypatch.setattr(snn, "_lif_backward", overflowing)
+    code, stdout, err = run_main("train", small_corpus(tmp_path), *FAST_TRAIN,
+                                 "--out", str(tmp_path / "m.ckpt"))
+    assert code == 3 and raised_on
+    assert err == "error: training diverged: overflow encountered in " \
+                  "scalar multiply during training\n"
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_eval_empty_split_is_data_error(tmp_path, capsys):

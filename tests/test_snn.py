@@ -462,38 +462,55 @@ def assert_grads_equal(grads, want_grads):
         assert np.array_equal(grads[name], want_grads[name]), name
 
 
-#: the davis346 plane size; its large layers take their weight gradients to
-#: the worker thread, which no ORACLE_ARCHS case is large enough to do
-DAVIS346_ARCH = default_architecture(3, 65, 87)
+#: the two plane sizes the benchmark trains on: desk32's and davis346's
+#: (346x260 after --downsample 4)
+BENCHMARK_ARCHS = {"32x32": default_architecture(3, 32, 32),
+                   "65x87": default_architecture(3, 65, 87)}
 
 
-@pytest.mark.parametrize("batch, offloaded", [(8, [0, 2, 4]), (4, [2, 4])])
-def test_offloaded_weight_gradients_match_reference_bit_for_bit(
-        batch, offloaded, monkeypatch):
+def _on_worker(arch, batch):
+    return [li for li, on in enumerate(snn._backward_on_worker(snn._plan(arch), batch))
+            if on]
+
+
+@pytest.mark.parametrize("batch", [1, 3, 4, 8])
+@pytest.mark.parametrize("reset", ["to_zero", "subtract_theta"])
+@pytest.mark.parametrize("arch_name", sorted(BENCHMARK_ARCHS))
+def test_planned_backward_matches_reference_bit_for_bit(arch_name, reset, batch,
+                                                        monkeypatch):
     # a second CPU, whatever the machine, so the worker path runs
     monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    routed = snn._offloaded_layers(snn._plan(DAVIS346_ARCH), batch)
-    assert [li for li, on in enumerate(routed) if on] == offloaded
+    arch = BENCHMARK_ARCHS[arch_name]
+    assert _on_worker(arch, batch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # interleave the two threads as finely as possible
     try:
         (want_out, want_grads), (out, plain, grads) = _oracle_case(
-            DAVIS346_ARCH, "to_zero", "binary", batch)
+            arch, reset, "binary", batch)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(out, want_out)
     assert_grads_equal(grads, want_grads)
 
 
-@pytest.mark.parametrize("cpus, arch", [
-    ({0}, DAVIS346_ARCH),
-    ({0, 1}, default_architecture(3, 32, 32)),
-], ids=["one_cpu", "32x32_planes"])
-def test_every_layer_stays_inline(cpus, arch, monkeypatch):
+@pytest.mark.parametrize("arch_name", sorted(BENCHMARK_ARCHS))
+@pytest.mark.parametrize("batch", [4, 8])
+def test_two_cpus_put_the_first_layer_and_fc4_on_the_worker(arch_name, batch,
+                                                            monkeypatch):
+    # conv2's weight sums, the third task by size, stay with the caller
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert _on_worker(BENCHMARK_ARCHS[arch_name], batch) == [0, 4]
+
+
+@pytest.mark.parametrize("cpus", [{0}], ids=["one_cpu"])
+def test_every_layer_stays_inline(cpus, monkeypatch):
     monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: cpus,
                         raising=False)
-    assert not any(snn._offloaded_layers(snn._plan(arch), 8))
+    for arch in BENCHMARK_ARCHS.values():
+        for batch in (1, 3, 4, 8):
+            assert _on_worker(arch, batch) == []
 
 
 def _lif_calls(monkeypatch, cpus):

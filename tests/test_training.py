@@ -366,16 +366,16 @@ def test_diverged_loss_raises():
 
 
 def test_overflow_on_the_gradient_worker_is_divergence(monkeypatch):
-    # A dense layer large enough for the worker thread.  Its zero weights
-    # keep the huge planes out of the forward pass, and both layers hold
-    # their membranes inside the surrogate window, silent.  The huge second
-    # layer then sends a gradient of about 1e147 back, so only the first
-    # layer's weight gradient, (1e147 x 1e200) on the worker, overflows.
+    # The first layer's backward runs on the worker thread.  Its zero
+    # weights keep the huge planes out of the forward pass, and both layers
+    # hold their membranes inside the surrogate window, silent.  The huge
+    # second layer then sends a gradient of about 1e147 back, so only the
+    # first layer's weight gradient, (1e147 x 1e200) on the worker, overflows.
     monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     arch = SnnArchitecture(layers=(Dense(1250, 512), Dense(512, 3)),
                            input_shape=(2, 25, 25), num_classes=3)
-    assert snn._offloaded_layers(snn._plan(arch), 4) == [True, False]
+    assert snn._backward_on_worker(snn._plan(arch), 4) == [True, False]
     params = {"fc0.w": np.zeros((512, 1250)), "fc0.b": np.full(512, 0.1),
               "fc1.w": np.full((3, 512), 1e150), "fc1.b": np.full(3, 0.1)}
     data = TrainData(np.full((4, 12, 2, 25, 25), 1e200), None,
@@ -397,6 +397,41 @@ def test_overflow_on_the_gradient_worker_is_divergence(monkeypatch):
     snn._WORKER.submit(lambda: None).result(timeout=60)   # FIFO: after any leftover
     assert calls == at_raise
     assert at_raise.count("begin") == at_raise.count("end") > 0
+
+
+def test_overflow_in_the_first_layer_lif_backward_on_the_worker_is_divergence(
+        monkeypatch):
+    # With beta 1, the first layer's membrane sits exactly at theta at every
+    # step and the second layer's reaches it at the last step only, so with a
+    # surrogate width of 1e-300 both see d(spike)/dv' = 5e299 there.  The
+    # second layer, on the calling thread, sends back a gradient of about
+    # 1e297, and the first layer's LIF backward on the worker multiplies it
+    # by 5e299.  The calling thread's own arithmetic stays finite.
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    arch = SnnArchitecture(layers=(Dense(50, 1), Dense(1, 3)),
+                           input_shape=(2, 5, 5), num_classes=3)
+    assert snn._backward_on_worker(snn._plan(arch), 4) == [True, False]
+    params = {"fc0.w": np.zeros((1, 50)), "fc0.b": np.ones(1),
+              "fc1.w": np.full((3, 1), 0.125), "fc1.b": np.full(3, 0.125)}
+    data = TrainData(np.zeros((4, 4, 2, 5, 5)), None, np.array([0, 1, 2, 0]),
+                     tuple(EmotionClass))
+    lif_backward, raised_on = snn._lif_backward, []
+
+    def recorded(*args):
+        try:
+            return lif_backward(*args)
+        except FloatingPointError:
+            raised_on.append(threading.current_thread().name)
+            raise
+
+    monkeypatch.setattr(snn, "_lif_backward", recorded)
+    with pytest.raises(DivergedLossError, match="overflow encountered in multiply"):
+        train(data, ModelParams(snn=params), arch,
+              LifConfig(beta=1.0, theta=1.0),
+              TrainConfig(epochs=1, branch="snn_only", surrogate_width=1e-300))
+    # every first-layer task already queued overflows too, all on the worker
+    assert raised_on and all(name.startswith("gestemo-snn") for name in raised_on)
 
 
 def test_overflow_on_the_forward_worker_half_is_divergence(monkeypatch):
@@ -480,13 +515,14 @@ def test_overflow_on_the_caller_waits_for_the_forward_worker_half(monkeypatch):
 
 
 def test_overflow_on_the_caller_waits_for_a_pending_gradient_task(monkeypatch):
-    # The first layer's weight gradients go to the worker, which sleeps in
-    # them; the calling thread's second input gradient then overflows.
+    # The first layer's whole backward goes to the worker, which sleeps in
+    # its LIF backward and in its weight sums; the calling thread's second
+    # input gradient then overflows.
     monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     arch = SnnArchitecture(layers=(Dense(1250, 512), Dense(512, 3)),
                            input_shape=(2, 25, 25), num_classes=3)
-    assert snn._offloaded_layers(snn._plan(arch), 4) == [True, False]
+    assert snn._backward_on_worker(snn._plan(arch), 4) == [True, False]
     params = {"fc0.w": np.zeros((512, 1250)), "fc0.b": np.full(512, 0.1),
               "fc1.w": np.full((3, 512), 0.01), "fc1.b": np.full(3, 0.1)}
     data = TrainData(np.zeros((4, 3, 2, 25, 25)), None,
@@ -500,6 +536,7 @@ def test_overflow_on_the_caller_waits_for_a_pending_gradient_task(monkeypatch):
             np.float64(1e300) * np.float64(1e300)
         return input_backward(*args)
 
+    logged_calls(monkeypatch, "_lif_backward", calls)
     logged_calls(monkeypatch, "_weight_backward", calls)
     monkeypatch.setattr(snn, "_input_backward", overflowing)
     with pytest.raises(DivergedLossError, match="overflow encountered"):
