@@ -24,16 +24,27 @@ multiplies faster than the transposed view.  Below 3 rows it reads the
 view, because there OpenBLAS's small-M path gives different bits for the
 two layouts (1 row on every core type tried, 2 rows on SkylakeX); from 3
 rows on the two layouts agree bit for bit on the cores tried.
+
+With more than one CPU, training hands the backward's three weight sums to
+a helper process forked for the train call (_weight_sums), so they run
+beside the recurrence through dh instead of after it, with the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import signal
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import snn
 from .errors import GestemoError, check_option, require_keys
 
 
@@ -85,6 +96,7 @@ class RecurrentTape:
     c: np.ndarray                  # (T+1, B, H), c[0] = 0
     h: np.ndarray                  # (T+1, B, H), h[0] = 0
     tc: np.ndarray                 # (T, B, H), tanh(c[t+1])
+    _sums: Optional["_WeightSums"] = None   # training's helper, else inline
 
 
 def recurrent_forward(x: np.ndarray, params: Dict[str, np.ndarray], *,
@@ -133,7 +145,8 @@ def recurrent_forward(x: np.ndarray, params: Dict[str, np.ndarray], *,
 def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
                        params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Backprop through time; returns the parameter gradients
-    {"lstm.wx": ..., "lstm.wh": ..., "lstm.b": ...}."""
+    {"lstm.wx": ..., "lstm.wh": ..., "lstm.b": ...}.  When training gave
+    the tape a _WeightSums, its helper process adds the weight terms."""
     if tape is None:
         raise GestemoError("recurrent_backward requires a recorded tape")
     x = tape.x
@@ -141,39 +154,207 @@ def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
     wh = params["lstm.wh"]
     hid = wh.shape[1]
     d_hlast = np.asarray(d_hlast, dtype=np.float64).reshape(b, hid)
-    g_wx = np.zeros_like(params["lstm.wx"])
-    g_wh = np.zeros_like(wh)
-    g_b = np.zeros_like(params["lstm.b"])
+    sums = tape._sums
+    if sums is None:
+        grads = {name: np.zeros_like(params[name]) for name in _LSTM_GRADS}
+        dzs = np.empty((1, b, 4 * hid))        # d(pre-activation) i,f,g,o
+    else:
+        dzs = sums.begin(tape)                 # a shared slot per step
     dh = d_hlast.copy()
     dc = np.zeros((b, hid))
-    dz = np.empty((b, 4 * hid))                          # d(pre-activation) i,f,g,o
-    d_if, (d_i, d_f, d_g, d_o) = dz[:, :2 * hid], _blocks(dz)
     one_minus = np.empty((b, 4 * hid))                   # g's block unused
     tmp, tmp2 = np.empty((b, hid)), np.empty((b, hid))
     # the i block is ((dc*g)*i)*(1-i), and likewise every block keeps the
     # association order of the plain formulation
-    for t in reversed(range(t_len)):
-        gates, tc = tape.gates[t], tape.tc[t]
-        i, f, g, o = _blocks(gates)
-        np.subtract(1.0, gates, out=one_minus)
-        np.multiply(dh, tc, out=d_o)
-        np.multiply(dh, o, out=tmp)
-        tmp *= np.subtract(1.0, np.multiply(tc, tc, out=tmp2), out=tmp2)
-        dc += tmp
-        np.multiply(dc, g, out=d_i)
-        np.multiply(dc, tape.c[t], out=d_f)
-        np.multiply(dc, i, out=d_g)
-        d_if *= gates[:, :2 * hid]
-        d_if *= one_minus[:, :2 * hid]
-        d_g *= np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp)
-        d_o *= o
-        d_o *= one_minus[:, 3 * hid:]
-        g_wx += dz.T @ x[:, t]
-        g_wh += dz.T @ tape.h[t]
-        g_b += dz.sum(axis=0)
-        dh = dz @ wh
-        dc *= f
-    return {"lstm.wx": g_wx, "lstm.wh": g_wh, "lstm.b": g_b}
+    try:
+        for t in reversed(range(t_len)):
+            dz = dzs[t % len(dzs)]
+            d_if, (d_i, d_f, d_g, d_o) = dz[:, :2 * hid], _blocks(dz)
+            gates, tc = tape.gates[t], tape.tc[t]
+            i, f, g, o = _blocks(gates)
+            np.subtract(1.0, gates, out=one_minus)
+            np.multiply(dh, tc, out=d_o)
+            np.multiply(dh, o, out=tmp)
+            tmp *= np.subtract(1.0, np.multiply(tc, tc, out=tmp2), out=tmp2)
+            dc += tmp
+            np.multiply(dc, g, out=d_i)
+            np.multiply(dc, tape.c[t], out=d_f)
+            np.multiply(dc, i, out=d_g)
+            d_if *= gates[:, :2 * hid]
+            d_if *= one_minus[:, :2 * hid]
+            d_g *= np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp)
+            d_o *= o
+            d_o *= one_minus[:, 3 * hid:]
+            if sums is None:
+                _weight_terms(grads, dz, x[:, t], tape.h[t])
+            else:
+                sums.step()
+            dh = dz @ wh
+            dc *= f
+    except FloatingPointError:
+        if sums is not None:
+            sums.finish()   # an error in the sums sent so far came first
+        raise
+    return grads if sums is None else sums.finish()
+
+
+# -- the weight sums on a second process ------------------------------------------
+
+_LSTM_GRADS = ("lstm.wx", "lstm.wh", "lstm.b")
+#: the caller's messages to the helper, one byte each
+_BEGIN, _STEP, _END = b"bse"
+
+
+def _weight_terms(grads: Dict[str, np.ndarray], dz: np.ndarray,
+                  x_t: np.ndarray, h_t: np.ndarray) -> None:
+    """Add one step's terms to the LSTM weight gradients, in place."""
+    grads["lstm.wx"] += dz.T @ x_t
+    grads["lstm.wh"] += dz.T @ h_t
+    grads["lstm.b"] += dz.sum(axis=0)
+
+
+class _WeightSums:
+    """recurrent_backward's weight sums, run by a forked helper process.
+
+    Both processes map one anonymous shared buffer holding the batch's
+    features, its hidden-state tape, a (T, B, 4H) block of gate gradients
+    and the three gradients.  The caller writes each step's gate gradients
+    into their slot, then one byte into a pipe; the helper reads the byte,
+    a syscall pair that orders the memory on every architecture, and calls
+    _weight_terms for that step.  The steps arrive in the caller's order,
+    so the gradients are bit for bit the inline loop's."""
+
+    def __init__(self, batch: int, t_len: int, params: Dict[str, np.ndarray]):
+        self.t_len = t_len
+        self.dim, self.hid = params["lstm.wx"].shape[1], params["lstm.wh"].shape[1]
+        sizes = [batch * t_len * self.dim, (t_len + 1) * batch * self.hid,
+                 t_len * batch * 4 * self.hid, *(params[n].size for n in _LSTM_GRADS)]
+        self._mem = mmap.mmap(-1, 8 * (1 + sum(sizes)))
+        self._batch = np.frombuffer(self._mem, np.int64, count=1)
+        flat = np.frombuffer(self._mem, np.float64, offset=8)
+        ends = np.cumsum(sizes)
+        self._x, self._h, self._dz, *g = np.split(flat, ends[:-1])
+        self.grads = {n: a.reshape(params[n].shape) for n, a in zip(_LSTM_GRADS, g)}
+        self.cmd = self.reply = -1    # the caller's pipe ends, once forked
+
+    def _tapes(self, b: int):
+        """Features (b, T, D), hidden states (T+1, b, H) and gate gradients
+        (T, b, 4H) of a batch of b, as views of the shared buffer."""
+        t, hid = self.t_len, self.hid
+        return (self._x[:b * t * self.dim].reshape(b, t, self.dim),
+                self._h[:(t + 1) * b * hid].reshape(t + 1, b, hid),
+                self._dz[:t * b * 4 * hid].reshape(t, b, 4 * hid))
+
+    # -- the caller's side
+
+    def begin(self, tape: RecurrentTape) -> np.ndarray:
+        """Share the tape's features and hidden states and start a call;
+        returns the gate-gradient slots, one per step."""
+        b = tape.x.shape[0]
+        x, h, dz = self._tapes(b)
+        x[...] = tape.x
+        h[...] = tape.h
+        self._batch[0] = b
+        self._send(_BEGIN)
+        return dz
+
+    def step(self) -> None:
+        """The next step's gate gradients are in their slot."""
+        self._send(_STEP)
+
+    def finish(self) -> Dict[str, np.ndarray]:
+        """End the call: copies of the gradients, or the FloatingPointError
+        the helper met first."""
+        self._send(_END)
+        try:
+            reply = os.read(self.reply, 4096)
+        except OSError:
+            reply = b""
+        if not reply:
+            raise self._lost()
+        if reply != b"+":
+            raise FloatingPointError(reply[1:].decode())
+        return {name: g.copy() for name, g in self.grads.items()}
+
+    def _send(self, code: int) -> None:
+        try:
+            os.write(self.cmd, bytes((code,)))
+        except OSError:
+            raise self._lost() from None
+
+    @staticmethod
+    def _lost() -> GestemoError:
+        return GestemoError("the LSTM weight-sum helper process ended unexpectedly")
+
+    # -- the helper's side
+
+    def serve(self, cmd: int, reply: int) -> None:
+        """Answer the caller's messages until it closes its end."""
+        error = None
+        while True:
+            msgs = os.read(cmd, 4096)
+            if not msgs:
+                return
+            for code in msgs:
+                if code == _BEGIN:
+                    x, h, dz = self._tapes(int(self._batch[0]))
+                    for g in self.grads.values():
+                        g[...] = 0.0
+                    t, error = self.t_len, None
+                elif code == _STEP:
+                    t -= 1
+                    if error is None:
+                        try:
+                            _weight_terms(self.grads, dz[t], x[:, t], h[t])
+                        except FloatingPointError as e:
+                            error = str(e)
+                else:
+                    os.write(reply, b"+" if error is None
+                             else b"-" + error.encode()[:4000])
+
+
+@contextlib.contextmanager
+def _weight_sums(batch: int, t_len: int, params: Dict[str, np.ndarray]):
+    """Yield a _WeightSums served by a helper process forked here, for
+    batches of at most `batch` sequences of t_len steps; or None, so the
+    sums run inline, with one CPU, off Linux, without os.fork, or when the
+    fork fails.  The helper is killed and reaped on every exit.
+
+    The helper inherits the caller's np.errstate.  It runs only numpy
+    arithmetic and pipe I/O, writes nothing to stdout or stderr and ends by
+    os._exit, so the threads it is forked beside (the SNN worker, BLAS's
+    pool) and the caller's open files are never touched from it."""
+    if snn._cpus() < 2 or sys.platform != "linux" or not hasattr(os, "fork"):
+        yield None
+        return
+    sums = _WeightSums(batch, t_len, params)
+    cmd_r, sums.cmd = os.pipe()
+    sums.reply, reply_w = os.pipe()
+    try:
+        # Python 3.12 warns on every fork beside other threads; this child
+        # never meets their locks (see above), so only this call is quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        try:
+            os.close(sums.cmd)
+            os.close(sums.reply)
+            sums.serve(cmd_r, reply_w)
+        finally:
+            os._exit(0)
+    os.close(cmd_r)
+    os.close(reply_w)
+    try:
+        yield None if pid is None else sums
+    finally:
+        os.close(sums.cmd)
+        os.close(sums.reply)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # -- classification head ----------------------------------------------------------

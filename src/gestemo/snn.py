@@ -330,11 +330,22 @@ def _worker_tasks():
     """Yield submit(fn, *args): fn(*args) on the worker thread, in a copy of
     the caller's context, where np.errstate lives.  submit awaits the oldest
     task beyond _MAX_PENDING; a normal exit awaits all in FIFO order, raising
-    the first error, and any exit waits until none runs."""
+    the first error.  No task starts after one has raised, and any other
+    exit cancels the tasks still queued and waits until none runs."""
     pending = deque()
+    failed = []   # touched on the worker thread only, where tasks run in order
+
+    def run(fn, *args) -> None:
+        if failed:
+            return
+        try:
+            fn(*args)
+        except BaseException:
+            failed.append(True)
+            raise
 
     def submit(fn, *args) -> None:
-        pending.append(_WORKER.submit(contextvars.copy_context().run, fn, *args))
+        pending.append(_WORKER.submit(contextvars.copy_context().run, run, fn, *args))
         if len(pending) > _MAX_PENDING:
             pending.popleft().result()
 
@@ -343,6 +354,8 @@ def _worker_tasks():
         while pending:
             pending.popleft().result()
     finally:
+        for future in pending:
+            future.cancel()   # only a queued task cancels; a running one is awaited
         wait(pending)
 
 
@@ -431,10 +444,12 @@ def _layer_forward(plan: _Plan, li: int, x: np.ndarray,
 
 
 def _weight_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
-                     grads: Dict[str, np.ndarray]) -> None:
+                     grads: Dict[str, np.ndarray],
+                     prods: Dict[int, np.ndarray]) -> None:
     """Accumulate the weight and bias gradients of conv or dense layer li.
     Nothing else in the backward pass reads them, so this may run on the
-    worker thread."""
+    worker thread.  A dense layer forms its weight term in prods[li] first,
+    which only the one thread running its sums touches."""
     layer = plan.arch.layers[li]
     b = x.shape[0]
     if isinstance(layer, Conv):
@@ -443,7 +458,10 @@ def _weight_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
         gw += np.tensordot(d2, plan.cols(li, x), axes=([0, 1], [0, 1])).reshape(gw.shape)
         grads[f"conv{li}.b"] += d2.sum(axis=(0, 1))
     elif isinstance(layer, Dense):
-        grads[f"fc{li}.w"] += d_out.T @ _as_float(x).reshape(b, -1)
+        if li not in prods:   # made by the thread that runs these sums
+            prods[li] = np.empty((layer.out_width, layer.in_width))
+        grads[f"fc{li}.w"] += np.matmul(d_out.T, _as_float(x).reshape(b, -1),
+                                        out=prods[li])
         grads[f"fc{li}.b"] += d_out.sum(axis=0)
 
 
@@ -581,9 +599,11 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
         return _lif_backward(tape.vpre[li][t], tape.spikes[li][t], d_s,
                              dv_carry[li], cfg, tape.surrogate_width, *scratch[li])
 
+    prods: Dict[int, np.ndarray] = {}   # per dense layer, reused at every step
+
     def first_layer_backward(t: int, d_s: np.ndarray) -> None:
         # no layer reads the input gradient of layer 0
-        _weight_backward(plan, 0, tape.x[:, t], lif_backward(0, t, d_s), grads)
+        _weight_backward(plan, 0, tape.x[:, t], lif_backward(0, t, d_s), grads, prods)
 
     with _worker_tasks() as submit:
         for t in reversed(range(k)):
@@ -592,9 +612,9 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
                 dvp = lif_backward(li, t, d_s)
                 x_in = tape.spikes[li - 1][t]
                 if on_worker[li]:
-                    submit(_weight_backward, plan, li, x_in, dvp.copy(), grads)
+                    submit(_weight_backward, plan, li, x_in, dvp.copy(), grads, prods)
                 else:
-                    _weight_backward(plan, li, x_in, dvp, grads)
+                    _weight_backward(plan, li, x_in, dvp, grads, prods)
                 d_s = _input_backward(plan, li, x_in, dvp, params)
             # d_s is a fresh array, so the worker may read it as it is
             if on_worker[0]:

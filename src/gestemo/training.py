@@ -14,6 +14,7 @@ seeded generator, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +26,7 @@ from .errors import DivergedLossError, GestemoError, check_option
 from .events import LABELED_GESTURES, EmotionClass, GestureClass, SampleRecord, emotion_of
 from .fusion import (
     FusionConfig,
+    _weight_sums,
     fuse,
     head_backward,
     head_forward,
@@ -262,12 +264,13 @@ def _check_loss(loss: float, epoch: int) -> None:
 
 def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
                      arch: SnnArchitecture, lif_cfg: LifConfig, cfg: TrainConfig,
-                     weights: np.ndarray, rng: np.random.Generator
+                     weights: np.ndarray, rng: np.random.Generator, sums
                      ) -> Tuple[float, float, Dict[str, np.ndarray]]:
     """(mse, wce, gradients) of one batch: the event part's spike-rate MSE
     on s_dg, and the frame part's weighted cross entropy on its scores,
     which are fused with s_dg when the event part runs.  The forward tapes
-    are locals here, so they are freed before the caller's optimizer step."""
+    are locals here, so they are freed before the caller's optimizer step.
+    sums, when not None, runs the LSTM weight sums on its helper process."""
     y = data.labels[idx]
     grads: Dict[str, np.ndarray] = {}
     loss_mse = loss_wce = 0.0
@@ -279,6 +282,7 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
         loss_mse, d_sdg = mse_spike_loss(s_dg, y)
     if cfg.branch != "snn_only":
         h, rtape = recurrent_forward(data.features[idx], model.lstm, record=True)
+        rtape._sums = sums
         logits, htape = head_forward(h, model.head, rng=rng, dropout=cfg.dropout,
                                      record=True)
         scores = logits if s_dg is None else fuse(s_dg, logits, FusionConfig(cfg.lam))
@@ -313,34 +317,38 @@ def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     rng = np.random.default_rng(cfg.seed)
     batch = n if cfg.batch_size <= 0 else min(cfg.batch_size, n)
     history: List[dict] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        ep_loss = 0.0
-        ep_mse = 0.0
-        ep_wce = 0.0
-        seen = 0
-        for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            loss_mse, loss_wce, grads = _batch_gradients(
-                data, idx, model, arch, lif_cfg, cfg, weights, rng)
-            adam_update(params, grads, state, cfg.lr)
-            del grads   # freed before the next batch's forward, like the tapes
-            bsz = idx.size
-            ep_loss += (loss_mse + loss_wce) * bsz
-            ep_mse += loss_mse * bsz
-            ep_wce += loss_wce * bsz
-            seen += bsz
-        entry = {
-            "epoch": epoch,
-            "branch": cfg.branch,
-            "loss": ep_loss / seen,
-            "mse": ep_mse / seen,
-            "wce": ep_wce / seen,
-        }
-        _check_loss(entry["loss"], epoch)
-        history.append(entry)
-        if log is not None:
-            log(f"epoch {epoch:3d} [{cfg.branch}] loss {entry['loss']:.6f}")
+    # the frame part's weight sums on a helper process, forked for this call
+    frame_sums = contextlib.nullcontext() if cfg.branch == "snn_only" \
+        else _weight_sums(batch, data.features.shape[1], model.lstm)
+    with frame_sums as sums:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            ep_loss = 0.0
+            ep_mse = 0.0
+            ep_wce = 0.0
+            seen = 0
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                loss_mse, loss_wce, grads = _batch_gradients(
+                    data, idx, model, arch, lif_cfg, cfg, weights, rng, sums)
+                adam_update(params, grads, state, cfg.lr)
+                del grads   # freed before the next batch's forward, like the tapes
+                bsz = idx.size
+                ep_loss += (loss_mse + loss_wce) * bsz
+                ep_mse += loss_mse * bsz
+                ep_wce += loss_wce * bsz
+                seen += bsz
+            entry = {
+                "epoch": epoch,
+                "branch": cfg.branch,
+                "loss": ep_loss / seen,
+                "mse": ep_mse / seen,
+                "wce": ep_wce / seen,
+            }
+            _check_loss(entry["loss"], epoch)
+            history.append(entry)
+            if log is not None:
+                log(f"epoch {epoch:3d} [{cfg.branch}] loss {entry['loss']:.6f}")
     return history
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gestemo import snn
+from gestemo import fusion, snn
 from gestemo.checkpoint import load_checkpoint
 from gestemo.cli import TRAIN_DEFAULTS, build_parser, main
 from gestemo.dataio import (FrameFeatureSequence, ManifestEntry, SplitManifest,
@@ -1156,6 +1156,28 @@ def test_overflow_in_the_worker_first_layer_backward_is_exit_3(tmp_path,
     code, stdout, err = run_main("train", small_corpus(tmp_path), *FAST_TRAIN,
                                  "--out", str(tmp_path / "m.ckpt"))
     assert code == 3 and raised_on
+    assert err == "error: training diverged: overflow encountered in " \
+                  "scalar multiply during training\n"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_overflow_in_the_lstm_helper_weight_sums_is_exit_3(tmp_path, monkeypatch):
+    # with two CPUs the LSTM weight sums run on a forked helper process; an
+    # overflow raised there reaches the user as divergence
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    parent, weight_terms = os.getpid(), fusion._weight_terms
+
+    def overflowing(*args):
+        if os.getpid() != parent:
+            np.float64(1e300) * np.float64(1e300)
+        return weight_terms(*args)
+
+    monkeypatch.setattr(fusion, "_weight_terms", overflowing)
+    code, stdout, err = run_main("train", small_corpus(tmp_path), *FAST_TRAIN,
+                                 "--branch", "video_only",
+                                 "--out", str(tmp_path / "m.ckpt"))
+    assert code == 3
     assert err == "error: training diverged: overflow encountered in " \
                   "scalar multiply during training\n"
     assert not (tmp_path / "m.ckpt").exists()

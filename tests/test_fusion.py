@@ -9,9 +9,11 @@ import types
 import numpy as np
 import pytest
 
+from gestemo import snn
 from gestemo.errors import GestemoError
 from gestemo.fusion import (
     _sigmoid,
+    _weight_sums,
     FusionConfig,
     frame_shapes,
     fuse,
@@ -235,6 +237,34 @@ def test_lstm_matches_frozen_reference_bit_for_bit(batch, dim, hidden, scale):
     if scale > 1.0:
         assert (sig == 1.0).any() \
             and (np.abs(want_gates[..., 2 * hidden:3 * hidden]) == 1.0).any()
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+@pytest.mark.parametrize("batch,dim,hidden", LSTM_SHAPES,
+                         ids=[str(b) if h == 128 else f"golden{b}"
+                              for b, _, h in LSTM_SHAPES])
+def test_lstm_backward_on_the_helper_matches_frozen_reference_bit_for_bit(
+        monkeypatch, batch, dim, hidden, scale):
+    # the weight sums on the forked helper, its buffers sized for the largest
+    # batch as in training, and each helper call run twice
+    monkeypatch.setattr(snn, "_cpus", lambda: 2)
+    p = init_recurrent_params(dim=dim, hidden=hidden, seed=batch)
+    rng = np.random.default_rng(batch)
+    p["lstm.b"][:] = rng.normal(scale=scale, size=p["lstm.b"].shape)
+    x = rng.normal(scale=scale, size=(batch, 40, dim))
+    d_hlast = rng.normal(size=(batch, hidden))
+    ref = types.SimpleNamespace(hidden=hidden, wx=p["lstm.wx"], wh=p["lstm.wh"],
+                                b=p["lstm.b"])
+    want_grads = _ref_backward(x, *_ref_forward(x, ref)[1:], d_hlast, ref)
+
+    _, tape = recurrent_forward(x, p, record=True)
+    with _weight_sums(max(b for b, _, _ in LSTM_SHAPES), 40, p) as sums:
+        assert sums is not None
+        tape._sums = sums
+        for _ in range(2):
+            grads = recurrent_backward(tape, d_hlast, p)
+            for name in p:
+                assert np.array_equal(grads[name], want_grads[name]), name
 
 
 def test_sigmoid_matches_masked_form_on_edge_values():

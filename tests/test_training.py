@@ -2,6 +2,8 @@
 hand-worked 3x3 confusion matrix; the weighted-recall/accuracy identity is
 verified on random matrices."""
 
+import os
+import signal
 import threading
 import time
 import weakref
@@ -9,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gestemo import snn, training
+from gestemo import fusion, snn, training
 from gestemo.dataio import FrameFeatureSequence
 from gestemo.errors import DivergedLossError, GestemoError
 from gestemo.events import (
@@ -434,6 +436,40 @@ def test_overflow_in_the_first_layer_lif_backward_on_the_worker_is_divergence(
     assert raised_on and all(name.startswith("gestemo-snn") for name in raised_on)
 
 
+def test_no_first_layer_task_starts_after_one_raised_on_the_worker(monkeypatch):
+    # the setup of the test above, where every first-layer task overflows:
+    # the tasks queued behind the first to raise must not start
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    arch = SnnArchitecture(layers=(Dense(50, 1), Dense(1, 3)),
+                           input_shape=(2, 5, 5), num_classes=3)
+    assert snn._backward_on_worker(snn._plan(arch), 4) == [True, False]
+    params = {"fc0.w": np.zeros((1, 50)), "fc0.b": np.ones(1),
+              "fc1.w": np.full((3, 1), 0.125), "fc1.b": np.full(3, 0.125)}
+    data = TrainData(np.zeros((4, 4, 2, 5, 5)), None, np.array([0, 1, 2, 0]),
+                     tuple(EmotionClass))
+    lif_backward, on_worker = snn._lif_backward, []
+
+    def recorded(*args):
+        worker = threading.current_thread().name.startswith("gestemo-snn")
+        if worker:
+            on_worker.append("start")
+        try:
+            return lif_backward(*args)
+        except FloatingPointError:
+            if worker:
+                on_worker.append("raise")
+            raise
+
+    monkeypatch.setattr(snn, "_lif_backward", recorded)
+    with pytest.raises(DivergedLossError, match="overflow encountered in multiply"):
+        train(data, ModelParams(snn=params), arch,
+              LifConfig(beta=1.0, theta=1.0),
+              TrainConfig(epochs=1, branch="snn_only", surrogate_width=1e-300))
+    snn._WORKER.submit(lambda: None).result(timeout=60)   # FIFO: after any leftover
+    assert on_worker[-1] == "raise" and on_worker.count("raise") == 1, on_worker
+
+
 def test_overflow_on_the_forward_worker_half_is_divergence(monkeypatch):
     # Only the sample that the epoch's permutation puts last in the batch,
     # in the half the worker thread runs, holds huge planes.  Its conv
@@ -547,6 +583,131 @@ def test_overflow_on_the_caller_waits_for_a_pending_gradient_task(monkeypatch):
     assert calls == at_raise
     assert at_raise.count("begin") == at_raise.count("end") > 0
     assert raised_on == [threading.current_thread().name]
+
+
+def forked_helpers(monkeypatch, cpus=2):
+    """Make the code see `cpus` CPUs and record the pid of every process
+    forked from here on."""
+    monkeypatch.setattr(snn, "_cpus", lambda: cpus)
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("branch,mode,forks", [
+    ("video_only", "joint", 1), ("fused", "joint", 1), ("fused", "separate", 1),
+    ("snn_only", "joint", 0)])
+def test_lstm_helper_lives_for_one_train_call(monkeypatch, branch, mode, forks):
+    trained = []
+    for cpus in (2, 1):
+        pids = forked_helpers(monkeypatch, cpus)
+        model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=11, branch=branch)
+        train(toy_data(), model, ARCH,
+              cfg=TrainConfig(epochs=2, batch_size=5, branch=branch, mode=mode, seed=6))
+        assert len(pids) == (forks if cpus == 2 else 0)
+        assert_reaped(pids)
+        trained.append(model.flat())
+    for name, value in trained[0].items():
+        assert np.array_equal(value, trained[1][name]), name
+
+
+def overflowing_frame_model(where):
+    """A video_only model and data whose first LSTM backward step overflows:
+    in the caller's dh = dz @ wh (all-zero features keep the hidden states
+    at zero, so the forward passes a recurrent weight of 1e307), or in the
+    weight sums' dz.T @ x (features of 1e200 under input weights of about
+    1e-200, and a head of 1e150 that sends back d_h of about 1e150)."""
+    model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=1, branch="video_only")
+    if where == "caller":
+        feats = np.zeros((4, 6, 3))
+        model.lstm["lstm.wh"][...] = 1e307
+        model.head["head.b1"][...] = 1.0
+        model.head["head.w1"] *= 1e5
+    else:
+        feats = np.full((4, 6, 3), 1e200)
+        model.lstm["lstm.wx"] *= 1e-200
+        model.lstm["lstm.b"][...] = 5.0
+        model.head["head.w1"][...] = 1e150
+    return model, TrainData(None, feats, np.array([0, 1, 2, 0]), tuple(EmotionClass))
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_lstm_backward_overflow_on_the_helper_path_reads_as_inline(monkeypatch,
+                                                                  where):
+    weight_terms = fusion._weight_terms
+    messages = []
+    for cpus in (1, 2):
+        pids, raised = forked_helpers(monkeypatch, cpus), []
+
+        def recorded(*args):   # in this process only: the helper has its own list
+            try:
+                return weight_terms(*args)
+            except FloatingPointError:
+                raised.append(cpus)
+                raise
+
+        monkeypatch.setattr(fusion, "_weight_terms", recorded)
+        model, data = overflowing_frame_model(where)
+        with pytest.raises(DivergedLossError) as err:
+            train(data, model, ARCH, cfg=TrainConfig(epochs=1, branch="video_only"))
+        messages.append(str(err.value))
+        assert len(pids) == cpus - 1
+        assert_reaped(pids)
+        assert raised == ([1] if where == "helper" and cpus == 1 else [])
+    assert messages == ["overflow encountered in matmul during training"] * 2
+
+
+def test_a_helper_error_from_an_earlier_step_wins_over_the_callers(monkeypatch):
+    # the helper overflows in the first backward step's sums, as inline; the
+    # caller then fails in its third step, later in step order, and must
+    # still report the helper's error
+    pids = forked_helpers(monkeypatch)
+    step, steps = fusion._WeightSums.step, []
+
+    def failing_third(sums):
+        steps.append(None)
+        if len(steps) == 3:
+            raise FloatingPointError("caller error")
+        return step(sums)
+
+    monkeypatch.setattr(fusion._WeightSums, "step", failing_third)
+    model, data = overflowing_frame_model("helper")
+    with pytest.raises(DivergedLossError,
+                       match="^overflow encountered in matmul during training$"):
+        train(data, model, ARCH, cfg=TrainConfig(epochs=1, branch="video_only"))
+    assert len(steps) == 3 and len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_a_killed_lstm_helper_ends_training_with_one_line_error(monkeypatch):
+    pids = forked_helpers(monkeypatch)
+    parent, weight_terms = os.getpid(), fusion._weight_terms
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return weight_terms(*args)
+
+    monkeypatch.setattr(fusion, "_weight_terms", dying)
+    model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=11, branch="video_only")
+    with pytest.raises(GestemoError) as err:
+        train(toy_data(), model, ARCH, cfg=TrainConfig(epochs=2, branch="video_only"))
+    assert str(err.value) == "the LSTM weight-sum helper process ended unexpectedly"
+    assert len(pids) == 1
+    assert_reaped(pids)
 
 
 def test_train_empty_split():
