@@ -9,6 +9,7 @@ unknown config keys are rejected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -33,7 +34,7 @@ from .dataio import (
     write_events_file,
     write_planes_file,
 )
-from .encode import DenseSpikePlanes, dense_spike_planes, scale_planes
+from .encode import DenseSpikePlanes, _check_k_fits, dense_spike_planes, scale_planes
 from .errors import (CHOICES, RANGES, DivergedLossError, GestemoError, ParseError,
                      check_option)
 from .events import EmotionClass, Geometry, GestureClass
@@ -103,15 +104,23 @@ SYNTH_KEYS = tuple(f.name for f in fields(DatasetSpec)
                    if f.name not in ("gestures", "geometry"))
 
 
+@contextlib.contextmanager
+def _usage_errors() -> Iterator[None]:
+    """Report a GestemoError raised inside as a usage error: the value it
+    names came from the command line."""
+    try:
+        yield
+    except GestemoError as e:
+        raise _UsageError(str(e)) from None
+
+
 def _check_options(values: Dict[str, object]) -> None:
     """Report the first value the option tables reject as a usage error;
     None stands for an option not given."""
     for key, value in values.items():
         if value is not None and (key in RANGES or key in CHOICES):
-            try:
+            with _usage_errors():
                 check_option(key, value)
-            except GestemoError as e:
-                raise _UsageError(str(e)) from None
 
 
 def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[str, object]:
@@ -159,11 +168,9 @@ def cmd_synth(ns) -> int:
             raise _UsageError(f"bad gesture list: {e}")
     else:
         gestures = tuple(GestureClass)
-    try:
+    with _usage_errors():
         spec = DatasetSpec(gestures=gestures, geometry=Geometry(ns.width, ns.height),
                            **{key: getattr(ns, key) for key in SYNTH_KEYS})
-    except GestemoError as e:
-        raise _UsageError(str(e)) from None
     # the fewest bytes a sample's files can take: one "0,0,0,0\n" row per
     # event and one digit and a separator per feature value
     need = len(gestures) * spec.per_class * (
@@ -213,6 +220,8 @@ def cmd_encode(ns) -> int:
             f"scale mode {ns.scale_mode!r} does not produce integer planes; "
             "use none or clip01 for file output")
     stream = read_events_file(ns.events)
+    with _usage_errors():
+        _check_k_fits(ns.k, stream.geometry, ns.downsample)
     planes = dense_spike_planes(stream, ns.k, factor=ns.downsample)
     if ns.scale_mode == "clip01":
         planes = DenseSpikePlanes(planes.k, planes.geometry,
@@ -264,8 +273,12 @@ def _label_space(manifest: SplitManifest, target: str):
 
 
 def _load_split(manifest: SplitManifest, split: str, cfg: Dict[str, object],
-                label_space) -> TrainData:
+                label_space, k_is_option: bool = False) -> TrainData:
     samples = [load_sample(manifest, sid) for sid in manifest.ids(split)]
+    if k_is_option:   # else a k too large to fit is the checkpoint's, exit 2
+        with _usage_errors():
+            for geometry in {s.events.geometry for s in samples}:
+                _check_k_fits(cfg["k"], geometry, cfg["downsample"])
     return prepare_tensors(samples, label_space=label_space,
                            **{key: cfg[key] for key in DATA_KEYS})
 
@@ -279,7 +292,7 @@ def cmd_train(ns) -> int:
     label_space = _label_space(manifest, target)
     if not label_space:
         raise GestemoError("manifest has no trainable gesture classes")
-    data = _load_split(manifest, cfg["split"], cfg, label_space)
+    data = _load_split(manifest, cfg["split"], cfg, label_space, k_is_option=True)
     k, _, h, w = data.planes.shape[1:]
     arch = default_architecture(len(label_space), h, w)
     feature_dim = 0 if data.features is None else data.features.shape[2]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GestemoError, check_option
+from .errors import GestemoError, check_option, physical_memory
 from .events import EventStream, Geometry
 
 
@@ -54,6 +54,18 @@ def group_sizes(n_events: int, k: int) -> np.ndarray:
     return sizes
 
 
+def _check_k_fits(k: int, geometry: Geometry, factor: int = 1) -> None:
+    """Refuse a k whose int64 count planes over geometry, binned factor x
+    factor, would exceed physical memory.  A geometry too large for even
+    one step's planes is the file's fault, not k's, and is left to the
+    allocation."""
+    h, w = -(-geometry.height // factor), -(-geometry.width // factor)
+    step, memory = 8 * 2 * h * w, physical_memory()
+    if step <= memory < k * step:
+        raise GestemoError(f"k {k} needs {k * step} bytes of {w}x{h} count "
+                           f"planes, more than the {memory} bytes of physical memory")
+
+
 def dense_spike_planes(stream: EventStream, k: int,
                        factor: int = 1) -> DenseSpikePlanes:
     """Count-based compression of a stream into K planes.
@@ -64,6 +76,7 @@ def dense_spike_planes(stream: EventStream, k: int,
     """
     check_option("k", k)
     check_option("downsample", factor)
+    _check_k_fits(k, stream.geometry, factor)
     n = len(stream)
     if n == 0:
         raise GestemoError("cannot encode an empty stream")

@@ -1,5 +1,5 @@
-"""Exception types raised across the toolkit, and the one table of valid
-option values.
+"""Exception types raised across the toolkit, the one table of valid
+option values, and the memory budget a declared size is held to.
 
 The command line maps each exception to an exit code: GestemoError,
 ParseError included, to 2 (data error) and DivergedLossError to 3
@@ -10,6 +10,7 @@ usage error (exit 1); the same value read from a checkpoint is a data error.
 import dataclasses
 import math
 import numbers
+import os
 
 
 class GestemoError(Exception):
@@ -82,6 +83,11 @@ def check_option(key: str, value) -> None:
     if kind is numbers.Integral and value >= 1 << 63:
         # integer options become int64 sizes, seeds and counts in numpy
         raise GestemoError(f"{key} must be below 2**63, got {value!r}")
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory: the budget a declared size is held to."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def require_keys(d: dict, cls) -> dict:

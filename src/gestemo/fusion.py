@@ -96,7 +96,6 @@ class RecurrentTape:
     c: np.ndarray                  # (T+1, B, H), c[0] = 0
     h: np.ndarray                  # (T+1, B, H), h[0] = 0
     tc: np.ndarray                 # (T, B, H), tanh(c[t+1])
-    _sums: Optional["_WeightSums"] = None   # training's helper, else inline
 
 
 def recurrent_forward(x: np.ndarray, params: Dict[str, np.ndarray], *,
@@ -143,10 +142,11 @@ def recurrent_forward(x: np.ndarray, params: Dict[str, np.ndarray], *,
 
 
 def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
-                       params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+                       params: Dict[str, np.ndarray],
+                       sums: Optional["_WeightSums"] = None) -> Dict[str, np.ndarray]:
     """Backprop through time; returns the parameter gradients
-    {"lstm.wx": ..., "lstm.wh": ..., "lstm.b": ...}.  When training gave
-    the tape a _WeightSums, its helper process adds the weight terms."""
+    {"lstm.wx": ..., "lstm.wh": ..., "lstm.b": ...}.  With sums, training's
+    _WeightSums, its helper process adds the weight terms."""
     if tape is None:
         raise GestemoError("recurrent_backward requires a recorded tape")
     x = tape.x
@@ -154,7 +154,6 @@ def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
     wh = params["lstm.wh"]
     hid = wh.shape[1]
     d_hlast = np.asarray(d_hlast, dtype=np.float64).reshape(b, hid)
-    sums = tape._sums
     if sums is None:
         grads = {name: np.zeros_like(params[name]) for name in _LSTM_GRADS}
         dzs = np.empty((1, b, 4 * hid))        # d(pre-activation) i,f,g,o

@@ -408,8 +408,8 @@ def _backward_on_worker(plan: _Plan, b: int) -> List[bool]:
 
 
 def _as_float(x: np.ndarray) -> np.ndarray:
-    """Spikes as float64 for a GEMM operand; a bool operand would be cast
-    inside the GEMM, which is slower."""
+    """Spikes or planes as float64 for a GEMM operand; a bool operand would
+    be cast inside the GEMM, which is slower."""
     return x.astype(np.float64, copy=False)
 
 
@@ -437,19 +437,17 @@ def _layer_forward(plan: _Plan, li: int, x: np.ndarray,
             for part in parts[1:]:
                 acc += part
             return acc
-        return x[:, :, :hc, :wc].reshape(b, c, h // win, win, w // win, win) \
-            .sum(axis=(3, 5))
+        return _as_float(x)[:, :, :hc, :wc] \
+            .reshape(b, c, h // win, win, w // win, win).sum(axis=(3, 5))
     flat = _as_float(x).reshape(b, -1)
     return flat @ params[f"fc{li}.w"].T + params[f"fc{li}.b"]
 
 
 def _weight_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
-                     grads: Dict[str, np.ndarray],
-                     prods: Dict[int, np.ndarray]) -> None:
+                     grads: Dict[str, np.ndarray]) -> None:
     """Accumulate the weight and bias gradients of conv or dense layer li.
     Nothing else in the backward pass reads them, so this may run on the
-    worker thread.  A dense layer forms its weight term in prods[li] first,
-    which only the one thread running its sums touches."""
+    worker thread."""
     layer = plan.arch.layers[li]
     b = x.shape[0]
     if isinstance(layer, Conv):
@@ -458,10 +456,7 @@ def _weight_backward(plan: _Plan, li: int, x: np.ndarray, d_out: np.ndarray,
         gw += np.tensordot(d2, plan.cols(li, x), axes=([0, 1], [0, 1])).reshape(gw.shape)
         grads[f"conv{li}.b"] += d2.sum(axis=(0, 1))
     elif isinstance(layer, Dense):
-        if li not in prods:   # made by the thread that runs these sums
-            prods[li] = np.empty((layer.out_width, layer.in_width))
-        grads[f"fc{li}.w"] += np.matmul(d_out.T, _as_float(x).reshape(b, -1),
-                                        out=prods[li])
+        grads[f"fc{li}.w"] += d_out.T @ _as_float(x).reshape(b, -1)
         grads[f"fc{li}.b"] += d_out.sum(axis=0)
 
 
@@ -499,7 +494,7 @@ class SnnTape:
     """Recorded forward pass: everything the backward pass needs.
 
     Spikes are taped as bool for binary spikes (exactly 0/1, one byte
-    each) and as float64 for relaxed ones."""
+    each) and as float64 for relaxed ones; x keeps the planes' dtype."""
 
     plan: _Plan
     cfg: LifConfig
@@ -517,12 +512,16 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     """Run the stack for K steps, feeding plane k at step k.
 
     planes: a (B, K, C, H, W) batch of conditioned planes of any real
-    dtype, cast to float64.  Returns the (B, classes) spike rates (and the
-    tape when record=True); membranes always start at zero.
+    dtype, cast to float64 one step at a time, where a layer reads them.
+    Returns the (B, classes) spike rates (and the tape when record=True);
+    membranes always start at zero.
     """
     _require_params(arch, params)
     check_option("spike_fn", spike_fn)
-    x = np.asarray(planes, dtype=np.float64)
+    x = np.asarray(planes)
+    if x.dtype.kind not in "biuf":
+        raise GestemoError(f"planes of dtype {x.dtype}, expected bool, "
+                           "integer or floating")
     if x.ndim != 5 or x.shape[2:] != tuple(arch.input_shape):
         raise GestemoError(
             f"planes shape {x.shape} incompatible with input {arch.input_shape}")
@@ -599,11 +598,9 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
         return _lif_backward(tape.vpre[li][t], tape.spikes[li][t], d_s,
                              dv_carry[li], cfg, tape.surrogate_width, *scratch[li])
 
-    prods: Dict[int, np.ndarray] = {}   # per dense layer, reused at every step
-
     def first_layer_backward(t: int, d_s: np.ndarray) -> None:
         # no layer reads the input gradient of layer 0
-        _weight_backward(plan, 0, tape.x[:, t], lif_backward(0, t, d_s), grads, prods)
+        _weight_backward(plan, 0, tape.x[:, t], lif_backward(0, t, d_s), grads)
 
     with _worker_tasks() as submit:
         for t in reversed(range(k)):
@@ -612,9 +609,9 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
                 dvp = lif_backward(li, t, d_s)
                 x_in = tape.spikes[li - 1][t]
                 if on_worker[li]:
-                    submit(_weight_backward, plan, li, x_in, dvp.copy(), grads, prods)
+                    submit(_weight_backward, plan, li, x_in, dvp.copy(), grads)
                 else:
-                    _weight_backward(plan, li, x_in, dvp, grads, prods)
+                    _weight_backward(plan, li, x_in, dvp, grads)
                 d_s = _input_backward(plan, li, x_in, dvp, params)
             # d_s is a fresh array, so the worker may read it as it is
             if on_worker[0]:

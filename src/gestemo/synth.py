@@ -9,7 +9,6 @@ manifest last, so a crashed build never leaves a readable-but-wrong dataset.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from typing import Iterator, Tuple
 
@@ -21,7 +20,7 @@ from .dataio import (
     class_ids,
     write_dataset,
 )
-from .errors import RANGES, GestemoError, check_option
+from .errors import RANGES, GestemoError, check_option, physical_memory
 from .events import (
     DAVIS346,
     PATTERN_OF_GESTURE,
@@ -62,7 +61,7 @@ class DatasetSpec:
         # one sample's arrays: max_events rows of four int64 columns and
         # max_frames x feature_dim float64 values
         sample = 32 * self.max_events + 8 * self.max_frames * self.feature_dim
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = physical_memory()
         if sample > memory:
             raise GestemoError(
                 f"max_events {self.max_events}, max_frames {self.max_frames} and "

@@ -282,7 +282,6 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
         loss_mse, d_sdg = mse_spike_loss(s_dg, y)
     if cfg.branch != "snn_only":
         h, rtape = recurrent_forward(data.features[idx], model.lstm, record=True)
-        rtape._sums = sums
         logits, htape = head_forward(h, model.head, rng=rng, dropout=cfg.dropout,
                                      record=True)
         scores = logits if s_dg is None else fuse(s_dg, logits, FusionConfig(cfg.lam))
@@ -292,7 +291,7 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
             d_scores = cfg.lam * d_scores
         hg, d_h = head_backward(htape, d_scores, model.head)
         grads.update(hg)
-        grads.update(recurrent_backward(rtape, d_h, model.lstm))
+        grads.update(recurrent_backward(rtape, d_h, model.lstm, sums))
     if s_dg is not None:
         grads.update(snn_backward_from_output(tape, d_sdg, model.snn))
     return loss_mse, loss_wce, grads

@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import copy
 import filecmp
+import glob
 import io
 import json
 import os
@@ -478,6 +479,30 @@ def test_out_of_memory_is_one_line_exit_2(tmp_path):
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: out of memory: Unable to allocate")
     assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("k", [9223372036854775807, 100000000])
+@pytest.mark.parametrize("command", ["encode", "train", "eval"])
+def test_k_too_large_to_fit_is_one_line(trained, tmp_path, command, k):
+    # the count planes are estimated before anything is allocated: a --k is
+    # the command line's fault (exit 1), a checkpoint's k the file's (exit 2)
+    ckpt, manifest = trained
+    out = tmp_path / "out"
+    if command == "encode":
+        events = sorted(glob.glob(os.path.join(os.path.dirname(manifest),
+                                               "events", "*.csv")))[0]
+        argv = ["encode", events, "--k", str(k), "--out", str(out)]
+    elif command == "train":
+        argv = ["train", manifest, "--k", str(k), "--out", str(out)]
+    else:
+        write_edited(ckpt, tmp_path / "k.ckpt", lambda h: h["extra"].update(k=k))
+        argv = ["eval", str(tmp_path / "k.ckpt"), manifest, "--out", str(out)]
+    proc = run_cli(*argv, address_space=2 * 1024 ** 3)
+    assert proc.returncode == (2 if command == "eval" else 1), proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert f"k {k} needs " in proc.stderr
+    assert "bytes of physical memory" in proc.stderr
+    assert not out.exists()
 
 
 def test_train_config_bad_value_type_is_usage_error(tmp_path):

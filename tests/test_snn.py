@@ -3,9 +3,12 @@ network gradients against central finite differences on the relaxed forward
 pass, which the analytic backward matches everywhere away from the clip
 kinks."""
 
+import functools
 import pickle
+import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +217,45 @@ def test_backward_requires_tape():
     params = init_params(arch, seed=1)
     with pytest.raises(GestemoError, match="snn_backward_from_output requires a recorded tape"):
         snn_backward_from_output(None, np.zeros((1, 3)), params)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, object, "U1", "datetime64[s]"])
+def test_forward_refuses_planes_that_are_not_real_numbers(dtype):
+    arch = small_arch()
+    planes = np.zeros((1, 2) + arch.input_shape, dtype=dtype)
+    with pytest.raises(GestemoError, match=re.escape(f"planes of dtype {np.dtype(dtype)},")):
+        snn_forward(planes, init_params(arch, seed=1), arch)
+
+
+#: the first layer of each kind, which reads the planes
+FIRST_LAYER_ARCHS = {
+    "conv": small_arch(),
+    "pool": SnnArchitecture((Pool(2), Dense(32, 3)), (2, 8, 8), 3),
+    "fc": SnnArchitecture((Dense(128, 5), Dense(5, 3)), (2, 8, 8), 3),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int16, np.float32])
+@pytest.mark.parametrize("first", sorted(FIRST_LAYER_ARCHS))
+def test_planes_give_the_bits_of_their_float64_cast(first, dtype):
+    # the tape keeps the planes as given, and each step is cast where a
+    # layer reads it, so rates and gradients are those of the float64 cast
+    arch = FIRST_LAYER_ARCHS[first]
+    params = init_params(arch, seed=2)
+    rng = np.random.default_rng(3)
+    planes = (rng.random((4, 3) + arch.input_shape) * 3).astype(dtype)
+    d_sdg = rng.standard_normal((4, 3))
+    run = functools.partial(snn_forward, params=params, arch=arch,
+                            cfg=LifConfig(theta=0.5), surrogate_width=4.0,
+                            record=True)
+    got, tape = run(planes)
+    want, want_tape = run(planes.astype(np.float64))
+    assert tape.x.dtype == planes.dtype
+    assert np.array_equal(got, want)
+    for vpre, want_vpre in zip(tape.vpre, want_tape.vpre):
+        assert np.array_equal(vpre, want_vpre)
+    assert_grads_equal(snn_backward_from_output(tape, d_sdg, params),
+                       snn_backward_from_output(want_tape, d_sdg, params))
 
 
 def relaxed_loss(planes, params, arch, cfg, onehot):
@@ -511,6 +553,32 @@ def test_every_layer_stays_inline(cpus, monkeypatch):
     for arch in BENCHMARK_ARCHS.values():
         for batch in (1, 3, 4, 8):
             assert _on_worker(arch, batch) == []
+
+
+def test_backward_memory_at_65x87(monkeypatch):
+    # one CPU, so the whole backward runs inline and its peak is the same on
+    # every run
+    monkeypatch.setattr(snn, "_cpus", lambda: 1)
+    arch = BENCHMARK_ARCHS["65x87"]
+    params = init_params(arch, seed=1)
+    rng = np.random.default_rng(0)
+    planes = (rng.random((8, 12) + arch.input_shape) < 0.3).astype(np.uint8)
+    d_sdg = rng.normal(size=(8, arch.num_classes))
+    tracemalloc.start()
+    try:
+        _, tape = snn_forward(planes, params, arch, record=True)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        snn_backward_from_output(tape, d_sdg, params)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert tape.x.nbytes == planes.nbytes   # taped as encoded, not as float64
+    # above what the tape holds, the backward peaked at 55.4 MiB on x86_64
+    # with numpy 2.4.6.  A float64 copy of the planes on the tape and a
+    # product buffer kept for fc4's weight term, which outlives fc4 and so
+    # adds to the conv layers' peak, made it 71.2 MiB; the bound lies between.
+    assert peak < 63 * 2**20, peak / 2**20
 
 
 def _lif_calls(monkeypatch, cpus):

@@ -238,7 +238,7 @@ def test_prepare_tensors_gesture_target():
     got, tape = snn_forward(data.planes, params, ARCH, cfg, record=True)
     want, _ = snn_forward(as_float, params, ARCH, cfg, record=True)
     assert np.array_equal(got, want)
-    assert tape.x.dtype == np.float64
+    assert tape.x.dtype == np.uint8
     assert np.array_equal(snn_forward(data.planes, params, ARCH, cfg),
                           snn_forward(as_float, params, ARCH, cfg))
 
