@@ -16,14 +16,14 @@ print(f"stream: {len(stream)} events over {stream.duration_us() / 1e6:.2f}s "
 
 # twelve planes, split by event count rather than wall time
 planes = dense_spike_planes(stream, k=12)
-print(f"planes: {planes.counts.shape}  (k, polarity, h, w)")
-print(f"per-plane event totals: {planes.per_plane_totals()}")
-print(f"conserved: {planes.total} == {len(stream)}")
+print(f"planes: {planes.shape} {planes.dtype}  (k, polarity, h, w)")
+print(f"per-plane event totals: {planes.sum(axis=(1, 2, 3))}")
+print(f"conserved: {planes.sum()} == {len(stream)}")
 
 # binning each event into its 2x2 pixel block keeps every event
 small = dense_spike_planes(stream, k=12, factor=2)
-print(f"downsampled to {small.geometry.width}x{small.geometry.height}, "
-      f"total still {small.total}")
+print(f"downsampled to {small.shape[3]}x{small.shape[2]}, "
+      f"total still {small.sum()}")
 
 # the network input is usually the binarized version
 binary = scale_planes(small, "clip01")

@@ -30,7 +30,6 @@ from .dataio import (
     write_planes_file,
 )
 from .encode import (
-    DenseSpikePlanes,
     dense_spike_planes,
     downsample_planes,
     group_sizes,

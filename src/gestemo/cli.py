@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import json
 import os
@@ -34,7 +35,7 @@ from .dataio import (
     write_events_file,
     write_planes_file,
 )
-from .encode import DenseSpikePlanes, _check_k_fits, dense_spike_planes, scale_planes
+from .encode import _check_k_fits, dense_spike_planes, scale_planes
 from .errors import (CHOICES, RANGES, DivergedLossError, GestemoError, ParseError,
                      check_option)
 from .events import EmotionClass, Geometry, GestureClass
@@ -194,6 +195,10 @@ def cmd_align(ns) -> int:
     for p in (ns.events, ns.tags):
         if not os.path.isfile(p):
             raise _UsageError(f"no such file: {p}")
+    seg_dir = os.path.join(ns.out, "segments")
+    if os.path.isdir(seg_dir) and os.listdir(seg_dir):
+        raise _UsageError(f"{seg_dir} is not empty: its segments would mix "
+                          "with this run's")
     stream = read_events_file(ns.events)
     tags = read_tags_file(ns.tags)
     cuts = split_indices(tags, stream.t)
@@ -203,7 +208,6 @@ def cmd_align(ns) -> int:
         for tag, idx in zip(tags, cuts):
             f.write(f"{tag},{idx},{stream.t[idx]}\n")
     segments = segment_events(stream, cuts)
-    seg_dir = os.path.join(ns.out, "segments")
     os.makedirs(seg_dir, exist_ok=True)
     for i, seg in enumerate(segments):
         write_events_file(seg, os.path.join(seg_dir, f"{i:03d}.csv"))
@@ -224,15 +228,14 @@ def cmd_encode(ns) -> int:
         _check_k_fits(ns.k, stream.geometry, ns.downsample)
     planes = dense_spike_planes(stream, ns.k, factor=ns.downsample)
     if ns.scale_mode == "clip01":
-        planes = DenseSpikePlanes(planes.k, planes.geometry,
-                                  scale_planes(planes, "clip01"))
+        planes = scale_planes(planes, "clip01")
         note = "conserved=n/a (clipped)"
     else:
-        note = "conserved=yes" if planes.total == len(stream) else "conserved=NO"
+        note = "conserved=yes" if planes.sum() == len(stream) else "conserved=NO"
     write_planes_file(planes, ns.out)
-    print(f"encoded {len(stream)} events into K={planes.k} planes "
-          f"({planes.geometry.width}x{planes.geometry.height}); "
-          f"total count {planes.total}; {note}")
+    k, _, h, w = planes.shape
+    print(f"encoded {len(stream)} events into K={k} planes ({w}x{h}); "
+          f"total count {planes.sum()}; {note}")
     return EXIT_OK
 
 
@@ -493,7 +496,31 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Run a loaded OpenBLAS on one thread.  It splits a GEMM's sums over
+    as many threads as the process has CPUs, so the last bits of the SNN's
+    weight gradients, and with them a checkpoint's bytes, would depend on
+    the CPU count; the SNN and the LSTM spread their own work over the
+    cores instead."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = {ln.split()[-1] for ln in f
+                    if "openblas" in ln.lower() and ".so" in ln}
+    except OSError:   # no /proc to list the loaded libraries in
+        return
+    for path in libs:
+        lib = ctypes.CDLL(path)   # loaded already, so only a new handle
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                break
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:   # run as the program; a library caller owns its process
+        _one_blas_thread()
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -38,16 +38,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .encode import DenseSpikePlanes
 from .errors import CHOICES, GestemoError, ParseError
-from .events import (
-    EmotionClass,
-    EventStream,
-    Geometry,
-    GestureClass,
-    SampleRecord,
-    emotion_of,
-)
+from .events import EventStream, Geometry, GestureClass, SampleRecord
 
 #: default frame-count normalization for feature sequences
 DEFAULT_FRAME_LIMIT = 100
@@ -278,20 +270,23 @@ def _parse_rows_slow(body: str, path, dtype, n_cols: int, delimiter,
     return np.array(rows, dtype=dtype)
 
 
-def write_planes_file(planes: DenseSpikePlanes, path) -> None:
+def write_planes_file(planes: np.ndarray, path) -> None:
     """Plane file: header ``K,W,H`` then one line of H*W integers per
-    polarity plane, K*2 lines in (k, polarity) order."""
-    g = planes.geometry
+    polarity plane, K*2 lines in (k, polarity) order, from (K, 2, H, W)
+    non-negative integer counts."""
+    planes = planes.astype(np.int64, copy=False)   # clip01 planes are uint8
+    if np.any(planes < 0):
+        raise GestemoError("plane counts must be non-negative")
+    k, _, h, w = planes.shape
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{planes.k},{g.width},{g.height}\n")
-        flat = planes.counts.reshape(planes.k * 2, g.height * g.width)
-        for row in flat:
+        f.write(f"{k},{w},{h}\n")
+        for row in planes.reshape(k * 2, h * w):
             f.write(_decimal_rows((row,), " ")[:-1] + "\n")
 
 
-def read_planes_file(path) -> DenseSpikePlanes:
-    """Parse a plane file; the header's K, W and H fix the row count and the
-    row length."""
+def read_planes_file(path) -> np.ndarray:
+    """Parse a plane file into (K, 2, H, W) int64 counts; the header's K, W
+    and H fix the row count and the row length."""
     header, body = _read_text(path)
     header = header.strip()
     parts = header.split(",")
@@ -304,8 +299,9 @@ def read_planes_file(path) -> DenseSpikePlanes:
     rows = _parse_rows(body, path, np.int64, h * w, None)
     if len(rows) != k * 2:
         raise ParseError(f"{path}: expected {k * 2} plane rows, got {len(rows)}")
-    return DenseSpikePlanes(k=k, geometry=Geometry(w, h),
-                            counts=rows.reshape(k, 2, h, w))
+    if np.any(rows < 0):
+        raise ParseError(f"{path}: plane counts must be non-negative")
+    return rows.reshape(k, 2, h, w)
 
 
 def read_tags_file(path) -> np.ndarray:
@@ -464,11 +460,10 @@ def write_dataset(root, samples: Iterable[tuple]) -> SplitManifest:
 
 
 def load_sample(manifest: SplitManifest, sample_id: str) -> SampleRecord:
-    """Assemble a SampleRecord for one manifest entry; emotion is derived
-    from the gesture label."""
+    """Assemble a SampleRecord for one manifest entry."""
     e = manifest.entry(sample_id)
     stream = read_events_file(manifest.path_of(e.events))
     features = (None if e.features is None
                 else read_feature_file(manifest.path_of(e.features)))
-    return SampleRecord(id=e.id, gesture=e.gesture, emotion=emotion_of(e.gesture),
-                        events=stream, features=features)
+    return SampleRecord(id=e.id, gesture=e.gesture, events=stream,
+                        features=features)

@@ -4,45 +4,17 @@ Events are split in time order into K contiguous groups; the first
 (L mod K) groups take ceil(L/K) events, the rest floor(L/K), so group sizes
 never differ by more than one and trailing groups are all-zero when K > L.
 Each group is histogrammed per pixel and per polarity, giving a
-K x 2 x H x W non-negative count tensor (channel 0 = negative polarity,
+(K, 2, H, W) int64 array of counts (channel 0 = negative polarity,
 channel 1 = positive).  The total count always equals the source event
 count exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GestemoError, check_option, physical_memory
 from .events import EventStream, Geometry
-
-
-@dataclass(frozen=True)
-class DenseSpikePlanes:
-    """K planes of per-pixel, per-polarity event counts."""
-
-    k: int
-    geometry: Geometry
-    counts: np.ndarray  # (K, 2, H, W) int64
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        expected = (self.k, 2, self.geometry.height, self.geometry.width)
-        if c.shape != expected:
-            raise GestemoError(f"counts shape {c.shape} != {expected}")
-        if np.any(c < 0):
-            raise GestemoError("plane counts must be non-negative")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def per_plane_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=(1, 2, 3))
 
 
 def group_sizes(n_events: int, k: int) -> np.ndarray:
@@ -58,17 +30,18 @@ def _check_k_fits(k: int, geometry: Geometry, factor: int = 1) -> None:
     """Refuse a k whose int64 count planes over geometry, binned factor x
     factor, would exceed physical memory.  A geometry too large for even
     one step's planes is the file's fault, not k's, and is left to the
-    allocation."""
+    allocation, unless k's own arrays (16 bytes a step) do not fit either."""
     h, w = -(-geometry.height // factor), -(-geometry.width // factor)
     step, memory = 8 * 2 * h * w, physical_memory()
-    if step <= memory < k * step:
+    if memory < k * step and (step <= memory or memory < 16 * k):
         raise GestemoError(f"k {k} needs {k * step} bytes of {w}x{h} count "
                            f"planes, more than the {memory} bytes of physical memory")
 
 
 def dense_spike_planes(stream: EventStream, k: int,
-                       factor: int = 1) -> DenseSpikePlanes:
-    """Count-based compression of a stream into K planes.
+                       factor: int = 1) -> np.ndarray:
+    """Count-based compression of a stream into (K, 2, H', W') int64
+    planes, H' and W' being H and W over factor, rounded up.
 
     factor > 1 bins each event straight into its factor x factor pixel
     block, which equals downsample_planes(dense_spike_planes(stream, k),
@@ -86,28 +59,25 @@ def dense_spike_planes(stream: EventStream, k: int,
     group = np.repeat(np.arange(k, dtype=np.int64), sizes)
     flat = ((group * 2 + stream.p) * h + stream.y // factor) * w + stream.x // factor
     counts = np.bincount(flat, minlength=k * 2 * h * w)
-    counts = counts.reshape(k, 2, h, w).astype(np.int64)
-    return DenseSpikePlanes(k=k, geometry=Geometry(w, h), counts=counts)
+    return counts.reshape(k, 2, h, w).astype(np.int64, copy=False)
 
 
-def downsample_planes(planes: DenseSpikePlanes, factor: int) -> DenseSpikePlanes:
+def downsample_planes(planes: np.ndarray, factor: int) -> np.ndarray:
     """Block-sum spatial pooling; pads H and W with zeros up to a multiple
     of factor, so the total count is conserved exactly."""
     check_option("downsample", factor)
     if factor == 1:
         return planes
-    c = planes.counts
-    k, _, h, w = c.shape
+    k, _, h, w = planes.shape
     hp = -h % factor
     wp = -w % factor
     if hp or wp:
-        c = np.pad(c, ((0, 0), (0, 0), (0, hp), (0, wp)))
+        planes = np.pad(planes, ((0, 0), (0, 0), (0, hp), (0, wp)))
     nh, nw = (h + hp) // factor, (w + wp) // factor
-    pooled = c.reshape(k, 2, nh, factor, nw, factor).sum(axis=(3, 5))
-    return DenseSpikePlanes(k=k, geometry=Geometry(nw, nh), counts=pooled)
+    return planes.reshape(k, 2, nh, factor, nw, factor).sum(axis=(3, 5))
 
 
-def scale_planes(planes: DenseSpikePlanes, mode: str = "clip01") -> np.ndarray:
+def scale_planes(planes: np.ndarray, mode: str = "clip01") -> np.ndarray:
     """Condition integer counts into network input.
 
     none          raw counts as float64
@@ -116,12 +86,11 @@ def scale_planes(planes: DenseSpikePlanes, mode: str = "clip01") -> np.ndarray:
     divide_by_max counts / global max as float64 (all zeros stay zero)
     """
     check_option("scale_mode", mode)
-    c = planes.counts
     if mode == "none":
-        return c.astype(np.float64)
+        return planes.astype(np.float64)
     if mode == "clip01":
-        return (c > 0).astype(np.uint8)
-    m = c.max()
+        return (planes > 0).astype(np.uint8)
+    m = planes.max()
     if m == 0:
-        return np.zeros_like(c, dtype=np.float64)
-    return c / float(m)
+        return np.zeros_like(planes, dtype=np.float64)
+    return planes / float(m)

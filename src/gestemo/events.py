@@ -260,21 +260,15 @@ def synth_stream(spec: StreamSpec, seed: int) -> EventStream:
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """One labeled multimodal sample.
-
-    features is None for event-only experiments.  For any gesture other than
-    `other`, emotion must equal emotion_of(gesture).
-    """
+    """One labeled multimodal sample; features is None for event-only
+    experiments."""
 
     id: str
     gesture: GestureClass
-    emotion: Optional[EmotionClass]
     events: EventStream
     features: Optional["FrameFeatureSequence"] = None  # noqa: F821
 
-    def __post_init__(self):
-        expected = emotion_of(self.gesture)
-        if self.gesture is not GestureClass.OTHER and self.emotion != expected:
-            raise GestemoError(
-                f"sample {self.id}: emotion {self.emotion} inconsistent with "
-                f"gesture {self.gesture.value} (expected {expected})")
+    @property
+    def emotion(self) -> Optional[EmotionClass]:
+        """The gesture's emotion; None for `other`."""
+        return emotion_of(self.gesture)

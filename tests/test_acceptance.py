@@ -100,8 +100,8 @@ def test_encoding_bit_exact_against_brute_force():
                     for j in range(start, start + size):
                         ref[gi, stream.p[j], stream.y[j], stream.x[j]] += 1
                     start += size
-                assert np.array_equal(planes.counts, ref)
-                assert planes.total == n
+                assert np.array_equal(planes, ref)
+                assert planes.sum() == n
         elapsed = time.monotonic() - t0
         assert elapsed < 30.0, f"encoding sweep took {elapsed:.1f}s"
     gate("encoding: bit-exact vs per-event oracle on 500 streams, "

@@ -28,7 +28,7 @@ from gestemo.dataio import (FrameFeatureSequence, ManifestEntry, SplitManifest,
                             load_sample, read_events_file, read_feature_file,
                             read_manifest, read_planes_file, write_events_file,
                             write_feature_file, write_manifest)
-from gestemo.errors import CHOICES, RANGES
+from gestemo.errors import CHOICES, RANGES, physical_memory
 from gestemo.encode import dense_spike_planes, downsample_planes
 from gestemo.events import EventStream, Geometry, GestureClass, StreamSpec, synth_stream
 from gestemo.synth import DatasetSpec, build_dataset
@@ -156,6 +156,23 @@ def test_align_end_to_end(tmp_path, capsys):
     assert "conserved=yes" in capsys.readouterr().out
 
 
+def test_align_refuses_segments_of_an_earlier_run(tmp_path):
+    ev = tmp_path / "events.csv"
+    write_events_file(synth_stream(StreamSpec(Geometry(8, 8), 1000, 50), 0), ev)
+    three, one = tmp_path / "three.txt", tmp_path / "one.txt"
+    three.write_text("200\n500\n800\n")
+    one.write_text("500\n")
+    out = tmp_path / "aligned"
+    assert run_main("align", str(ev), str(three), "--out", str(out))[0] == 0
+    before = tree_bytes(out)
+    assert len(before) == 5   # positions.csv and four segments
+    code, stdout, err = run_main("align", str(ev), str(one), "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == (f"{out / 'segments'} is not empty: its segments would mix "
+                   "with this run's\n")
+    assert tree_bytes(out) == before
+
+
 def test_align_missing_tags_file(tmp_path, capsys):
     ev = tmp_path / "events.csv"
     write_events_file(synth_stream(StreamSpec(Geometry(8, 8), 1000, 5), 0), ev)
@@ -198,7 +215,7 @@ def test_encode_default_k(tmp_path, capsys):
     assert main(["encode", str(ev), "--out", str(out)]) == 0
     assert "K=12" in capsys.readouterr().out
     back = read_planes_file(out)
-    assert np.array_equal(back.counts, dense_spike_planes(stream, 12).counts)
+    assert np.array_equal(back, dense_spike_planes(stream, 12))
 
 
 def test_encode_reports_conservation(tmp_path, capsys):
@@ -218,8 +235,7 @@ def test_encode_downsample_equals_pooled_full_planes(tmp_path, capsys):
                  "--k", "5", "--downsample", "3"]) == 0
     want = downsample_planes(dense_spike_planes(stream, 5), 3)
     back = read_planes_file(tmp_path / "p.txt")
-    assert back.geometry == want.geometry
-    assert np.array_equal(back.counts, want.counts)
+    assert np.array_equal(back, want)
 
 
 def test_downsample_below_one_is_usage_error(tmp_path, capsys):
@@ -245,7 +261,7 @@ def test_encode_clip01_planes_are_binary(tmp_path, capsys):
     assert main(["encode", str(ev), "--out", str(out), "--k", "2",
                  "--scale-mode", "clip01"]) == 0
     assert "conserved=n/a" in capsys.readouterr().out
-    assert set(np.unique(read_planes_file(out).counts)) <= {0, 1}
+    assert set(np.unique(read_planes_file(out))) <= {0, 1}
 
 
 def test_encode_bad_k_is_usage_error(tmp_path, capsys):
@@ -451,10 +467,11 @@ def test_train_config_invalid_json(tmp_path, capsys):
                  "--out", str(tmp_path / "m.ckpt")]) == 1
 
 
-def run_cli(*args, module="gestemo.cli", address_space=None):
+def run_cli(*args, module="gestemo.cli", address_space=None, cpus=None):
     """Run the command line in a fresh interpreter, as a user would; with
     address_space, under that RLIMIT_AS in bytes, so an allocation a
-    regression makes too large fails instead of exhausting the machine."""
+    regression makes too large fails instead of exhausting the machine;
+    with cpus, on only that set of CPUs."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["gestemo.cli"].__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -465,7 +482,26 @@ def run_cli(*args, module="gestemo.cli", address_space=None):
                f"({address_space}, {address_space})); "
                f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)"]
     return subprocess.run([sys.executable, *run, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=cpus and (lambda: os.sched_setaffinity(0, cpus)))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_checkpoint_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # OpenBLAS would split the SNN's weight sums over every CPU it has
+    for var in [v for v in os.environ if v.endswith("_NUM_THREADS")]:
+        monkeypatch.delenv(var)
+    data = tmp_path / "data"
+    assert run_main("synth", str(data), "--gestures", "ok,no,victory",
+                    "--per-class", "3", "--width", "64", "--height", "64",
+                    "--seed", "5")[0] == 0
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    for n in (1, 2):
+        proc = run_cli("train", str(data / "manifest.json"), "--branch", "snn_only",
+                       "--downsample", "2", "--epochs", "1", "--lif-theta", "0.4",
+                       "--out", str(tmp_path / f"{n}.ckpt"), cpus=set(cpus[:n]))
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "1.ckpt").read_bytes() == (tmp_path / "2.ckpt").read_bytes()
 
 
 def test_out_of_memory_is_one_line_exit_2(tmp_path):
@@ -482,13 +518,19 @@ def test_out_of_memory_is_one_line_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("k", [9223372036854775807, 100000000])
-@pytest.mark.parametrize("command", ["encode", "train", "eval"])
+@pytest.mark.parametrize("command", ["encode", "train", "eval", "encode_huge_header"])
 def test_k_too_large_to_fit_is_one_line(trained, tmp_path, command, k):
     # the count planes are estimated before anything is allocated: a --k is
     # the command line's fault (exit 1), a checkpoint's k the file's (exit 2)
     ckpt, manifest = trained
     out = tmp_path / "out"
-    if command == "encode":
+    if command == "encode_huge_header":
+        # one step's planes of this header overflow memory, the file's fault,
+        # left to the allocation unless k's own arrays cannot fit either
+        events = tmp_path / "huge.csv"
+        events.write_text("t,x,y,p geometry=60000x60000\n0,1,1,1\n5,2,2,0\n")
+        argv = ["encode", str(events), "--k", str(k), "--out", str(out)]
+    elif command == "encode":
         events = sorted(glob.glob(os.path.join(os.path.dirname(manifest),
                                                "events", "*.csv")))[0]
         argv = ["encode", events, "--k", str(k), "--out", str(out)]
@@ -498,11 +540,15 @@ def test_k_too_large_to_fit_is_one_line(trained, tmp_path, command, k):
         write_edited(ckpt, tmp_path / "k.ckpt", lambda h: h["extra"].update(k=k))
         argv = ["eval", str(tmp_path / "k.ckpt"), manifest, "--out", str(out)]
     proc = run_cli(*argv, address_space=2 * 1024 ** 3)
-    assert proc.returncode == (2 if command == "eval" else 1), proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert not out.exists()
+    if command == "encode_huge_header" and 16 * k <= physical_memory():
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: out of memory: ")
+        return
+    assert proc.returncode == (2 if command == "eval" else 1), proc.stderr
     assert f"k {k} needs " in proc.stderr
     assert "bytes of physical memory" in proc.stderr
-    assert not out.exists()
 
 
 def test_train_config_bad_value_type_is_usage_error(tmp_path):

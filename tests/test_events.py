@@ -123,11 +123,12 @@ def test_synth_negative_duration_rejected():
         StreamSpec(DAVIS346, -5, 10)
 
 
-def test_sample_record_checks_emotion():
+def test_sample_record_emotion_follows_gesture():
     s = synth_stream(StreamSpec(DAVIS346, 1000, 10), seed=0)
-    SampleRecord("a", GestureClass.OK, EmotionClass.NEUTRAL, s, None)
-    with pytest.raises(GestemoError, match="inconsistent with gesture ok"):
-        SampleRecord("b", GestureClass.OK, EmotionClass.POSITIVE, s, None)
+    assert SampleRecord("a", GestureClass.OK, s).emotion is EmotionClass.NEUTRAL
+    assert SampleRecord("b", GestureClass.KILL, s).emotion is EmotionClass.NEGATIVE
+    assert SampleRecord("c", GestureClass.LOVE, s).emotion is EmotionClass.POSITIVE
+    assert SampleRecord("d", GestureClass.OTHER, s).emotion is None
 
 
 def test_stream_slice_and_eq():

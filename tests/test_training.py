@@ -22,7 +22,6 @@ from gestemo.events import (
     LABELED_GESTURES,
     SampleRecord,
     StreamSpec,
-    emotion_of,
     synth_stream,
 )
 from gestemo.snn import Conv, Dense, LifConfig, Pool, SnnArchitecture, init_params, snn_forward
@@ -211,7 +210,7 @@ def make_sample(idx, gesture, n_events=60, n_frames=5, dim=3):
     stream = synth_stream(StreamSpec(Geometry(8, 8), 50_000, n_events), seed=idx)
     feats = FrameFeatureSequence(
         dim, np.random.default_rng(idx).random((n_frames, dim)))
-    return SampleRecord(f"s{idx}", gesture, emotion_of(gesture), stream, feats)
+    return SampleRecord(f"s{idx}", gesture, stream, feats)
 
 
 def test_prepare_tensors_gesture_target():
