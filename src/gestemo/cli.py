@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import functools
 import json
 import os
@@ -149,7 +148,11 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
             if type(v) is not kind and not (kind is float and type(v) is int):
                 raise _UsageError(f"config file {ns.config}: {k} must be "
                                   f"{kind.__name__}, got {v!r}")
-            merged[k] = kind(v)
+            try:
+                merged[k] = kind(v)
+            except OverflowError:   # an int beyond the float range
+                raise _UsageError(f"config file {ns.config}: {k} must be "
+                                  f"{kind.__name__}, got an int too large for one")
     for k in defaults:
         flag = getattr(ns, k, None)
         if flag is not None:
@@ -496,31 +499,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _one_blas_thread() -> None:
-    """Run a loaded OpenBLAS on one thread.  It splits a GEMM's sums over
-    as many threads as the process has CPUs, so the last bits of the SNN's
-    weight gradients, and with them a checkpoint's bytes, would depend on
-    the CPU count; the SNN and the LSTM spread their own work over the
-    cores instead."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = {ln.split()[-1] for ln in f
-                    if "openblas" in ln.lower() and ".so" in ln}
-    except OSError:   # no /proc to list the loaded libraries in
-        return
-    for path in libs:
-        lib = ctypes.CDLL(path)   # loaded already, so only a new handle
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                fn(1)
-                break
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:   # run as the program; a library caller owns its process
-        _one_blas_thread()
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -294,8 +294,9 @@ def _im2col_indices(cin, hin, win_, k, stride) -> np.ndarray:
 
 
 class _Plan:
-    """Per-layer input and output shapes and conv gather indices.  Nothing
-    changes it once built, so the worker thread may read it too."""
+    """Per-layer input and output shapes, conv gather indices and the index
+    of the first dense layer, before which every conv and pool layer lies.
+    Nothing changes it once built, so the worker thread may read it too."""
 
     def __init__(self, arch: SnnArchitecture):
         self.arch = arch
@@ -305,6 +306,8 @@ class _Plan:
             _im2col_indices(*shape, layer.kernel, layer.stride)
             if isinstance(layer, Conv) else None
             for layer, shape in zip(arch.layers, self.in_shapes)]
+        self.first_dense = next(li for li, layer in enumerate(arch.layers)
+                                if isinstance(layer, Dense))
 
     def cols(self, li: int, x: np.ndarray) -> np.ndarray:
         """im2col of x (B, C, H, W) for conv layer li: (B, P, K) float64,
@@ -366,44 +369,16 @@ def _cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _backward_on_worker(plan: _Plan, b: int) -> List[bool]:
-    """Per layer, whether its backward task runs on the worker thread at
-    batch size b.  Layer 0's task is its whole backward (LIF backward and
-    weight sums), which nothing downstream waits for; another layer's task
-    is its weight sums alone.
-
-    Each step's work is estimated in float64 elements touched.  The calling
-    thread starts with the input-gradient chain of layers >= 1 (their LIF
-    backward and input gradients); then, largest first, each task goes to
-    the thread it leaves less loaded, the calling thread on a tie.  With one
-    CPU everything runs inline."""
-    if _cpus() < 2:
-        return [False] * len(plan.arch.layers)
-    lif, weights, inputs = [], [], []
-    for li, layer in enumerate(plan.arch.layers):
-        n_in = b * math.prod(plan.in_shapes[li])
-        n_out = b * math.prod(plan.out_shapes[li])
-        lif.append(11 * n_out)   # about eleven elementwise passes
-        if isinstance(layer, Conv):   # im2col gather and one GEMM each
-            gemm = 2 * b * plan.col_idx[li].size
-            weights.append(gemm + n_out)
-            inputs.append(gemm)
-        elif isinstance(layer, Pool):
-            weights.append(0)
-            inputs.append(2 * n_in)
-        else:
-            weights.append(3 * layer.in_width * layer.out_width)
-            inputs.append(layer.in_width * layer.out_width + n_in)
-    caller, worker = sum(lif[1:]) + sum(inputs[1:]), 0
-    tasks = [(lif[0] + weights[0], 0)] + [(w, li) for li, w in enumerate(weights)
-                                          if li > 0 and w > 0]
+def _backward_on_worker(plan: _Plan) -> List[bool]:
+    """Per layer, whether its backward task runs on the worker thread.  With
+    more than one CPU the worker takes layer 0's whole backward (LIF
+    backward and weight sums), since no layer reads its input gradient,
+    and the weight sums of the first dense layer, which reads the spatial
+    block and holds the largest weight matrix; with one, everything runs
+    inline."""
     on_worker = [False] * len(plan.arch.layers)
-    for work, li in sorted(tasks, key=lambda task: -task[0]):
-        if worker < caller:
-            worker += work
-            on_worker[li] = True
-        else:
-            caller += work
+    if _cpus() > 1:
+        on_worker[0] = on_worker[plan.first_dense] = True
     return on_worker
 
 
@@ -528,8 +503,7 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     b, k = x.shape[0], x.shape[1]
     plan = _plan(arch)
     sdtype = _SPIKE_DTYPE[spike_fn]
-    # the spatial block is every Conv and Pool layer, all before the first Dense
-    n_sp = next(li for li, layer in enumerate(arch.layers) if isinstance(layer, Dense))
+    n_sp = plan.first_dense   # layers [0, n_sp) are the spatial block
     v = [np.zeros((b,) + shp) for shp in plan.out_shapes]
     # without a tape, one step's buffers are reused, except the spikes of the
     # last spatial layer: the dense tail reads them after the whole block
@@ -582,7 +556,7 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
     grads = {name: np.zeros_like(params[name]) for name in arch.param_shapes()}
     dv_carry = [np.zeros((b,) + shp) for shp in plan.out_shapes]
     n = len(arch.layers)
-    on_worker = _backward_on_worker(plan, b)
+    on_worker = _backward_on_worker(plan)
     # one scratch pair per thread serves every layer that thread runs: a
     # layer's dvp is consumed before the next layer writes the pair again.
     # Layer 0 on the worker has a pair of its own; another layer's weight

@@ -15,8 +15,10 @@ seeded generator, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -306,6 +308,55 @@ def _check_branch(data: TrainData, model: ModelParams, branch: str) -> None:
         raise GestemoError(f"data has no inputs for branch {branch!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_libs() -> Tuple[ctypes.CDLL, ...]:
+    """Each OpenBLAS loaded in this process, found once in /proc/self/maps;
+    none where there is no /proc to list the loaded libraries in."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as f:
+            # the path is the sixth field, and may hold spaces
+            paths = {ln.split(maxsplit=5)[-1].rstrip("\n") for ln in f
+                     if "openblas" in ln.lower() and ".so" in ln}
+    except OSError:
+        return ()
+    libs = []
+    for path in sorted(paths):
+        with contextlib.suppress(OSError):   # a file deleted since, or renamed
+            libs.append(ctypes.CDLL(path))   # loaded already, so only a new handle
+    return tuple(libs)
+
+
+def _openblas_fn(lib: ctypes.CDLL, stem: str, restype, *argtypes):
+    """OpenBLAS's function `stem` in lib, under scipy-openblas's name or the
+    plain one, declared with restype and argtypes; None if lib has neither."""
+    fn = (getattr(lib, f"scipy_openblas_{stem}64_", None)
+          or getattr(lib, f"openblas_{stem}", None))
+    if fn is not None:
+        fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run each loaded OpenBLAS on one thread inside the block, for the
+    whole process, then give back the caller's count.  OpenBLAS splits a
+    GEMM's sums over its threads, so the last bits of the SNN's weight
+    gradients, and with them a checkpoint's bytes, would depend on the
+    thread count; the SNN and the LSTM spread their own work over the
+    cores instead."""
+    pins = [(_openblas_fn(lib, "set_num_threads", None, ctypes.c_int),
+             _openblas_fn(lib, "get_num_threads", ctypes.c_int))
+            for lib in _openblas_libs()]
+    pins = [(set_threads, get()) for set_threads, get in pins if set_threads and get]
+    for set_threads, _ in pins:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in pins:
+            set_threads(count)
+
+
 def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
                  lif_cfg: LifConfig, cfg: TrainConfig,
                  log: Optional[Callable[[str], None]]) -> List[dict]:
@@ -357,12 +408,14 @@ def train(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     """Fit the model in place and return the per-epoch loss history; log,
     when given, is called with one line per epoch as the epoch ends.  An
     overflow, invalid value or division by zero in the arithmetic is
-    reported as divergence, like an out-of-bounds loss."""
+    reported as divergence, like an out-of-bounds loss.  A loaded OpenBLAS
+    runs on one thread for the call."""
     if len(data) == 0:
         raise GestemoError("training split is empty")
     _check_branch(data, model, cfg.branch)
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with _one_blas_thread(), \
+                np.errstate(over="raise", invalid="raise", divide="raise"):
             if cfg.branch != "fused" or cfg.mode != "separate":
                 return _train_joint(data, model, arch, lif_cfg, cfg, log)
             children = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -383,13 +436,14 @@ def scores_for(data: TrainData, model: ModelParams, arch: SnnArchitecture,
                lam: float = 1.0) -> np.ndarray:
     """Class scores for every sample, eval mode (no dropout, binary spikes).
     An overflow, invalid value or division by zero in the arithmetic
-    raises FloatingPointError instead of giving scores computed from it."""
+    raises FloatingPointError instead of giving scores computed from it.
+    A loaded OpenBLAS runs on one thread for the call."""
     if len(data) == 0:
         raise GestemoError("evaluation split is empty")
     check_option("branch", branch)
     _check_branch(data, model, branch)
     s_dg = scores = None
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
+    with _one_blas_thread(), np.errstate(over="raise", invalid="raise", divide="raise"):
         if branch != "video_only":
             s_dg = scores = snn_forward(data.planes, model.snn, arch, lif_cfg)
         if branch != "snn_only":

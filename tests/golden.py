@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from gestemo import cli
+from gestemo import cli, training
 from gestemo.dataio import read_manifest
 
 DIGEST_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -117,20 +117,10 @@ def _simd_level() -> Optional[str]:
 def _openblas_core() -> Optional[str]:
     """The kernel set a loaded OpenBLAS picked for this CPU, if one is
     loaded and the process maps can be read."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = sorted({ln.split()[-1] for ln in f if "openblas" in ln.lower()
-                           and ln.rstrip().endswith(".so")})
-        for path in libs:
-            lib = ctypes.CDLL(path)
-            for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-                fn = getattr(lib, sym, None)
-                if fn is not None:
-                    fn.restype = ctypes.c_char_p
-                    fn.argtypes = []
-                    return fn().decode()
-    except OSError:
-        pass
+    for lib in training._openblas_libs():
+        fn = training._openblas_fn(lib, "get_corename", ctypes.c_char_p)
+        if fn is not None:
+            return fn().decode()
     return None
 
 

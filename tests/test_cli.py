@@ -4,6 +4,7 @@ into tmp_path and assertions read the produced files back."""
 import argparse
 import contextlib
 import copy
+import ctypes
 import filecmp
 import glob
 import io
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gestemo import fusion, snn
+from gestemo import fusion, snn, training
 from gestemo.checkpoint import load_checkpoint
 from gestemo.cli import TRAIN_DEFAULTS, build_parser, main
 from gestemo.dataio import (FrameFeatureSequence, ManifestEntry, SplitManifest,
@@ -504,6 +505,36 @@ def test_checkpoint_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     assert (tmp_path / "1.ckpt").read_bytes() == (tmp_path / "2.ckpt").read_bytes()
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_in_process_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a library caller's OpenBLAS may split the SNN's weight sums over two
+    # threads; train runs it on one and gives the caller's count back
+    blas = [(training._openblas_fn(lib, "get_num_threads", ctypes.c_int),
+             training._openblas_fn(lib, "set_num_threads", None, ctypes.c_int))
+            for lib in training._openblas_libs()]
+    if not blas:
+        pytest.skip("no OpenBLAS loaded")
+    data = tmp_path / "data"
+    assert run_main("synth", str(data), "--gestures", "ok,no,victory",
+                    "--per-class", "3", "--width", "64", "--height", "64",
+                    "--seed", "5")[0] == 0
+    before = [get() for get, _ in blas]
+    try:
+        for n in (1, 2):
+            for _, set_threads in blas:
+                set_threads(n)
+            code, _, err = run_main(
+                "train", str(data / "manifest.json"), "--branch", "snn_only",
+                "--downsample", "2", "--epochs", "1", "--lif-theta", "0.4",
+                "--out", str(tmp_path / f"{n}.ckpt"))
+            assert code == 0, err
+            assert [get() for get, _ in blas] == [n] * len(blas)
+    finally:
+        for (_, set_threads), count in zip(blas, before):
+            set_threads(count)
+    assert (tmp_path / "1.ckpt").read_bytes() == (tmp_path / "2.ckpt").read_bytes()
+
+
 def test_out_of_memory_is_one_line_exit_2(tmp_path):
     # a 45-byte event file whose header declares 60000x60000 pixels: the
     # planes would take 644 GiB
@@ -577,6 +608,19 @@ def test_train_config_wrong_json_type_is_usage_error(tmp_path, capsys, doc):
     kind = type(TRAIN_DEFAULTS[key]).__name__
     err = capsys.readouterr().err
     assert err.endswith(f"{key} must be {kind}, got {value!r}\n")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["lr", "lam"])
+def test_train_config_int_too_large_for_float_is_usage_error(tmp_path, capsys, key):
+    manifest = small_corpus(tmp_path)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+    out = tmp_path / "m.ckpt"
+    assert main(["train", manifest, *FAST_TRAIN, "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"{key} must be float, got an int too large for one\n")
     assert err.count("\n") == 1 and not out.exists()
 
 
@@ -1209,12 +1253,10 @@ def test_train_overflow_is_one_line_divergence(parse_corpus, tmp_path):
     assert lines[0].startswith("error: training diverged: overflow encountered")
 
 
-def test_overflow_in_the_worker_first_layer_backward_is_exit_3(tmp_path,
+def test_overflow_in_the_worker_first_layer_backward_is_exit_3(tmp_path, two_cpus,
                                                                monkeypatch):
     # with two CPUs the first conv layer's whole backward runs on the SNN's
     # worker thread; an overflow raised there reaches the user as divergence
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     lif_backward, raised_on = snn._lif_backward, []
 
     def overflowing(*args):
@@ -1232,11 +1274,10 @@ def test_overflow_in_the_worker_first_layer_backward_is_exit_3(tmp_path,
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def test_overflow_in_the_lstm_helper_weight_sums_is_exit_3(tmp_path, monkeypatch):
+def test_overflow_in_the_lstm_helper_weight_sums_is_exit_3(tmp_path, two_cpus,
+                                                           monkeypatch):
     # with two CPUs the LSTM weight sums run on a forked helper process; an
     # overflow raised there reaches the user as divergence
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     parent, weight_terms = os.getpid(), fusion._weight_terms
 
     def overflowing(*args):

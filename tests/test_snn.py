@@ -510,21 +510,17 @@ BENCHMARK_ARCHS = {"32x32": default_architecture(3, 32, 32),
                    "65x87": default_architecture(3, 65, 87)}
 
 
-def _on_worker(arch, batch):
-    return [li for li, on in enumerate(snn._backward_on_worker(snn._plan(arch), batch))
-            if on]
+def _on_worker(arch):
+    return [li for li, on in enumerate(snn._backward_on_worker(snn._plan(arch))) if on]
 
 
 @pytest.mark.parametrize("batch", [1, 3, 4, 8])
 @pytest.mark.parametrize("reset", ["to_zero", "subtract_theta"])
 @pytest.mark.parametrize("arch_name", sorted(BENCHMARK_ARCHS))
 def test_planned_backward_matches_reference_bit_for_bit(arch_name, reset, batch,
-                                                        monkeypatch):
-    # a second CPU, whatever the machine, so the worker path runs
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+                                                        two_cpus):
     arch = BENCHMARK_ARCHS[arch_name]
-    assert _on_worker(arch, batch)
+    assert _on_worker(arch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # interleave the two threads as finely as possible
     try:
@@ -537,13 +533,28 @@ def test_planned_backward_matches_reference_bit_for_bit(arch_name, reset, batch,
 
 
 @pytest.mark.parametrize("arch_name", sorted(BENCHMARK_ARCHS))
-@pytest.mark.parametrize("batch", [4, 8])
+@pytest.mark.parametrize("batch", range(1, 9))
 def test_two_cpus_put_the_first_layer_and_fc4_on_the_worker(arch_name, batch,
-                                                            monkeypatch):
-    # conv2's weight sums, the third task by size, stay with the caller
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    assert _on_worker(BENCHMARK_ARCHS[arch_name], batch) == [0, 4]
+                                                            two_cpus, monkeypatch):
+    # the rule reads the layer stack alone, so a backward of every batch
+    # size runs the same two layers' weight sums on the worker thread
+    arch = BENCHMARK_ARCHS[arch_name]
+    assert _on_worker(arch) == [0, 4]
+    weight_backward, on_worker = snn._weight_backward, set()
+
+    def recorded(plan, li, *args):
+        if threading.current_thread().name.startswith("gestemo-snn"):
+            on_worker.add(li)
+        return weight_backward(plan, li, *args)
+
+    monkeypatch.setattr(snn, "_weight_backward", recorded)
+    params = init_params(arch, seed=batch)
+    rng = np.random.default_rng(batch)
+    _, tape = snn_forward(rng.random((batch, 2) + arch.input_shape), params, arch,
+                          record=True)
+    snn_backward_from_output(tape, rng.standard_normal((batch, arch.num_classes)),
+                             params)
+    assert sorted(on_worker) == [0, 4]
 
 
 @pytest.mark.parametrize("cpus", [{0}], ids=["one_cpu"])
@@ -551,8 +562,7 @@ def test_every_layer_stays_inline(cpus, monkeypatch):
     monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: cpus,
                         raising=False)
     for arch in BENCHMARK_ARCHS.values():
-        for batch in (1, 3, 4, 8):
-            assert _on_worker(arch, batch) == []
+        assert _on_worker(arch) == []
 
 
 def test_backward_memory_at_65x87(monkeypatch):
@@ -690,10 +700,7 @@ def test_init_params_draws_like_per_layer_fans():
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
-def test_plan_is_unchanged_by_forward_and_backward(monkeypatch):
-    # a second CPU, whatever the machine, so the worker paths may run
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+def test_plan_is_unchanged_by_forward_and_backward(two_cpus):
     arch = ORACLE_ARCHS["stride2_conv"]
     plan = snn._plan(arch)
     before = pickle.dumps(vars(plan))

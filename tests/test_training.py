@@ -366,17 +366,15 @@ def test_diverged_loss_raises():
               cfg=TrainConfig(epochs=6, lr=1e8, branch="video_only", seed=6))
 
 
-def test_overflow_on_the_gradient_worker_is_divergence(monkeypatch):
+def test_overflow_on_the_gradient_worker_is_divergence(two_cpus, monkeypatch):
     # The first layer's backward runs on the worker thread.  Its zero
     # weights keep the huge planes out of the forward pass, and both layers
     # hold their membranes inside the surrogate window, silent.  The huge
     # second layer then sends a gradient of about 1e147 back, so only the
     # first layer's weight gradient, (1e147 x 1e200) on the worker, overflows.
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     arch = SnnArchitecture(layers=(Dense(1250, 512), Dense(512, 3)),
                            input_shape=(2, 25, 25), num_classes=3)
-    assert snn._backward_on_worker(snn._plan(arch), 4) == [True, False]
+    assert snn._backward_on_worker(snn._plan(arch)) == [True, False]
     params = {"fc0.w": np.zeros((512, 1250)), "fc0.b": np.full(512, 0.1),
               "fc1.w": np.full((3, 512), 1e150), "fc1.b": np.full(3, 0.1)}
     data = TrainData(np.full((4, 12, 2, 25, 25), 1e200), None,
@@ -401,18 +399,16 @@ def test_overflow_on_the_gradient_worker_is_divergence(monkeypatch):
 
 
 def test_overflow_in_the_first_layer_lif_backward_on_the_worker_is_divergence(
-        monkeypatch):
+        two_cpus, monkeypatch):
     # With beta 1, the first layer's membrane sits exactly at theta at every
     # step and the second layer's reaches it at the last step only, so with a
     # surrogate width of 1e-300 both see d(spike)/dv' = 5e299 there.  The
     # second layer, on the calling thread, sends back a gradient of about
     # 1e297, and the first layer's LIF backward on the worker multiplies it
     # by 5e299.  The calling thread's own arithmetic stays finite.
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     arch = SnnArchitecture(layers=(Dense(50, 1), Dense(1, 3)),
                            input_shape=(2, 5, 5), num_classes=3)
-    assert snn._backward_on_worker(snn._plan(arch), 4) == [True, False]
+    assert snn._backward_on_worker(snn._plan(arch)) == [True, False]
     params = {"fc0.w": np.zeros((1, 50)), "fc0.b": np.ones(1),
               "fc1.w": np.full((3, 1), 0.125), "fc1.b": np.full(3, 0.125)}
     data = TrainData(np.zeros((4, 4, 2, 5, 5)), None, np.array([0, 1, 2, 0]),
@@ -435,14 +431,12 @@ def test_overflow_in_the_first_layer_lif_backward_on_the_worker_is_divergence(
     assert raised_on and all(name.startswith("gestemo-snn") for name in raised_on)
 
 
-def test_no_first_layer_task_starts_after_one_raised_on_the_worker(monkeypatch):
+def test_no_first_layer_task_starts_after_one_raised_on_the_worker(two_cpus, monkeypatch):
     # the setup of the test above, where every first-layer task overflows:
     # the tasks queued behind the first to raise must not start
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     arch = SnnArchitecture(layers=(Dense(50, 1), Dense(1, 3)),
                            input_shape=(2, 5, 5), num_classes=3)
-    assert snn._backward_on_worker(snn._plan(arch), 4) == [True, False]
+    assert snn._backward_on_worker(snn._plan(arch)) == [True, False]
     params = {"fc0.w": np.zeros((1, 50)), "fc0.b": np.ones(1),
               "fc1.w": np.full((3, 1), 0.125), "fc1.b": np.full(3, 0.125)}
     data = TrainData(np.zeros((4, 4, 2, 5, 5)), None, np.array([0, 1, 2, 0]),
@@ -469,13 +463,11 @@ def test_no_first_layer_task_starts_after_one_raised_on_the_worker(monkeypatch):
     assert on_worker[-1] == "raise" and on_worker.count("raise") == 1, on_worker
 
 
-def test_overflow_on_the_forward_worker_half_is_divergence(monkeypatch):
+def test_overflow_on_the_forward_worker_half_is_divergence(two_cpus, monkeypatch):
     # Only the sample that the epoch's permutation puts last in the batch,
     # in the half the worker thread runs, holds huge planes.  Its conv
     # current, (1e200 x 1e150), overflows on the worker; the calling
     # thread's half is all zeros.
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     arch = SnnArchitecture(layers=(Conv(2, 2, 3), Dense(18, 3)),
                            input_shape=(2, 5, 5), num_classes=3)
     params = {"conv0.w": np.full((2, 2, 3, 3), 1e150), "conv0.b": np.zeros(2),
@@ -524,13 +516,11 @@ def logged_calls(monkeypatch, name, calls):
     monkeypatch.setattr(snn, name, logged)
 
 
-def test_overflow_on_the_caller_waits_for_the_forward_worker_half(monkeypatch):
+def test_overflow_on_the_caller_waits_for_the_forward_worker_half(two_cpus, monkeypatch):
     # The mirror of the worker-half test: the sample that the epoch's
     # permutation puts first in the batch, in the calling thread's half,
     # holds huge planes, and its conv current overflows while the worker
     # still sleeps in its own half.
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     arch = SnnArchitecture(layers=(Conv(2, 2, 3), Dense(18, 3)),
                            input_shape=(2, 5, 5), num_classes=3)
     params = {"conv0.w": np.full((2, 2, 3, 3), 1e150), "conv0.b": np.zeros(2),
@@ -549,15 +539,13 @@ def test_overflow_on_the_caller_waits_for_the_forward_worker_half(monkeypatch):
     assert at_raise.count("begin") == at_raise.count("end") > 0
 
 
-def test_overflow_on_the_caller_waits_for_a_pending_gradient_task(monkeypatch):
+def test_overflow_on_the_caller_waits_for_a_pending_gradient_task(two_cpus, monkeypatch):
     # The first layer's whole backward goes to the worker, which sleeps in
     # its LIF backward and in its weight sums; the calling thread's second
     # input gradient then overflows.
-    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     arch = SnnArchitecture(layers=(Dense(1250, 512), Dense(512, 3)),
                            input_shape=(2, 25, 25), num_classes=3)
-    assert snn._backward_on_worker(snn._plan(arch), 4) == [True, False]
+    assert snn._backward_on_worker(snn._plan(arch)) == [True, False]
     params = {"fc0.w": np.zeros((512, 1250)), "fc0.b": np.full(512, 0.1),
               "fc1.w": np.full((3, 512), 0.01), "fc1.b": np.full(3, 0.1)}
     data = TrainData(np.zeros((4, 3, 2, 25, 25)), None,
