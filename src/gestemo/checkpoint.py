@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
 
+from .dataio import _replaced
 from .errors import GestemoError, ParseError
 from .fusion import FusionConfig, frame_shapes
 from .snn import LifConfig, SnnArchitecture
@@ -59,19 +59,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
         "extra": ckpt.extra,
     }
-    tmp = str(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(json.dumps(header, sort_keys=True, separators=(",", ":"))
-                    .encode("utf-8"))
-            f.write(b"\n")
-            for n in names:
-                f.write(np.ascontiguousarray(tensors[n], dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with _replaced(path, "wb") as f:
+        f.write(json.dumps(header, sort_keys=True, separators=(",", ":"))
+                .encode("utf-8"))
+        f.write(b"\n")
+        for n in names:
+            f.write(np.ascontiguousarray(tensors[n], dtype="<f8").tobytes())
 
 
 def _is_tensor_spec(t) -> bool:

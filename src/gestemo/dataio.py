@@ -28,13 +28,14 @@ real frames.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -390,6 +391,22 @@ def read_manifest(path) -> SplitManifest:
     return manifest
 
 
+@contextlib.contextmanager
+def _replaced(path, mode: str) -> Iterator[IO]:
+    """Yield <path>.tmp open for writing in mode; a normal exit moves it
+    onto path, and any other removes it, so a failed write leaves whatever
+    was at path as it was."""
+    tmp = str(path) + ".tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_manifest(manifest: SplitManifest, path) -> None:
     doc = {
         "root": os.path.relpath(manifest.root, os.path.dirname(os.path.abspath(path))),
@@ -400,11 +417,9 @@ def write_manifest(manifest: SplitManifest, path) -> None:
             for e in manifest.entries
         ],
     }
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with _replaced(path, "w") as f:   # appears whole, after all data files
         json.dump(doc, f, indent=2)
         f.write("\n")
-    os.replace(tmp, path)  # manifest appears atomically, after all data files
 
 
 def train_count(train_fraction: float, n: int) -> int:

@@ -329,12 +329,16 @@ _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gestemo-snn")
 
 
 @contextlib.contextmanager
-def _worker_tasks():
-    """Yield submit(fn, *args): fn(*args) on the worker thread, in a copy of
-    the caller's context, where np.errstate lives.  submit awaits the oldest
-    task beyond _MAX_PENDING; a normal exit awaits all in FIFO order, raising
-    the first error.  No task starts after one has raised, and any other
-    exit cancels the tasks still queued and waits until none runs."""
+def _worker_tasks(on_worker: bool):
+    """Yield submit(fn, *args), which runs fn(*args) on the worker thread in
+    a copy of the caller's context, where np.errstate lives; without
+    on_worker, at once on the calling thread.  submit awaits the oldest task
+    beyond _MAX_PENDING; a normal exit awaits all in FIFO order, raising the
+    first error.  No task starts after one has raised, and any other exit
+    cancels the tasks still queued and waits until none runs."""
+    if not on_worker:
+        yield lambda fn, *args: fn(*args)
+        return
     pending = deque()
     failed = []   # touched on the worker thread only, where tasks run in order
 
@@ -367,19 +371,6 @@ def _cpus() -> int:
     more than one."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-
-
-def _backward_on_worker(plan: _Plan) -> List[bool]:
-    """Per layer, whether its backward task runs on the worker thread.  With
-    more than one CPU the worker takes layer 0's whole backward (LIF
-    backward and weight sums), since no layer reads its input gradient,
-    and the weight sums of the first dense layer, which reads the spatial
-    block and holds the largest weight matrix; with one, everything runs
-    inline."""
-    on_worker = [False] * len(plan.arch.layers)
-    if _cpus() > 1:
-        on_worker[0] = on_worker[plan.first_dense] = True
-    return on_worker
 
 
 def _as_float(x: np.ndarray) -> np.ndarray:
@@ -530,7 +521,7 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     # thread.  A dense GEMM's bits depend on its row count: the tail runs
     # on the whole batch.
     half = b // 2 if n_sp and b >= 2 and _cpus() > 1 else b
-    with _worker_tasks() as submit:
+    with _worker_tasks(half < b) as submit:
         if half < b:
             submit(run, range(n_sp), slice(half, b))
         run(range(n_sp), slice(0, half))
@@ -556,13 +547,17 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
     grads = {name: np.zeros_like(params[name]) for name in arch.param_shapes()}
     dv_carry = [np.zeros((b,) + shp) for shp in plan.out_shapes]
     n = len(arch.layers)
-    on_worker = _backward_on_worker(plan)
+    # With more than one CPU the worker takes layer 0's whole backward, since
+    # no layer reads its input gradient, and the weight sums of the first
+    # dense layer, which reads the spatial block and holds the largest
+    # weight matrix; with one, submit runs both at once on this thread.
+    on_worker = _cpus() > 1
     # one scratch pair per thread serves every layer that thread runs: a
     # layer's dvp is consumed before the next layer writes the pair again.
-    # Layer 0 on the worker has a pair of its own; another layer's weight
-    # sums there get a copy of its dvp.
+    # Layer 0 on the worker has a pair of its own; the first dense layer's
+    # weight sums get a copy of its dvp.
     scratch = {}
-    for layers in ([0], range(1, n)) if on_worker[0] else [range(n)]:
+    for layers in ([0], range(1, n)) if on_worker else [range(n)]:
         sizes = {li: math.prod(plan.out_shapes[li]) for li in layers}
         bufs = [np.empty(b * max(sizes.values(), default=0)) for _ in range(2)]
         scratch.update({li: [buf[:b * size].reshape((b,) + plan.out_shapes[li])
@@ -573,25 +568,21 @@ def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
                              dv_carry[li], cfg, tape.surrogate_width, *scratch[li])
 
     def first_layer_backward(t: int, d_s: np.ndarray) -> None:
-        # no layer reads the input gradient of layer 0
         _weight_backward(plan, 0, tape.x[:, t], lif_backward(0, t, d_s), grads)
 
-    with _worker_tasks() as submit:
+    with _worker_tasks(on_worker) as submit:
         for t in reversed(range(k)):
             d_s = d_sdg / k
             for li in reversed(range(1, n)):
                 dvp = lif_backward(li, t, d_s)
                 x_in = tape.spikes[li - 1][t]
-                if on_worker[li]:
+                if li == plan.first_dense:
                     submit(_weight_backward, plan, li, x_in, dvp.copy(), grads)
                 else:
                     _weight_backward(plan, li, x_in, dvp, grads)
                 d_s = _input_backward(plan, li, x_in, dvp, params)
             # d_s is a fresh array, so the worker may read it as it is
-            if on_worker[0]:
-                submit(first_layer_backward, t, d_s)
-            else:
-                first_layer_backward(t, d_s)
+            submit(first_layer_backward, t, d_s)
     return grads
 
 

@@ -299,15 +299,6 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
     return loss_mse, loss_wce, grads
 
 
-def _check_branch(data: TrainData, model: ModelParams, branch: str) -> None:
-    """Refuse a branch whose parameters or inputs are missing."""
-    event, frame = branch != "video_only", branch != "snn_only"
-    if event and model.snn is None or frame and None in (model.lstm, model.head):
-        raise GestemoError(f"model has no parameters for branch {branch!r}")
-    if event and data.planes is None or frame and data.features is None:
-        raise GestemoError(f"data has no inputs for branch {branch!r}")
-
-
 @functools.lru_cache(maxsize=None)
 def _openblas_libs() -> Tuple[ctypes.CDLL, ...]:
     """Each OpenBLAS loaded in this process, found once in /proc/self/maps;
@@ -337,13 +328,24 @@ def _openblas_fn(lib: ctypes.CDLL, stem: str, restype, *argtypes):
 
 
 @contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run each loaded OpenBLAS on one thread inside the block, for the
-    whole process, then give back the caller's count.  OpenBLAS splits a
-    GEMM's sums over its threads, so the last bits of the SNN's weight
-    gradients, and with them a checkpoint's bytes, would depend on the
-    thread count; the SNN and the LSTM spread their own work over the
+def _model_call(data: TrainData, model: ModelParams, branch: str,
+                split: str) -> Iterator[None]:
+    """Refuse an empty split and a branch whose parameters or inputs are
+    missing, then run the block with numpy's overflow, invalid value and
+    division by zero raising and each loaded OpenBLAS on one thread, for
+    the whole process, giving back the caller's count after.  OpenBLAS
+    splits a GEMM's sums over its threads, so the last bits of the SNN's
+    weight gradients, and with them a checkpoint's bytes, would depend on
+    the thread count; the SNN and the LSTM spread their own work over the
     cores instead."""
+    if len(data) == 0:
+        raise GestemoError(f"{split} split is empty")
+    check_option("branch", branch)
+    event, frame = branch != "video_only", branch != "snn_only"
+    if event and model.snn is None or frame and None in (model.lstm, model.head):
+        raise GestemoError(f"model has no parameters for branch {branch!r}")
+    if event and data.planes is None or frame and data.features is None:
+        raise GestemoError(f"data has no inputs for branch {branch!r}")
     pins = [(_openblas_fn(lib, "set_num_threads", None, ctypes.c_int),
              _openblas_fn(lib, "get_num_threads", ctypes.c_int))
             for lib in _openblas_libs()]
@@ -351,7 +353,8 @@ def _one_blas_thread() -> Iterator[None]:
     for set_threads, _ in pins:
         set_threads(1)
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     finally:
         for set_threads, count in pins:
             set_threads(count)
@@ -410,21 +413,15 @@ def train(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     overflow, invalid value or division by zero in the arithmetic is
     reported as divergence, like an out-of-bounds loss.  A loaded OpenBLAS
     runs on one thread for the call."""
-    if len(data) == 0:
-        raise GestemoError("training split is empty")
-    _check_branch(data, model, cfg.branch)
+    runs = [cfg]
+    if cfg.branch == "fused" and cfg.mode == "separate":
+        children = np.random.SeedSequence(cfg.seed).spawn(2)
+        runs = [replace(cfg, branch=branch, seed=int(s.generate_state(1)[0]))
+                for branch, s in zip(("snn_only", "video_only"), children)]
     try:
-        with _one_blas_thread(), \
-                np.errstate(over="raise", invalid="raise", divide="raise"):
-            if cfg.branch != "fused" or cfg.mode != "separate":
-                return _train_joint(data, model, arch, lif_cfg, cfg, log)
-            children = np.random.SeedSequence(cfg.seed).spawn(2)
-            seeds = [int(s.generate_state(1)[0]) for s in children]
-            return (_train_joint(data, model, arch, lif_cfg,
-                                 replace(cfg, branch="snn_only", seed=seeds[0]), log)
-                    + _train_joint(data, model, arch, lif_cfg,
-                                   replace(cfg, branch="video_only", seed=seeds[1]),
-                                   log))
+        with _model_call(data, model, cfg.branch, "training"):
+            return [entry for run in runs
+                    for entry in _train_joint(data, model, arch, lif_cfg, run, log)]
     except FloatingPointError as e:
         raise DivergedLossError(f"{e} during training") from None
 
@@ -438,12 +435,8 @@ def scores_for(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     An overflow, invalid value or division by zero in the arithmetic
     raises FloatingPointError instead of giving scores computed from it.
     A loaded OpenBLAS runs on one thread for the call."""
-    if len(data) == 0:
-        raise GestemoError("evaluation split is empty")
-    check_option("branch", branch)
-    _check_branch(data, model, branch)
     s_dg = scores = None
-    with _one_blas_thread(), np.errstate(over="raise", invalid="raise", divide="raise"):
+    with _model_call(data, model, branch, "evaluation"):
         if branch != "video_only":
             s_dg = scores = snn_forward(data.planes, model.snn, arch, lif_cfg)
         if branch != "snn_only":

@@ -998,12 +998,19 @@ def test_non_utf8_input_is_one_line_error(parse_corpus, tmp_path, which, code):
 #: option text that is no number: no digits, so no draw asks for a big run
 JUNK = st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=4)
 
-#: any JSON value; numbers stay small enough that a run stays fast
+
+def json_containers(inner):
+    """Lists and objects of up to two values drawn from inner."""
+    return st.lists(inner, max_size=2) | st.dictionaries(JUNK, inner, max_size=2)
+
+
+#: any JSON value; numbers stay small enough that a run stays fast, but for
+#: 2**63 and 10**400, which every integer option refuses, and the second one
+#: too large for a float
 JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.floats(), JUNK),
-    lambda inner: st.lists(inner, max_size=2)
-    | st.dictionaries(JUNK, inner, max_size=2),
-    max_leaves=4)
+    st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.floats(), JUNK,
+              st.sampled_from([2**63, 10**400])),
+    json_containers, max_leaves=4)
 
 
 def option_value(key):

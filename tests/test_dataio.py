@@ -532,6 +532,18 @@ def test_write_dataset_layout(tmp_path):
     assert load_sample(back, "b").events == stream
 
 
+def test_failed_manifest_write_leaves_no_tmp_file(tmp_path):
+    stream = synth_stream(StreamSpec(Geometry(4, 4), 1000, 5), seed=0)
+    out = tmp_path / "out"
+    with mock.patch.object(dataio.json, "dump",
+                           side_effect=OSError(28, "No space left on device")):
+        with pytest.raises(OSError):
+            write_dataset(out, [("ok-0000", GestureClass.OK, "train", stream, None)])
+    files = [os.path.relpath(os.path.join(d, f), out)
+             for d, _, names in os.walk(out) for f in names]
+    assert files == [os.path.join("events", "ok-0000.csv")]
+
+
 def test_write_dataset_of_no_samples_writes_an_empty_manifest(tmp_path):
     m = write_dataset(tmp_path / "d", iter(()))
     assert m.entries == [] and os.listdir(tmp_path / "d") == ["manifest.json"]

@@ -510,8 +510,25 @@ BENCHMARK_ARCHS = {"32x32": default_architecture(3, 32, 32),
                    "65x87": default_architecture(3, 65, 87)}
 
 
-def _on_worker(arch):
-    return [li for li, on in enumerate(snn._backward_on_worker(snn._plan(arch))) if on]
+def _on_worker(arch, batch=4):
+    """The layers whose weight sums ran on the worker thread in a real
+    forward and backward of `batch` rows."""
+    weight_backward, on_worker = snn._weight_backward, set()
+
+    def recorded(plan, li, *args):
+        if threading.current_thread().name.startswith("gestemo-snn"):
+            on_worker.add(li)
+        return weight_backward(plan, li, *args)
+
+    params = init_params(arch, seed=batch)
+    rng = np.random.default_rng(batch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snn, "_weight_backward", recorded)
+        _, tape = snn_forward(rng.random((batch, 2) + arch.input_shape), params,
+                              arch, record=True)
+        snn_backward_from_output(
+            tape, rng.standard_normal((batch, arch.num_classes)), params)
+    return sorted(on_worker)
 
 
 @pytest.mark.parametrize("batch", [1, 3, 4, 8])
@@ -535,34 +552,20 @@ def test_planned_backward_matches_reference_bit_for_bit(arch_name, reset, batch,
 @pytest.mark.parametrize("arch_name", sorted(BENCHMARK_ARCHS))
 @pytest.mark.parametrize("batch", range(1, 9))
 def test_two_cpus_put_the_first_layer_and_fc4_on_the_worker(arch_name, batch,
-                                                            two_cpus, monkeypatch):
+                                                            two_cpus):
     # the rule reads the layer stack alone, so a backward of every batch
     # size runs the same two layers' weight sums on the worker thread
-    arch = BENCHMARK_ARCHS[arch_name]
-    assert _on_worker(arch) == [0, 4]
-    weight_backward, on_worker = snn._weight_backward, set()
-
-    def recorded(plan, li, *args):
-        if threading.current_thread().name.startswith("gestemo-snn"):
-            on_worker.add(li)
-        return weight_backward(plan, li, *args)
-
-    monkeypatch.setattr(snn, "_weight_backward", recorded)
-    params = init_params(arch, seed=batch)
-    rng = np.random.default_rng(batch)
-    _, tape = snn_forward(rng.random((batch, 2) + arch.input_shape), params, arch,
-                          record=True)
-    snn_backward_from_output(tape, rng.standard_normal((batch, arch.num_classes)),
-                             params)
-    assert sorted(on_worker) == [0, 4]
+    assert _on_worker(BENCHMARK_ARCHS[arch_name], batch) == [0, 4]
 
 
 @pytest.mark.parametrize("cpus", [{0}], ids=["one_cpu"])
 def test_every_layer_stays_inline(cpus, monkeypatch):
     monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: cpus,
                         raising=False)
+    monkeypatch.setattr(snn, "_WORKER", None)   # a task handed to it would raise
     for arch in BENCHMARK_ARCHS.values():
-        assert _on_worker(arch) == []
+        for batch in (1, 8):
+            assert _on_worker(arch, batch) == []
 
 
 def test_backward_memory_at_65x87(monkeypatch):

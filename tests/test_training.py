@@ -6,7 +6,9 @@ import os
 import signal
 import threading
 import time
+import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +45,10 @@ from gestemo.training import (
     train,
     weighted_cross_entropy,
 )
+
+from test_fusion import _ref_backward as _ref_lstm_backward
+from test_fusion import _ref_forward as _ref_lstm_forward
+from test_snn import _ref_run as _ref_snn_run
 
 ARCH = SnnArchitecture(
     layers=(Conv(2, 4, 3), Pool(2), Dense(36, 3)),
@@ -357,6 +363,133 @@ def test_training_deterministic():
         assert np.array_equal(runs[0][k], runs[1][k])
 
 
+# -- a whole train call against a plain reference ----------------------------------
+#
+# What joins the branches, written out plainly: the SNN and LSTM oracles of
+# test_snn and test_fusion, the head with its dropout draws, the fused score,
+# both losses, the class weights, Adam and the rng order.  No scratch buffer,
+# worker thread or helper process, so train must give its bits.
+
+def _ref_train(data, model, arch, lif_cfg, cfg):
+    """train's history, updating model's tensors in place."""
+    runs = [cfg]
+    if cfg.branch == "fused" and cfg.mode == "separate":
+        snn_seq, video_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+        runs = [replace(cfg, branch="snn_only", seed=int(snn_seq.generate_state(1)[0])),
+                replace(cfg, branch="video_only",
+                        seed=int(video_seq.generate_state(1)[0]))]
+    return [entry for run in runs
+            for entry in _ref_train_joint(data, model, arch, lif_cfg, run)]
+
+
+def _ref_train_joint(data, model, arch, lif_cfg, cfg):
+    n, c = len(data), arch.num_classes
+    weights = n / (c * np.bincount(data.labels, minlength=c).astype(np.float64))
+    event, frame = cfg.branch != "video_only", cfg.branch != "snn_only"
+    params = {**(model.snn if event else {}),
+              **({**model.lstm, **model.head} if frame else {})}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    rng = np.random.default_rng(cfg.seed)
+    batch = n if cfg.batch_size <= 0 else min(cfg.batch_size, n)
+    history, step = [], 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        totals = np.zeros(3)   # loss, mse, wce, each summed over the samples
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            b, y = idx.size, data.labels[idx]
+            grads, mse, wce = {}, 0.0, 0.0
+            if event:
+                planes = data.planes[idx].astype(np.float64)
+                s_dg, _ = _ref_snn_run(planes, model.snn, arch, lif_cfg, "binary",
+                                       cfg.surrogate_width, np.zeros((b, c)))
+                diff = s_dg - np.eye(c)[y]
+                mse = float((diff * diff).sum() / (b * c))
+                d_sdg = 2.0 * diff / (b * c)
+            if frame:
+                lstm = types.SimpleNamespace(
+                    hidden=model.lstm["lstm.wh"].shape[1], wx=model.lstm["lstm.wx"],
+                    wh=model.lstm["lstm.wh"], b=model.lstm["lstm.b"])
+                x = data.features[idx]
+                h, gates, cs, hs = _ref_lstm_forward(x, lstm)
+                w1, w2 = model.head["head.w1"], model.head["head.w2"]
+                z1 = h @ w1.T + model.head["head.b1"]
+                mask = 1.0
+                if cfg.dropout > 0.0:
+                    keep = 1.0 - cfg.dropout
+                    mask = (rng.random(z1.shape) < keep).astype(np.float64) / keep
+                a = np.maximum(z1, 0.0) * mask
+                logits = a @ w2.T + model.head["head.b2"]
+                scores = s_dg + cfg.lam * logits if event else logits
+                zs = scores - scores.max(axis=1, keepdims=True)
+                logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+                wy = weights[y]
+                wce = float(-(wy * logp[np.arange(b), y]).mean())
+                d_scores = np.exp(logp) * wy[:, None]
+                d_scores[np.arange(b), y] -= wy
+                d_scores = d_scores / b
+                if event:
+                    d_sdg = d_sdg + d_scores
+                    d_scores = cfg.lam * d_scores
+                d_z1 = (d_scores @ w2) * mask * (z1 > 0.0)
+                grads.update({"head.w1": d_z1.T @ h, "head.b1": d_z1.sum(axis=0),
+                              "head.w2": d_scores.T @ a,
+                              "head.b2": d_scores.sum(axis=0)})
+                grads.update(_ref_lstm_backward(x, gates, cs, hs, d_z1 @ w1, lstm))
+            if event:
+                grads.update(_ref_snn_run(planes, model.snn, arch, lif_cfg, "binary",
+                                          cfg.surrogate_width, d_sdg)[1])
+            step += 1
+            for name, g in grads.items():   # Adam, as Kingma & Ba state it
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+                params[name] -= cfg.lr * (m[name] / (1.0 - 0.9 ** step)) / (
+                    np.sqrt(v[name] / (1.0 - 0.999 ** step)) + 1e-8)
+            totals += np.array([mse + wce, mse, wce]) * b
+        loss, mse, wce = totals / n
+        history.append({"epoch": epoch, "branch": cfg.branch, "loss": loss,
+                        "mse": mse, "wce": wce})
+    return history
+
+
+def reference_data():
+    """Eleven samples of unequal classes (4, 4 and 3), so the class weights
+    differ and batches of 5, 3 and 4 end in 1, 2 and 3 rows."""
+    rng = np.random.default_rng(21)
+    labels = np.array([0, 1, 2] * 3 + [0, 1])
+    planes = (rng.random((11, 3) + ARCH.input_shape) < 0.4).astype(np.uint8)
+    feats = rng.normal(size=(11, 5, 4))
+    for i, y in enumerate(labels):
+        planes[i, :, :, 2 * y:2 * y + 3] = 1
+        feats[i, :, y] += 1.0
+    return TrainData(planes, feats, labels, tuple(EmotionClass))
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("batch", [5, 3, 4])
+@pytest.mark.parametrize("cfg", [
+    TrainConfig(epochs=2, lr=0.01, branch="snn_only"),
+    TrainConfig(epochs=2, lr=0.01, branch="video_only", dropout=0.3),
+    TrainConfig(epochs=2, lr=0.01, dropout=0.3, lam=0.5),
+    TrainConfig(epochs=2, lr=0.01, dropout=0.0),
+    TrainConfig(epochs=2, lr=0.01, mode="separate", dropout=0.3),
+], ids=["snn_only", "video_only", "fused", "fused_no_dropout", "separate"])
+def test_train_matches_the_plain_reference_bit_for_bit(cfg, batch, cpus, monkeypatch):
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    cfg = replace(cfg, batch_size=batch, seed=batch)
+    data, lif_cfg = reference_data(), LifConfig()
+    model, want = (init_model(ARCH, 4, hidden=4, head_mid=4, seed=1,
+                              branch=cfg.branch) for _ in range(2))
+    before = {name: p.copy() for name, p in model.flat().items()}
+    assert train(data, model, ARCH, lif_cfg, cfg) == _ref_train(data, want, ARCH,
+                                                                 lif_cfg, cfg)
+    for name, p in want.flat().items():
+        assert not np.array_equal(p, before[name]), name   # every tensor learned
+        assert np.array_equal(model.flat()[name], p), name
+
+
 def test_diverged_loss_raises():
     data = toy_data()
     model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=11,
@@ -374,7 +507,7 @@ def test_overflow_on_the_gradient_worker_is_divergence(two_cpus, monkeypatch):
     # first layer's weight gradient, (1e147 x 1e200) on the worker, overflows.
     arch = SnnArchitecture(layers=(Dense(1250, 512), Dense(512, 3)),
                            input_shape=(2, 25, 25), num_classes=3)
-    assert snn._backward_on_worker(snn._plan(arch)) == [True, False]
+    assert snn._plan(arch).first_dense == 0
     params = {"fc0.w": np.zeros((512, 1250)), "fc0.b": np.full(512, 0.1),
               "fc1.w": np.full((3, 512), 1e150), "fc1.b": np.full(3, 0.1)}
     data = TrainData(np.full((4, 12, 2, 25, 25), 1e200), None,
@@ -408,7 +541,7 @@ def test_overflow_in_the_first_layer_lif_backward_on_the_worker_is_divergence(
     # by 5e299.  The calling thread's own arithmetic stays finite.
     arch = SnnArchitecture(layers=(Dense(50, 1), Dense(1, 3)),
                            input_shape=(2, 5, 5), num_classes=3)
-    assert snn._backward_on_worker(snn._plan(arch)) == [True, False]
+    assert snn._plan(arch).first_dense == 0
     params = {"fc0.w": np.zeros((1, 50)), "fc0.b": np.ones(1),
               "fc1.w": np.full((3, 1), 0.125), "fc1.b": np.full(3, 0.125)}
     data = TrainData(np.zeros((4, 4, 2, 5, 5)), None, np.array([0, 1, 2, 0]),
@@ -436,7 +569,7 @@ def test_no_first_layer_task_starts_after_one_raised_on_the_worker(two_cpus, mon
     # the tasks queued behind the first to raise must not start
     arch = SnnArchitecture(layers=(Dense(50, 1), Dense(1, 3)),
                            input_shape=(2, 5, 5), num_classes=3)
-    assert snn._backward_on_worker(snn._plan(arch)) == [True, False]
+    assert snn._plan(arch).first_dense == 0
     params = {"fc0.w": np.zeros((1, 50)), "fc0.b": np.ones(1),
               "fc1.w": np.full((3, 1), 0.125), "fc1.b": np.full(3, 0.125)}
     data = TrainData(np.zeros((4, 4, 2, 5, 5)), None, np.array([0, 1, 2, 0]),
@@ -545,7 +678,7 @@ def test_overflow_on_the_caller_waits_for_a_pending_gradient_task(two_cpus, monk
     # input gradient then overflows.
     arch = SnnArchitecture(layers=(Dense(1250, 512), Dense(512, 3)),
                            input_shape=(2, 25, 25), num_classes=3)
-    assert snn._backward_on_worker(snn._plan(arch)) == [True, False]
+    assert snn._plan(arch).first_dense == 0
     params = {"fc0.w": np.zeros((512, 1250)), "fc0.b": np.full(512, 0.1),
               "fc1.w": np.full((3, 512), 0.01), "fc1.b": np.full(3, 0.1)}
     data = TrainData(np.zeros((4, 3, 2, 25, 25)), None,
@@ -703,6 +836,30 @@ def test_train_empty_split():
     model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=0)
     with pytest.raises(GestemoError, match="training split is empty"):
         train(data, model, ARCH)
+
+
+def test_train_and_scores_for_refuse_alike_and_report_overflow_their_own_way():
+    data = toy_data()
+    model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=0)
+    empty = TrainData(data.planes[:0], data.features[:0], data.labels[:0],
+                      data.label_space)
+    with pytest.raises(GestemoError, match=r"^evaluation split is empty$"):
+        evaluate(empty, model, ARCH)
+    no_features = TrainData(data.planes, None, data.labels, data.label_space)
+    for call in (lambda: evaluate(no_features, model, ARCH),
+                 lambda: train(no_features, model, ARCH, cfg=TrainConfig(epochs=1))):
+        with pytest.raises(GestemoError,
+                           match=r"^data has no inputs for branch 'fused'$"):
+            call()
+    # (1e200 x 1e200) in the LSTM's input projection
+    model.lstm["lstm.wx"][:] = 1e200
+    huge = TrainData(data.planes, data.features + 1e200, data.labels,
+                     data.label_space)
+    with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+        evaluate(huge, model, ARCH)
+    with pytest.raises(DivergedLossError,
+                       match="overflow encountered in matmul during training"):
+        train(huge, model, ARCH, cfg=TrainConfig(epochs=1))
 
 
 def test_confusion_matrix_layout():
