@@ -125,7 +125,8 @@ def _check_options(values: Dict[str, object]) -> None:
 
 def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[str, object]:
     """defaults < config file < explicit flags; unknown file keys rejected,
-    and every value checked against the option tables."""
+    and each file value no flag overrides checked against the option
+    tables (main checks the flags)."""
     merged = dict(defaults)
     if getattr(ns, "config", None):
         try:
@@ -150,14 +151,17 @@ def merge_config(ns: argparse.Namespace, defaults: Dict[str, object]) -> Dict[st
                                   f"{kind.__name__}, got {v!r}")
             try:
                 merged[k] = kind(v)
+                if getattr(ns, k, None) is None and (k in RANGES or k in CHOICES):
+                    check_option(k, merged[k])
             except OverflowError:   # an int beyond the float range
                 raise _UsageError(f"config file {ns.config}: {k} must be "
                                   f"{kind.__name__}, got an int too large for one")
+            except GestemoError as e:
+                raise _UsageError(f"config file {ns.config}: {e}") from None
     for k in defaults:
         flag = getattr(ns, k, None)
         if flag is not None:
             merged[k] = flag
-    _check_options(merged)
     return merged
 
 

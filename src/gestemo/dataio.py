@@ -39,7 +39,7 @@ from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import CHOICES, GestemoError, ParseError
+from .errors import CHOICES, QUOTE_MAX, GestemoError, ParseError
 from .events import EventStream, Geometry, GestureClass, SampleRecord
 
 #: default frame-count normalization for feature sequences
@@ -54,13 +54,11 @@ _EVENT_HEADER = re.compile(r"^t,x,y,p geometry=(0*[1-9]\d*)x(0*[1-9]\d*)$")
 _FEATURE_HEADER = re.compile(r"^D=(\d+)$")
 #: an integer field that int() refuses only for its length
 _DIGITS = re.compile(r"\s*[+-]?[0-9]+\s*")
-#: characters of a bad field or header quoted in an error message
-_QUOTE_MAX = 40
 
 
 def _quote(text: str) -> str:
-    """repr of text, cut to its first _QUOTE_MAX characters."""
-    return repr(text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "...")
+    """repr of text, cut to its first QUOTE_MAX characters."""
+    return repr(text if len(text) <= QUOTE_MAX else text[:QUOTE_MAX] + "...")
 
 
 @dataclass(frozen=True)

@@ -69,20 +69,31 @@ CHOICES = {
 }
 
 
+#: characters of a rejected value, or of a bad field of a data file, quoted
+#: in an error message
+QUOTE_MAX = 40
+
+
+def _shown(value) -> str:
+    """repr of value, cut to its first QUOTE_MAX characters."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_MAX else text[:QUOTE_MAX] + "..."
+
+
 def check_option(key: str, value) -> None:
     """Raise GestemoError("<key> must be ..., got ...") unless value is valid
     for the option key; an integer option must also fit int64."""
     if key in CHOICES:
         if not isinstance(value, str) or value not in CHOICES[key]:
             raise GestemoError(f"{key} must be one of {', '.join(CHOICES[key])}, "
-                               f"got {value!r}")
+                               f"got {_shown(value)}")
         return
     kind, ok, wording = RANGES[key]
     if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-        raise GestemoError(f"{key} must be {wording}, got {value!r}")
+        raise GestemoError(f"{key} must be {wording}, got {_shown(value)}")
     if kind is numbers.Integral and value >= 1 << 63:
         # integer options become int64 sizes, seeds and counts in numpy
-        raise GestemoError(f"{key} must be below 2**63, got {value!r}")
+        raise GestemoError(f"{key} must be below 2**63, got {_shown(value)}")
 
 
 def physical_memory() -> int:

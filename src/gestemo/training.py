@@ -376,32 +376,20 @@ def _train_joint(data: TrainData, model: ModelParams, arch: SnnArchitecture,
     with frame_sums as sums:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
-            ep_loss = 0.0
-            ep_mse = 0.0
-            ep_wce = 0.0
-            seen = 0
+            totals = np.zeros(3)   # loss, mse, wce, each summed over the samples
             for start in range(0, n, batch):
                 idx = order[start:start + batch]
                 loss_mse, loss_wce, grads = _batch_gradients(
                     data, idx, model, arch, lif_cfg, cfg, weights, rng, sums)
                 adam_update(params, grads, state, cfg.lr)
                 del grads   # freed before the next batch's forward, like the tapes
-                bsz = idx.size
-                ep_loss += (loss_mse + loss_wce) * bsz
-                ep_mse += loss_mse * bsz
-                ep_wce += loss_wce * bsz
-                seen += bsz
-            entry = {
-                "epoch": epoch,
-                "branch": cfg.branch,
-                "loss": ep_loss / seen,
-                "mse": ep_mse / seen,
-                "wce": ep_wce / seen,
-            }
-            _check_loss(entry["loss"], epoch)
-            history.append(entry)
+                totals += np.array([loss_mse + loss_wce, loss_mse, loss_wce]) * idx.size
+            loss, mse, wce = (totals / n).tolist()
+            _check_loss(loss, epoch)
+            history.append({"epoch": epoch, "branch": cfg.branch,
+                            "loss": loss, "mse": mse, "wce": wce})
             if log is not None:
-                log(f"epoch {epoch:3d} [{cfg.branch}] loss {entry['loss']:.6f}")
+                log(f"epoch {epoch:3d} [{cfg.branch}] loss {loss:.6f}")
     return history
 
 
@@ -545,22 +533,18 @@ def evaluate(data: TrainData, model: ModelParams, arch: SnnArchitecture,
 
 
 def emotion_report(data: TrainData, y_pred: np.ndarray) -> Tuple[MetricsReport, Tuple[str, ...]]:
-    """Collapse gesture predictions through the gesture-to-emotion map and
-    score at emotion level.  Requires gesture-level labels."""
+    """Score gesture predictions at emotion level: the emotion confusion
+    matrix is the gesture one summed over each emotion's gestures.
+    Requires gesture-level labels."""
     if not all(isinstance(g, GestureClass) for g in data.label_space):
         raise GestemoError("labels are already emotion-level")
-    emotions = tuple(e.value for e in EmotionClass)
-    idx = {e: i for i, e in enumerate(emotions)}
-
-    def collapse(gesture_ids: np.ndarray) -> np.ndarray:
-        out = np.empty(gesture_ids.size, dtype=np.int64)
-        for j, g in enumerate(gesture_ids):
-            emo = emotion_of(data.label_space[int(g)])
-            if emo is None:
-                raise GestemoError("unlabeled gesture in emotion scoring")
-            out[j] = idx[emo.value]
-        return out
-
-    report = MetricsReport.from_predictions(
-        collapse(data.labels), collapse(np.asarray(y_pred)), len(emotions))
-    return report, emotions
+    cm = confusion_matrix(data.labels, y_pred, len(data.label_space))
+    # member[g, e] is 1 where gesture g shows emotion e
+    member = np.array([[emotion_of(g) is e for e in EmotionClass]
+                       for g in data.label_space],
+                      dtype=np.int64).reshape(-1, len(EmotionClass))
+    unlabeled = member.sum(axis=1) == 0
+    if cm[unlabeled].any() or cm[:, unlabeled].any():
+        raise GestemoError("unlabeled gesture in emotion scoring")
+    report = MetricsReport.from_confusion(member.T @ cm @ member)
+    return report, tuple(e.value for e in EmotionClass)

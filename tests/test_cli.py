@@ -10,6 +10,7 @@ import glob
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -675,6 +676,32 @@ def test_train_config_bad_choice_is_usage_error(tmp_path, capsys):
     assert main(["train", manifest, "--config", str(cfg),
                  "--out", str(tmp_path / "m.ckpt")]) == 1
     assert "scale_mode must be one of" in capsys.readouterr().err
+
+
+def test_train_config_out_of_range_value_names_the_file(tmp_path, capsys):
+    manifest = small_corpus(tmp_path)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"epochs": -1}))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", manifest, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config file {cfg}: epochs must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_a_huge_option_value_is_quoted_cut_short(tmp_path, capsys, source):
+    manifest = small_corpus(tmp_path)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(f'{{"epochs": 1{"0" * 400}}}')
+    argv = (["--config", str(cfg)] if source == "config"
+            else ["--epochs", "1" + "0" * 99])
+    out = tmp_path / "m.ckpt"
+    assert main(["train", manifest, *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "epochs must be below 2**63" in err
+    assert max(map(len, re.findall(r"[0-9]+", err))) <= 40
+    assert err.startswith(f"config file {cfg}: ") == (source == "config")
+    assert not out.exists()
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):

@@ -24,6 +24,7 @@ from gestemo.events import (
     LABELED_GESTURES,
     SampleRecord,
     StreamSpec,
+    emotion_of,
     synth_stream,
 )
 from gestemo.snn import Conv, Dense, LifConfig, Pool, SnnArchitecture, init_params, snn_forward
@@ -490,6 +491,40 @@ def test_train_matches_the_plain_reference_bit_for_bit(cfg, batch, cpus, monkeyp
         assert np.array_equal(model.flat()[name], p), name
 
 
+#: the benchmark's two networks: desk32's at K 12 with batches of 4, and
+#: davis346's (346x260 after --downsample 4) with batches of 8, at K 4 so
+#: that the reference runs in seconds; both with the default LSTM and head
+BENCHMARK_NETS = {"desk32": ((32, 32), 12, 4), "davis346": ((65, 87), 4, 8)}
+
+
+@pytest.mark.parametrize("net,cpus", [("desk32", {0}), ("desk32", {0, 1}),
+                                      ("davis346", {0, 1})],
+                         ids=["desk32-one_cpu", "desk32-two_cpus", "davis346-two_cpus"])
+def test_train_matches_the_plain_reference_at_benchmark_sizes(net, cpus, monkeypatch):
+    monkeypatch.setattr(snn.os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    (height, width), k, batch = BENCHMARK_NETS[net]
+    arch = snn.default_architecture(3, height, width)
+    rng = np.random.default_rng(22)
+    labels = np.array([0, 1, 2] * 3 + [0, 1])   # batches end in 3 rows
+    planes = (rng.random((11, k, 2, height, width)) < 0.2).astype(np.uint8)
+    feats = rng.normal(size=(11, 100, 16))
+    feats[np.arange(11), :, labels] += 1.0
+    data = TrainData(planes, feats, labels, tuple(EmotionClass))
+    lif_cfg = LifConfig(theta=0.4)
+    cfg = TrainConfig(epochs=2, lr=0.01, dropout=0.3, lam=0.5, batch_size=batch, seed=7)
+    model, want = (init_model(arch, 16, seed=1) for _ in range(2))
+    before = {name: p.copy() for name, p in model.flat().items()}
+    history = train(data, model, arch, lif_cfg, cfg)
+    # OpenBLAS on one thread, as train runs it, so the reference's GEMM
+    # sums are not split over threads either
+    with training._model_call(data, want, cfg.branch, "training"):
+        assert history == _ref_train(data, want, arch, lif_cfg, cfg)
+    for name, p in want.flat().items():
+        assert not np.array_equal(p, before[name]), name
+        assert np.array_equal(model.flat()[name], p), name
+
+
 def test_diverged_loss_raises():
     data = toy_data()
     model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=11,
@@ -948,6 +983,51 @@ def test_emotion_report_collapses_gestures():
                       LABELED_GESTURES.index(GestureClass.LOVE)])
     report, names = emotion_report(data, preds)
     assert names == ("Neutral", "Negative", "Positive")
+    assert report.accuracy == 1.0
+
+
+def _ref_emotion_report(data, y_pred):
+    """emotion_report written plainly: each label and each prediction
+    mapped to its emotion one at a time."""
+    emotions = tuple(EmotionClass)
+
+    def collapse(gesture_ids):
+        return [emotions.index(emotion_of(data.label_space[g])) for g in gesture_ids]
+
+    return MetricsReport.from_predictions(collapse(data.labels), collapse(y_pred), 3)
+
+
+def test_emotion_report_matches_a_per_sample_collapse():
+    rng = np.random.default_rng(34)
+    for _ in range(50):
+        size = int(rng.integers(1, len(LABELED_GESTURES) + 1))
+        space = tuple(LABELED_GESTURES[i]
+                      for i in rng.permutation(len(LABELED_GESTURES))[:size])
+        n = int(rng.integers(1, 30))
+        labels, preds = rng.integers(0, size, (2, n))
+        data = TrainData(None, np.zeros((n, 2, 3)), labels, space)
+        report, names = emotion_report(data, preds)
+        assert names == ("Neutral", "Negative", "Positive")
+        assert report.to_dict(names) == _ref_emotion_report(data, preds).to_dict(names)
+
+
+@pytest.mark.parametrize("bad", [-1, len(LABELED_GESTURES)])
+def test_emotion_report_refuses_a_prediction_outside_the_gestures(bad):
+    data = TrainData(None, np.zeros((2, 2, 3)), np.array([0, 8]))
+    with pytest.raises(GestemoError) as e:
+        emotion_report(data, np.array([0, bad]))
+    assert str(e.value) == f"labels outside [0,{len(LABELED_GESTURES)})"
+
+
+@pytest.mark.parametrize("labels,preds", [([0, 1], [0, 2]), ([0, 2], [1, 2])],
+                         ids=["label", "prediction"])
+def test_emotion_report_refuses_a_count_on_the_other_gesture(labels, preds):
+    space = (GestureClass.OK, GestureClass.OTHER, GestureClass.NO)
+    data = TrainData(None, np.zeros((2, 2, 3)), np.array(labels), space)
+    with pytest.raises(GestemoError, match="^unlabeled gesture in emotion scoring$"):
+        emotion_report(data, np.array(preds))
+    # with no count on it, the gesture without an emotion drops out
+    report, _ = emotion_report(replace(data, labels=np.array([0, 2])), np.array([0, 2]))
     assert report.accuracy == 1.0
 
 
