@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -76,48 +78,60 @@ def _is_tensor_spec(t) -> bool:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
-        data = f.read()
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise ParseError(f"{path}: no header line")
-    try:
-        header = json.loads(data[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise ParseError(f"{path}: bad header ({e})")
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: header is not a JSON object")
-    if header.get("format") != FORMAT_TAG:
-        raise ParseError(f"{path}: not a checkpoint file "
-                         f"(format={header.get('format')!r})")
-    if header.get("version") != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported version {header.get('version')!r}")
-    for key, kind in _HEADER_TYPES.items():
-        value = header.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ParseError(f"{path}: header key {key!r} must be a JSON "
-                             f"{kind.__name__}, got {value!r}")
-    if not all(map(_is_tensor_spec, header["tensors"])) \
-            or not all(isinstance(v, str) for v in header["label_space"]):
-        raise ParseError(f"{path}: malformed tensor list or label space in header")
-    try:
-        arch = SnnArchitecture.from_dict(header["arch"])
-        lif = LifConfig.from_dict(header["lif"])
-        fusion = FusionConfig.from_dict(header["fusion"])
-    except (KeyError, TypeError, ValueError, ArithmeticError, GestemoError) as e:
-        raise ParseError(f"{path}: bad model description in header ({e!r})")
-    blob = data[nl + 1:]
-    sizes = [math.prod(t["shape"]) for t in header["tensors"]]
-    if len(blob) != 8 * sum(sizes):
-        raise ParseError(f"{path}: tensor block is {len(blob)} bytes, "
-                         f"header promises {8 * sum(sizes)}")
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise ParseError(f"{path}: no header line")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+            raise ParseError(f"{path}: bad header ({e})")
+        if not isinstance(header, dict):
+            raise ParseError(f"{path}: header is not a JSON object")
+        if header.get("format") != FORMAT_TAG:
+            raise ParseError(f"{path}: not a checkpoint file "
+                             f"(format={header.get('format')!r})")
+        if header.get("version") != FORMAT_VERSION:
+            raise ParseError(f"{path}: unsupported version {header.get('version')!r}")
+        for key, kind in _HEADER_TYPES.items():
+            value = header.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ParseError(f"{path}: header key {key!r} must be a JSON "
+                                 f"{kind.__name__}, got {value!r}")
+        if not all(map(_is_tensor_spec, header["tensors"])) \
+                or not all(isinstance(v, str) for v in header["label_space"]):
+            raise ParseError(f"{path}: malformed tensor list or label space in header")
+        try:
+            arch = SnnArchitecture.from_dict(header["arch"])
+            lif = LifConfig.from_dict(header["lif"])
+            fusion = FusionConfig.from_dict(header["fusion"])
+        except (KeyError, TypeError, ValueError, ArithmeticError, GestemoError) as e:
+            raise ParseError(f"{path}: bad model description in header ({e!r})")
+        sizes = [math.prod(t["shape"]) for t in header["tensors"]]
+        promised = 8 * sum(sizes)
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode):
+            # a regular file's size is known before anything is allocated:
+            # one read into one buffer, whose views become the tensors
+            size = st.st_size - len(line)
+            if size == promised:
+                blob = np.empty(sum(sizes), dtype="<f8")
+                size = f.readinto(blob)
+        else:   # a pipe tells its size only once it is read
+            data = bytearray(f.read())
+            size = len(data)
+            if size == promised:
+                blob = np.frombuffer(data, dtype="<f8")
+    if size != promised:
+        raise ParseError(f"{path}: tensor block is {size} bytes, "
+                         f"header promises {promised}")
     arrays: Dict[str, np.ndarray] = {}
     offset = 0
     for t, n in zip(header["tensors"], sizes):
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
+        arr = blob[offset:offset + n]
         if not np.isfinite(arr).all():
             raise ParseError(f"{path}: tensor {t['name']!r} holds non-finite values")
-        arrays[t["name"]] = arr.reshape(t["shape"]).astype(np.float64, copy=True)
-        offset += 8 * n
+        arrays[t["name"]] = arr.reshape(t["shape"]).astype(np.float64, copy=False)
+        offset += n
     try:
         model = _model_of(arrays, arch)
     except GestemoError as e:

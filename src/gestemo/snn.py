@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import functools
 import math
 import numbers
@@ -373,6 +374,64 @@ def _cpus() -> int:
             else os.cpu_count() or 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_libs() -> Tuple[ctypes.CDLL, ...]:
+    """Each OpenBLAS loaded in this process, found once in /proc/self/maps;
+    none where there is no /proc to list the loaded libraries in."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as f:
+            # the path is the sixth field, and may hold spaces
+            paths = {ln.split(maxsplit=5)[-1].rstrip("\n") for ln in f
+                     if "openblas" in ln.lower() and ".so" in ln}
+    except OSError:
+        return ()
+    libs = []
+    for path in sorted(paths):
+        with contextlib.suppress(OSError):   # a file deleted since, or renamed
+            libs.append(ctypes.CDLL(path))   # loaded already, so only a new handle
+    return tuple(libs)
+
+
+def _openblas_fn(lib: ctypes.CDLL, stem: str, restype, *argtypes):
+    """OpenBLAS's function `stem` in lib, under scipy-openblas's name or the
+    plain one, declared with restype and argtypes; None if lib has neither."""
+    fn = (getattr(lib, f"scipy_openblas_{stem}64_", None)
+          or getattr(lib, f"openblas_{stem}", None))
+    if fn is not None:
+        fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+#: _stacked_rows_agree's verdicts by row count, steps, weight layout and
+#: OpenBLAS thread counts; None for a key met once and not yet probed
+_STACKED_VERDICTS: Dict[tuple, Optional[bool]] = {}
+
+
+def _stacked_rows_agree(rows: int, steps: int, w: np.ndarray) -> bool:
+    """Whether x @ w.T over a C-contiguous float64 x of steps * rows rows
+    gives each block of `rows` rows the bits of that block's own product.
+    OpenBLAS picks its kernel by size, and its small-matrix and one-row
+    paths sum in another order, so the answer is measured on random
+    operands: spikes that are all zero would agree whatever kernel ran.
+    The probe costs more than the K products it would save once, so it
+    runs when a key comes back: the first call at a key says no, and a
+    process that meets a shape once never pays for it."""
+    threads = tuple(get() for get in (_openblas_fn(lib, "get_num_threads", ctypes.c_int)
+                                      for lib in _openblas_libs()) if get)
+    key = (rows, steps, w.shape, w.strides, threads or None)
+    if key not in _STACKED_VERDICTS:
+        _STACKED_VERDICTS[key] = None
+    elif _STACKED_VERDICTS[key] is None:
+        rng = np.random.default_rng(0)
+        x = rng.random((steps, rows, w.shape[1]))
+        # w's layout, filled in place
+        w_rand = rng.random(out=np.empty_like(w, dtype=np.float64))
+        whole = (x.reshape(steps * rows, -1) @ w_rand.T).reshape(steps, rows, -1)
+        _STACKED_VERDICTS[key] = all(np.array_equal(whole[t], x[t] @ w_rand.T)
+                                     for t in range(steps))
+    return bool(_STACKED_VERDICTS[key])
+
+
 def _as_float(x: np.ndarray) -> np.ndarray:
     """Spikes or planes as float64 for a GEMM operand; a bool operand would
     be cast inside the GEMM, which is slower."""
@@ -495,6 +554,12 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     plan = _plan(arch)
     sdtype = _SPIKE_DTYPE[spike_fn]
     n_sp = plan.first_dense   # layers [0, n_sp) are the spatial block
+    # The first dense layer reads spikes the block keeps for every step, so
+    # its K products may be one GEMM over the (K*B, in) stack, where this
+    # BLAS gives each step's rows the bits of their own product.  Asked
+    # before the buffers below exist, so a probe's operands do not add to
+    # them.
+    stacked = bool(n_sp) and _stacked_rows_agree(b, k, params[f"fc{n_sp}.w"])
     v = [np.zeros((b,) + shp) for shp in plan.out_shapes]
     # without a tape, one step's buffers are reused, except the spikes of the
     # last spatial layer: the dense tail reads them after the whole block
@@ -502,6 +567,7 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     spikes = [np.empty((k if record or li == n_sp - 1 else 1, b) + shp, dtype=sdtype)
               for li, shp in enumerate(plan.out_shapes)]
     out_sum = np.zeros((b, arch.num_classes))
+    currents: Dict[int, np.ndarray] = {}   # layer -> (K, B, out) input current
 
     def run(layers: range, rows: slice) -> None:
         """The layers in `layers` over all K steps, for batch rows `rows`."""
@@ -509,9 +575,10 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
             cur = spikes[layers.start - 1][t, rows] if layers.start else x[rows, t]
             for li in layers:
                 s = spikes[li][t % len(spikes[li]), rows]
-                _lif_forward(v[li][rows], _layer_forward(plan, li, cur, params),
-                             vpre[li][t % len(vpre[li]), rows], s, cfg,
-                             surrogate_width)
+                current = currents[li][t, rows] if li in currents \
+                    else _layer_forward(plan, li, cur, params)
+                _lif_forward(v[li][rows], current, vpre[li][t % len(vpre[li]), rows],
+                             s, cfg, surrogate_width)
                 cur = s
             if layers.stop == len(arch.layers):
                 out_sum[rows] += cur
@@ -525,6 +592,9 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
         if half < b:
             submit(run, range(n_sp), slice(half, b))
         run(range(n_sp), slice(0, half))
+    if stacked:
+        stack = spikes[n_sp - 1].reshape((k * b,) + plan.in_shapes[n_sp])
+        currents[n_sp] = _layer_forward(plan, n_sp, stack, params).reshape(k, b, -1)
     run(range(n_sp, len(arch.layers)), slice(None))
     s_dg = out_sum / k
     if record:

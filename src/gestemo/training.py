@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -42,6 +41,8 @@ from .snn import (
     DEFAULT_SURROGATE_WIDTH,
     LifConfig,
     SnnArchitecture,
+    _openblas_fn,
+    _openblas_libs,
     init_params,
     mse_spike_loss,
     snn_backward_from_output,
@@ -297,34 +298,6 @@ def _batch_gradients(data: TrainData, idx: np.ndarray, model: ModelParams,
     if s_dg is not None:
         grads.update(snn_backward_from_output(tape, d_sdg, model.snn))
     return loss_mse, loss_wce, grads
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_libs() -> Tuple[ctypes.CDLL, ...]:
-    """Each OpenBLAS loaded in this process, found once in /proc/self/maps;
-    none where there is no /proc to list the loaded libraries in."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as f:
-            # the path is the sixth field, and may hold spaces
-            paths = {ln.split(maxsplit=5)[-1].rstrip("\n") for ln in f
-                     if "openblas" in ln.lower() and ".so" in ln}
-    except OSError:
-        return ()
-    libs = []
-    for path in sorted(paths):
-        with contextlib.suppress(OSError):   # a file deleted since, or renamed
-            libs.append(ctypes.CDLL(path))   # loaded already, so only a new handle
-    return tuple(libs)
-
-
-def _openblas_fn(lib: ctypes.CDLL, stem: str, restype, *argtypes):
-    """OpenBLAS's function `stem` in lib, under scipy-openblas's name or the
-    plain one, declared with restype and argtypes; None if lib has neither."""
-    fn = (getattr(lib, f"scipy_openblas_{stem}64_", None)
-          or getattr(lib, f"openblas_{stem}", None))
-    if fn is not None:
-        fn.restype, fn.argtypes = restype, argtypes
-    return fn
 
 
 @contextlib.contextmanager

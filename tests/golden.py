@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from gestemo import cli, training
+from gestemo import cli, snn
 from gestemo.dataio import read_manifest
 
 DIGEST_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -117,8 +117,8 @@ def _simd_level() -> Optional[str]:
 def _openblas_core() -> Optional[str]:
     """The kernel set a loaded OpenBLAS picked for this CPU, if one is
     loaded and the process maps can be read."""
-    for lib in training._openblas_libs():
-        fn = training._openblas_fn(lib, "get_corename", ctypes.c_char_p)
+    for lib in snn._openblas_libs():
+        fn = snn._openblas_fn(lib, "get_corename", ctypes.c_char_p)
         if fn is not None:
             return fn().decode()
     return None

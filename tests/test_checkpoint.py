@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -212,6 +214,49 @@ def test_eval_of_a_tensor_too_large_to_count_is_one_parse_error(tmp_path):
     assert code == 2
     assert err.getvalue() == (f"error: {path}: tensor block is 0 bytes, header "
                               f"promises {8 * 2 ** 64}\n")
+
+
+def test_a_promise_far_beyond_the_file_is_refused_before_any_allocation(tmp_path):
+    # 2**40 float64 elements are 8 TiB: the size check reads the file's
+    # length, so the refusal comes before a buffer is asked for
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(), path)
+    rewrite_header(path, lambda h: h.update(
+        tensors=[{"name": "huge", "shape": [2 ** 20, 2 ** 20]}]))
+    blob = path.read_bytes().split(b"\n", 1)[1]
+    with pytest.raises(ParseError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (f"{path}: tensor block is {len(blob)} bytes, "
+                               f"header promises {8 * 2 ** 40}")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("cut", [0, 8], ids=["whole", "short"])
+def test_a_checkpoint_read_from_a_pipe(tmp_path, cut):
+    # a pipe's size reads 0 until it is read, so the loader reads it first
+    path, pipe = tmp_path / "model.ckpt", tmp_path / "pipe"
+    save_checkpoint(make_checkpoint(), path)
+    data = path.read_bytes()
+    data = data[:len(data) - cut]
+    os.mkfifo(pipe)
+    # a daemon, so that a loader which never opens the pipe fails the test
+    # instead of leaving the writer blocked
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        if cut:
+            blob = data.split(b"\n", 1)[1]
+            with pytest.raises(ParseError, match=rf"tensor block is {len(blob)} "
+                                                 rf"bytes, header promises {len(blob) + cut}$"):
+                load_checkpoint(pipe)
+        else:
+            want, got = load_checkpoint(path).model.flat(), load_checkpoint(pipe).model.flat()
+            assert sorted(want) == sorted(got)
+            for name in want:
+                assert np.array_equal(want[name], got[name])
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_rejects_non_object_header(tmp_path):

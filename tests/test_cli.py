@@ -510,9 +510,9 @@ def test_checkpoint_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
 def test_in_process_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
     # a library caller's OpenBLAS may split the SNN's weight sums over two
     # threads; train runs it on one and gives the caller's count back
-    blas = [(training._openblas_fn(lib, "get_num_threads", ctypes.c_int),
-             training._openblas_fn(lib, "set_num_threads", None, ctypes.c_int))
-            for lib in training._openblas_libs()]
+    blas = [(snn._openblas_fn(lib, "get_num_threads", ctypes.c_int),
+             snn._openblas_fn(lib, "set_num_threads", None, ctypes.c_int))
+            for lib in snn._openblas_libs()]
     if not blas:
         pytest.skip("no OpenBLAS loaded")
     data = tmp_path / "data"

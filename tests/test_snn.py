@@ -3,6 +3,7 @@ network gradients against central finite differences on the relaxed forward
 pass, which the analytic backward matches everywhere away from the clip
 kinks."""
 
+import ctypes
 import functools
 import pickle
 import re
@@ -592,6 +593,150 @@ def test_backward_memory_at_65x87(monkeypatch):
     # product buffer kept for fc4's weight term, which outlives fc4 and so
     # adds to the conv layers' peak, made it 71.2 MiB; the bound lies between.
     assert peak < 63 * 2**20, peak / 2**20
+
+
+def _stacked_case(arch, batch, steps=12):
+    """Planes and parameters at the benchmark's K; the planes are dense
+    enough that spikes reach the first dense layer."""
+    rng = np.random.default_rng(batch)
+    planes = (rng.random((batch, steps) + arch.input_shape) < 0.3).astype(np.uint8)
+    return planes, init_params(arch, seed=batch), LifConfig(theta=0.4)
+
+
+def _probed(rows, w, steps=12):
+    """The guard's verdict, probed now where the key is new: the first call
+    at a key says no without probing."""
+    snn._stacked_rows_agree(rows, steps, w)
+    return snn._stacked_rows_agree(rows, steps, w)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("arch_name", sorted(BENCHMARK_ARCHS))
+def test_stacked_first_dense_matches_reference_bit_for_bit(arch_name, batch,
+                                                           monkeypatch):
+    # the guard refuses some of these shapes and accepts others, by kernel
+    arch = BENCHMARK_ARCHS[arch_name]
+    planes, params, cfg = _stacked_case(arch, batch)
+    _probed(batch, params[f"fc{snn._plan(arch).first_dense}.w"])
+    want, _ = _ref_run(planes, params, arch, cfg, "binary",
+                       DEFAULT_SURROGATE_WIDTH, np.zeros((batch, arch.num_classes)))
+    out, tape = snn_forward(planes, params, arch, cfg, record=True)
+    assert np.array_equal(out, want)
+    assert np.array_equal(snn_forward(planes, params, arch, cfg), want)
+    # every taped membrane and spike equals the tape of per-step products
+    monkeypatch.setattr(snn, "_stacked_rows_agree", lambda *args: False)
+    _, per_step = snn_forward(planes, params, arch, cfg, record=True)
+    assert np.mean(per_step.spikes[snn._plan(arch).first_dense]) > 0
+    for got, taped in zip(tape.vpre + tape.spikes, per_step.vpre + per_step.spikes):
+        assert np.array_equal(got, taped)
+
+
+def _first_dense_rows(monkeypatch):
+    """The row count of every first-dense-layer product from now on."""
+    layer_forward, rows = snn._layer_forward, []
+
+    def recorded(plan, li, x, params):
+        if li == plan.first_dense:
+            rows.append(x.shape[0])
+        return layer_forward(plan, li, x, params)
+
+    monkeypatch.setattr(snn, "_layer_forward", recorded)
+    return rows
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "taped"])
+def test_stacked_or_per_step_products_give_equal_bits_bit_for_bit(record,
+                                                                  monkeypatch):
+    arch = BENCHMARK_ARCHS["65x87"]
+    batch, steps = 8, 12
+    planes, params, cfg = _stacked_case(arch, batch, steps)
+    kernel_agrees = _probed(batch, params["fc4.w"], steps)
+    rows = _first_dense_rows(monkeypatch)
+    outs = []
+    for agree in (False, True):
+        monkeypatch.setattr(snn, "_stacked_rows_agree", lambda *args: agree)
+        rows.clear()
+        outs.append(snn_forward(planes, params, arch, cfg, record=record))
+        # one product per step, or one over the K steps' stacked rows
+        assert rows == ([steps * batch] if agree else [batch] * steps)
+    # the patched guard says yes whatever this BLAS does, so the bits are
+    # compared only where the loaded kernel says yes too
+    if kernel_agrees:
+        per_step, stacked = (out[0] if record else out for out in outs)
+        assert np.array_equal(per_step, stacked)
+
+
+def test_a_shape_met_once_multiplies_per_step_bit_for_bit(monkeypatch):
+    # one `gestemo eval` scores its split in one forward: it must pay
+    # neither the probe nor a product the parent did not make
+    monkeypatch.setattr(snn, "_STACKED_VERDICTS", {})
+    arch = BENCHMARK_ARCHS["65x87"]
+    batch, steps = 8, 12
+    planes, params, cfg = _stacked_case(arch, batch, steps)
+    rows = _first_dense_rows(monkeypatch)
+    snn_forward(planes, params, arch, cfg)
+    assert rows == [batch] * steps
+    assert list(snn._STACKED_VERDICTS.values()) == [None]
+
+
+def test_stacked_guard_probes_once_per_key(monkeypatch):
+    blas = [(snn._openblas_fn(lib, "get_num_threads", ctypes.c_int),
+             snn._openblas_fn(lib, "set_num_threads", None, ctypes.c_int))
+            for lib in snn._openblas_libs()]
+    if not blas:
+        pytest.skip("no OpenBLAS loaded")
+    monkeypatch.setattr(snn, "_STACKED_VERDICTS", {})
+    w = init_params(BENCHMARK_ARCHS["32x32"], seed=0)["fc4.w"]
+    # the first call at a key says no and probes nothing; the second probes
+    assert snn._stacked_rows_agree(4, 12, w) is False
+    (key,) = snn._STACKED_VERDICTS
+    assert snn._STACKED_VERDICTS[key] is None
+    verdict = snn._stacked_rows_agree(4, 12, w)
+    assert snn._STACKED_VERDICTS[key] is verdict
+    # a planted opposite verdict is what a later call returns: no new probe
+    snn._STACKED_VERDICTS[key] = not verdict
+    assert snn._stacked_rows_agree(4, 12, w) is (not verdict)
+    before = [get() for get, _ in blas]
+    try:
+        for _, set_threads in blas:
+            set_threads(2 if before[0] == 1 else 1)
+        _probed(4, w)
+    finally:
+        for (_, set_threads), count in zip(blas, before):
+            set_threads(count)
+    # another thread count, another probe
+    assert len(snn._STACKED_VERDICTS) == 2
+    assert None not in snn._STACKED_VERDICTS.values()
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["cached", "probing"])
+def test_forward_memory_at_65x87(monkeypatch, probe):
+    # one CPU, so the spatial block runs inline and its peak is the same on
+    # every run.  The measured forward is the second at its key, which
+    # probes, or the third, which finds the verdict cached; the first also
+    # fills the plan's lazy index tables
+    monkeypatch.setattr(snn, "_cpus", lambda: 1)
+    monkeypatch.setattr(snn, "_STACKED_VERDICTS", {})
+    arch = BENCHMARK_ARCHS["65x87"]
+    planes, params, cfg = _stacked_case(arch, 8)
+    snn_forward(planes, params, arch, cfg)
+    if not probe:
+        snn._stacked_rows_agree(8, 12, params["fc4.w"])
+    tracemalloc.start()
+    try:
+        snn_forward(planes, params, arch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert None not in snn._STACKED_VERDICTS.values()
+    # both peaked at 33.2 MiB on x86_64 with numpy 2.4.6, as did the first
+    # forward at a key, which multiplies per step; before fc4 could take
+    # one product over the stacked steps, the forward peaked at 33.0.  The
+    # spatial block's im2col buffers set the peak.  The tail's 6.6 MiB
+    # float64 stack of the last spatial layer's spikes stays below them,
+    # and so do the probe's 24 MiB of random operands, which are freed
+    # before the forward allocates its buffers.  The bound is a few MiB above
+    assert peak < 36 * 2**20, peak / 2**20
 
 
 def _lif_calls(monkeypatch, cpus):
