@@ -1,10 +1,10 @@
 """Locate frame-annotation timestamps inside an event time sequence and cut
 streams into labeled segments.
 
-The search is a binary descent: probe the midpoint, recurse on (lo, mid)
-when the midpoint is above the tag and on (mid, hi) otherwise, stopping when
+The search is one loop of binary descent: probe the midpoint, keep (lo, mid)
+when the midpoint is above the tag and (mid, hi) otherwise, and stop when
 the range no longer shrinks.  find_position clamps tags that fall outside
-the list and otherwise runs the descent once, returning the first probe at
+the list and otherwise runs that loop once, returning the first probe at
 the smallest distance d seen on the path with alpha_final = d + 1: the
 index and tolerance that retrying a descent that stops at the first probe
 within alpha of the tag, with alpha = 1, 2, 3, ..., would reach, since the
@@ -41,55 +41,19 @@ class SearchTrace:
     visited: List[int] = field(default_factory=list)
 
 
-def _as_times(times) -> np.ndarray:
-    a = np.asarray(times, dtype=np.int64)
-    if a.ndim != 1:
-        raise GestemoError(f"time list must be 1-D, got shape {a.shape}")
-    return a
-
-
-def validate_times(times) -> np.ndarray:
-    a = _as_times(times)
-    bad = np.nonzero(np.diff(a) < 0)[0]
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise GestemoError(f"time list decreases at index {i}")
-    return a
-
-
-def validate_tags(tags) -> np.ndarray:
-    a = np.asarray(tags, dtype=np.int64)
-    if a.ndim != 1:
-        raise GestemoError(f"tag list must be 1-D, got shape {a.shape}")
-    if a.size > 1 and not np.all(np.diff(a) > 0):
-        raise GestemoError("tags must be strictly increasing")
-    return a
-
-
-def _descent(a: np.ndarray, lo: int, hi: int, tag: int):
-    """Yield the midpoints the descent over a[lo..hi] probes, in order."""
-    while True:
-        mid = lo + (hi - lo) // 2
-        yield mid
-        if a[mid] > tag:
-            new_lo, new_hi = lo, mid
-        else:
-            new_lo, new_hi = mid, hi
-        if (new_lo, new_hi) == (lo, hi):  # range stopped shrinking
-            return
-        lo, hi = new_lo, new_hi
-
-
 def find_position(tag: int, times, trace: Optional[SearchTrace] = None) -> int:
-    """Index of a timestamp near tag.
+    """Index of a timestamp near tag, in a 1-D time list.
 
     Below-range tags return 0, above-range tags return N-1.  An in-range tag
     takes one descent over the whole list, which returns the first probe at
     the smallest distance d seen on the path and sets alpha_final = d + 1.
-    The descent stops early on an exact hit and otherwise takes at most
-    ceil(log2 N) + 1 probes, whatever the gap around the tag.
+    The loop stops on an exact hit or once the range no longer shrinks, so
+    it takes at most ceil(log2 N) + 1 probes, whatever the gap around the
+    tag.
     """
-    a = _as_times(times)
+    a = np.asarray(times, dtype=np.int64)
+    if a.ndim != 1:
+        raise GestemoError(f"time list must be 1-D, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
         raise GestemoError("cannot search an empty time list")
@@ -102,8 +66,10 @@ def find_position(tag: int, times, trace: Optional[SearchTrace] = None) -> int:
         trace.clamped = True
         return n - 1
     trace.visited.clear()
+    lo, hi = 0, n - 1
     best, best_d = 0, None
-    for mid in _descent(a, 0, n - 1, tag):
+    while True:
+        mid = lo + (hi - lo) // 2
         trace.comparisons += 1
         trace.visited.append(mid)
         d = abs(int(a[mid]) - tag)
@@ -111,6 +77,10 @@ def find_position(tag: int, times, trace: Optional[SearchTrace] = None) -> int:
             best, best_d = mid, d
             if d == 0:
                 break
+        shrunk = (lo, mid) if a[mid] > tag else (mid, hi)
+        if shrunk == (lo, hi):  # range stopped shrinking
+            break
+        lo, hi = shrunk
     trace.alpha_final = best_d + 1
     return best
 
@@ -118,15 +88,24 @@ def find_position(tag: int, times, trace: Optional[SearchTrace] = None) -> int:
 def split_indices(tags, times) -> np.ndarray:
     """Apply find_position to each annotation tag; output is non-decreasing
     for strictly increasing tags."""
-    tag_arr = validate_tags(tags)
+    tag_arr = np.asarray(tags, dtype=np.int64)
+    if tag_arr.ndim != 1:
+        raise GestemoError(f"tag list must be 1-D, got shape {tag_arr.shape}")
+    if np.any(np.diff(tag_arr) <= 0):
+        raise GestemoError("tags must be strictly increasing")
     if tag_arr.size == 0:
         return np.zeros(0, dtype=np.int64)
-    time_arr = validate_times(times)
+    time_arr = np.asarray(times, dtype=np.int64)
+    if time_arr.ndim != 1:
+        raise GestemoError(f"time list must be 1-D, got shape {time_arr.shape}")
+    bad = np.flatnonzero(np.diff(time_arr) < 0)
+    if bad.size:
+        raise GestemoError(f"time list decreases at index {int(bad[0]) + 1}")
     if time_arr.size == 0:
         raise GestemoError("cannot split against an empty time list")
-    out = np.array([find_position(int(t), time_arr) for t in tag_arr],
-                   dtype=np.int64)
-    return out
+    # find_position through the module global, which a tracer may rebind
+    return np.array([find_position(int(t), time_arr) for t in tag_arr],
+                    dtype=np.int64)
 
 
 def segment_events(stream: EventStream, cuts: Sequence[int]) -> List[EventStream]:

@@ -8,6 +8,7 @@ the header's order.  Saving and loading round-trips bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .dataio import _replaced
-from .errors import GestemoError, ParseError
+from .errors import GestemoError, ParseError, require_keys
 from .fusion import FusionConfig, frame_shapes
 from .snn import LifConfig, SnnArchitecture
 from .training import ModelParams
@@ -55,8 +56,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "version": FORMAT_VERSION,
         "seed": int(ckpt.seed),
         "arch": ckpt.arch.to_dict(),
-        "lif": ckpt.lif.to_dict(),
-        "fusion": ckpt.fusion.to_dict(),
+        "lif": dataclasses.asdict(ckpt.lif),
+        "fusion": dataclasses.asdict(ckpt.fusion),
         "label_space": list(ckpt.label_space),
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
         "extra": ckpt.extra,
@@ -102,8 +103,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise ParseError(f"{path}: malformed tensor list or label space in header")
         try:
             arch = SnnArchitecture.from_dict(header["arch"])
-            lif = LifConfig.from_dict(header["lif"])
-            fusion = FusionConfig.from_dict(header["fusion"])
+            lif = LifConfig(**require_keys(header["lif"], LifConfig))
+            fusion = FusionConfig(**require_keys(header["fusion"], FusionConfig))
         except (KeyError, TypeError, ValueError, ArithmeticError, GestemoError) as e:
             raise ParseError(f"{path}: bad model description in header ({e!r})")
         sizes = [math.prod(t["shape"]) for t in header["tensors"]]

@@ -1,5 +1,6 @@
 """Exception types raised across the toolkit, the one table of valid
-option values, and the memory budget a declared size is held to.
+option values, the one check of class labels, and the memory budget a
+declared size is held to.
 
 The command line maps each exception to an exit code: GestemoError,
 ParseError included, to 2 (data error) and DivergedLossError to 3
@@ -11,6 +12,8 @@ import dataclasses
 import math
 import numbers
 import os
+
+import numpy as np
 
 
 class GestemoError(Exception):
@@ -99,6 +102,18 @@ def check_option(key: str, value) -> None:
 def physical_memory() -> int:
     """Bytes of physical memory: the budget a declared size is held to."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_labels(labels, num_classes: int) -> np.ndarray:
+    """labels as a flat int64 array, once checked to be whole numbers in
+    [0, num_classes)."""
+    a = np.asarray(labels).reshape(-1)
+    frac = a[a != np.trunc(a)] if a.dtype.kind == "f" else a[:0]
+    if frac.size:
+        raise GestemoError(f"labels must be integers, got {_shown(frac[0].item())}")
+    if a.size and (a.min() < 0 or a.max() >= num_classes):
+        raise GestemoError(f"labels outside [0,{num_classes})")
+    return a.astype(np.int64, copy=False)
 
 
 def require_keys(d: dict, cls) -> dict:

@@ -103,11 +103,6 @@ class EventStream:
     def from_arrays(cls, t, x, y, p, geometry: Geometry) -> "EventStream":
         return cls(geometry, t, x, y, p)
 
-    @classmethod
-    def empty(cls, geometry: Geometry) -> "EventStream":
-        z = np.zeros(0, dtype=np.int64)
-        return cls(geometry, z, z, z, z, _validated=True)
-
     def __len__(self) -> int:
         return int(self.t.shape[0])
 
@@ -239,8 +234,6 @@ def synth_stream(spec: StreamSpec, seed: int) -> EventStream:
     Gaussian jitter (the scatter pattern uses uniform positions instead).
     """
     g = spec.geometry
-    if spec.n_events == 0:
-        return EventStream.empty(g)
     rng = np.random.default_rng(seed)
     t = np.sort(rng.integers(0, spec.duration_us + 1, size=spec.n_events))
     s = t / max(spec.duration_us, 1)
@@ -267,8 +260,3 @@ class SampleRecord:
     gesture: GestureClass
     events: EventStream
     features: Optional["FrameFeatureSequence"] = None  # noqa: F821
-
-    @property
-    def emotion(self) -> Optional[EmotionClass]:
-        """The gesture's emotion; None for `other`."""
-        return emotion_of(self.gesture)

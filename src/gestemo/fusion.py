@@ -45,7 +45,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import snn
-from .errors import GestemoError, check_option, require_keys
+from .errors import GestemoError, check_option
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -141,14 +141,12 @@ def recurrent_forward(x: np.ndarray, params: Dict[str, np.ndarray], *,
     return (h, tape) if record else h
 
 
-def recurrent_backward(tape: Optional[RecurrentTape], d_hlast: np.ndarray,
+def recurrent_backward(tape: RecurrentTape, d_hlast: np.ndarray,
                        params: Dict[str, np.ndarray],
                        sums: Optional["_WeightSums"] = None) -> Dict[str, np.ndarray]:
     """Backprop through time; returns the parameter gradients
     {"lstm.wx": ..., "lstm.wh": ..., "lstm.b": ...}.  With sums, training's
     _WeightSums, its helper process adds the weight terms."""
-    if tape is None:
-        raise GestemoError("recurrent_backward requires a recorded tape")
     x = tape.x
     b, t_len, _ = x.shape
     wh = params["lstm.wh"]
@@ -407,12 +405,10 @@ def head_forward(h: np.ndarray, params: Dict[str, np.ndarray], *,
     return logits
 
 
-def head_backward(tape: Optional[HeadTape], d_logits: np.ndarray,
+def head_backward(tape: HeadTape, d_logits: np.ndarray,
                   params: Dict[str, np.ndarray]
                   ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """Returns ({"head.w1": ...}, d_h)."""
-    if tape is None:
-        raise GestemoError("head_backward requires a recorded tape")
     b = tape.h.shape[0]
     d_logits = np.asarray(d_logits, dtype=np.float64).reshape(b, -1)
     g_w2 = d_logits.T @ tape.a
@@ -437,14 +433,6 @@ class FusionConfig:
 
     def __post_init__(self):
         check_option("lam", self.lam)
-
-    def to_dict(self) -> dict:
-        return {"lam": self.lam}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FusionConfig":
-        """Inverse of to_dict; every key is required."""
-        return cls(**require_keys(d, cls))
 
 
 def fuse(s_dg: np.ndarray, branch_logits: np.ndarray,

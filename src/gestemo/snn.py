@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import GestemoError, check_option, require_keys
+from .errors import GestemoError, check_labels, check_option
 
 DEFAULT_SURROGATE_WIDTH = 0.5
 
@@ -55,14 +55,6 @@ class LifConfig:
     def __post_init__(self):
         for f in fields(self):
             check_option(f"lif_{f.name}", getattr(self, f.name))
-
-    def to_dict(self) -> dict:
-        return {"beta": self.beta, "theta": self.theta, "reset": self.reset}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LifConfig":
-        """Inverse of to_dict; every key is required."""
-        return cls(**require_keys(d, cls))
 
 
 # -- architecture -------------------------------------------------------------
@@ -602,12 +594,10 @@ def snn_forward(planes: np.ndarray, params: Dict[str, np.ndarray],
     return s_dg
 
 
-def snn_backward_from_output(tape: Optional[SnnTape], d_sdg: np.ndarray,
+def snn_backward_from_output(tape: SnnTape, d_sdg: np.ndarray,
                              params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Backpropagate an arbitrary loss gradient d(loss)/d(s_dg) through the
     recorded K steps; returns gradients for every weighted layer."""
-    if tape is None:
-        raise GestemoError("snn_backward_from_output requires a recorded tape")
     plan, cfg = tape.plan, tape.cfg
     arch = plan.arch
     k, b = tape.spikes[0].shape[0], tape.spikes[0].shape[1]
@@ -669,7 +659,7 @@ def mse_spike_loss(s_dg: np.ndarray, targets: np.ndarray) -> Tuple[float, np.nda
     t = np.asarray(targets)
     if t.ndim == 1 and t.shape[0] == b and not np.issubdtype(t.dtype, np.floating):
         target = np.zeros((b, c))
-        target[np.arange(b), t.astype(np.int64)] = 1.0
+        target[np.arange(b), check_labels(t, c)] = 1.0
     elif t.size == b * c:
         target = t.reshape(b, c).astype(np.float64)
     else:

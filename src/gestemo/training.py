@@ -23,7 +23,7 @@ import numpy as np
 
 from .encode import dense_spike_planes, scale_planes
 from .dataio import DEFAULT_FRAME_LIMIT
-from .errors import DivergedLossError, GestemoError, check_option
+from .errors import DivergedLossError, GestemoError, check_labels, check_option
 from .events import LABELED_GESTURES, EmotionClass, GestureClass, SampleRecord, emotion_of
 from .fusion import (
     FusionConfig,
@@ -55,10 +55,8 @@ from .snn import (
 def class_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Inverse-frequency weights w_c = T / (C * n_c); mean weight is >= 1
     with equality iff the classes are balanced."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_labels(labels, num_classes)
     counts = np.bincount(labels, minlength=num_classes)
-    if counts.size > num_classes:
-        raise GestemoError(f"label outside [0,{num_classes}) present")
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise GestemoError(f"class {int(missing[0])} has no samples")
@@ -74,9 +72,9 @@ def weighted_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     large scores cannot overflow.
     """
     z = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if z.ndim != 2 or z.shape[0] != labels.size:
-        raise GestemoError(f"scores of shape {z.shape} for {labels.size} labels")
+    if z.ndim != 2 or z.shape[0] != np.size(labels):
+        raise GestemoError(f"scores of shape {z.shape} for {np.size(labels)} labels")
+    labels = check_labels(labels, z.shape[1])
     b = z.shape[0]
     zs = z - z.max(axis=1, keepdims=True)
     logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
@@ -410,13 +408,9 @@ def scores_for(data: TrainData, model: ModelParams, arch: SnnArchitecture,
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
                      num_classes: int) -> np.ndarray:
     """Rows are true classes, columns predicted."""
-    t = np.asarray(y_true, dtype=np.int64).reshape(-1)
-    p = np.asarray(y_pred, dtype=np.int64).reshape(-1)
-    if t.size != p.size:
-        raise GestemoError(f"{t.size} true vs {p.size} predicted")
-    if t.size and (t.min() < 0 or t.max() >= num_classes
-                   or p.min() < 0 or p.max() >= num_classes):
-        raise GestemoError(f"labels outside [0,{num_classes})")
+    if np.size(y_true) != np.size(y_pred):
+        raise GestemoError(f"{np.size(y_true)} true vs {np.size(y_pred)} predicted")
+    t, p = check_labels(y_true, num_classes), check_labels(y_pred, num_classes)
     flat = np.bincount(t * num_classes + p, minlength=num_classes * num_classes)
     return flat.reshape(num_classes, num_classes)
 

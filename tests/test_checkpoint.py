@@ -93,6 +93,16 @@ def test_header_is_single_json_line(tmp_path):
         sorted(t["name"] for t in header["tensors"])
 
 
+def test_header_config_sections_are_exactly_the_config_fields(tmp_path):
+    # the LIF and fusion sections are written field by field from their
+    # dataclasses, so a new field would change the checkpoint format
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(), path)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["lif"] == {"beta": 0.85, "theta": 1.1, "reset": "subtract_theta"}
+    assert header["fusion"] == {"lam": 0.75}
+
+
 def test_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b'{"format":"something.else","version":1}\n')

@@ -9,7 +9,6 @@ from gestemo.events import (
     EventStream,
     Geometry,
     GestureClass,
-    SampleRecord,
     StreamSpec,
     emotion_of,
     synth_stream,
@@ -121,14 +120,6 @@ def test_synth_output_is_valid():
 def test_synth_negative_duration_rejected():
     with pytest.raises(GestemoError, match="duration_us must be >= 0, got -5"):
         StreamSpec(DAVIS346, -5, 10)
-
-
-def test_sample_record_emotion_follows_gesture():
-    s = synth_stream(StreamSpec(DAVIS346, 1000, 10), seed=0)
-    assert SampleRecord("a", GestureClass.OK, s).emotion is EmotionClass.NEUTRAL
-    assert SampleRecord("b", GestureClass.KILL, s).emotion is EmotionClass.NEGATIVE
-    assert SampleRecord("c", GestureClass.LOVE, s).emotion is EmotionClass.POSITIVE
-    assert SampleRecord("d", GestureClass.OTHER, s).emotion is None
 
 
 def test_stream_slice_and_eq():

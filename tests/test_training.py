@@ -9,13 +9,16 @@ import time
 import types
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gestemo import fusion, snn, training
 from gestemo.dataio import FrameFeatureSequence
-from gestemo.errors import DivergedLossError, GestemoError
+from gestemo.errors import CHOICES, DivergedLossError, GestemoError
 from gestemo.events import (
     DAVIS346,
     EmotionClass,
@@ -85,7 +88,7 @@ def test_class_weights_inverse_frequency():
 def test_class_weights_missing_class():
     with pytest.raises(GestemoError, match="class 1 has no samples"):
         class_weights([0, 0, 2], 3)
-    with pytest.raises(GestemoError, match=r"label outside \[0,3\) present"):
+    with pytest.raises(GestemoError, match=r"^labels outside \[0,3\)$"):
         class_weights([0, 1, 5], 3)
 
 
@@ -142,6 +145,43 @@ def test_wce_overflow_safe():
 def test_losses_take_a_batch_of_score_rows(loss, message):
     with pytest.raises(GestemoError, match=message):
         loss(np.zeros(3))
+
+
+#: every function that reads class labels, given the label y among others
+#: over 3 classes
+LABEL_READERS = {
+    "class_weights": lambda y: class_weights([0, 1, 2, y], 3),
+    "confusion_true": lambda y: confusion_matrix([0, y], [0, 1], 3),
+    "confusion_pred": lambda y: confusion_matrix([0, 1], [0, y], 3),
+    "wce": lambda y: weighted_cross_entropy(np.zeros((2, 3)), [0, y], np.ones(3)),
+    "mse": lambda y: mse_spike_loss(np.zeros((2, 3)), np.array([0, y])),
+}
+
+#: the one message for each bad label over 3 classes
+LABEL_REFUSALS = {-1: "labels outside [0,3)", 3: "labels outside [0,3)",
+                  0.5: "labels must be integers, got 0.5"}
+
+
+@pytest.mark.parametrize("bad", sorted(LABEL_REFUSALS))
+@pytest.mark.parametrize("reader", sorted(LABEL_READERS))
+def test_a_label_outside_the_classes_or_fractional_is_refused(reader, bad):
+    with pytest.raises(GestemoError) as e:
+        LABEL_READERS[reader](bad)
+    want = LABEL_REFUSALS[bad]
+    if reader == "mse" and bad == 0.5:
+        # real-valued targets are soft targets, one row of C per sample
+        want = "targets of shape (2,) for 2 score rows of 3 classes"
+    assert str(e.value) == want
+
+
+@pytest.mark.parametrize("bad", sorted(LABEL_REFUSALS))
+def test_train_refuses_a_label_outside_the_classes_or_fractional(bad):
+    data = toy_data()
+    data.labels = np.where(np.arange(len(data)) == 0, bad, data.labels)
+    model = init_model(ARCH, 3, hidden=4, head_mid=4, seed=11)
+    with pytest.raises(GestemoError) as e:
+        train(data, model, ARCH, cfg=TrainConfig(epochs=1))
+    assert str(e.value) == LABEL_REFUSALS[bad]
 
 
 def test_mse_spike_values():
@@ -523,6 +563,60 @@ def test_train_matches_the_plain_reference_at_benchmark_sizes(net, cpus, monkeyp
     for name, p in want.flat().items():
         assert not np.array_equal(p, before[name]), name
         assert np.array_equal(model.flat()[name], p), name
+
+
+@st.composite
+def train_setups(draw):
+    """(data, arch, lif_cfg, cfg, lstm width, head width): planes of 10 to 20
+    pixels a side over 1 to 6 steps, 2 to 9 classes, all present, over 3 to
+    12 samples, and 1 to 12 frames of 1 to 8 features.  The LSTM is 1 to 16
+    wide, or 128, the default, where SkylakeX gives its two recurrent
+    layouts other bits at 2 rows."""
+    height, width = draw(st.integers(10, 20)), draw(st.integers(10, 20))
+    k, classes = draw(st.integers(1, 6)), draw(st.integers(2, 9))
+    n = draw(st.integers(max(3, classes), 12))
+    frames, dim = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.concatenate([np.arange(classes),
+                                             rng.integers(0, classes, n - classes)]))
+    planes = (rng.random((n, k, 2, height, width))
+              < draw(st.sampled_from([0.2, 0.5]))).astype(np.uint8)
+    feats = rng.normal(size=(n, frames, dim))
+    data = TrainData(planes, feats, labels, tuple(range(classes)))
+    lif_cfg = LifConfig(beta=draw(st.sampled_from([0.5, 0.9, 1.0])),
+                        theta=draw(st.sampled_from([0.25, 0.5, 1.0])),
+                        reset=draw(st.sampled_from(CHOICES["lif_reset"])))
+    cfg = TrainConfig(epochs=draw(st.integers(1, 2)), lr=0.01, seed=seed,
+                      branch=draw(st.sampled_from(CHOICES["branch"])),
+                      mode=draw(st.sampled_from(CHOICES["mode"])),
+                      lam=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                      batch_size=draw(st.integers(0, 9)),
+                      dropout=draw(st.sampled_from([0.0, 0.3])))
+    arch = snn.default_architecture(classes, height, width)
+    hidden = draw(st.one_of(st.integers(1, 16), st.just(128)))
+    return data, arch, lif_cfg, cfg, hidden, draw(st.integers(1, 8))
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(setup=train_setups())
+def test_train_matches_the_plain_reference_over_drawn_configurations(cpus, setup):
+    # train runs twice from the same start: its first batch at each row
+    # count multiplies fc4 per step, and later ones may stack the K steps,
+    # as the stacked-product guard's verdicts allow on this OpenBLAS kernel
+    data, arch, lif_cfg, cfg, hidden, head_mid = setup
+    first, second, want = (init_model(arch, data.features.shape[2], hidden=hidden,
+                                      head_mid=head_mid, seed=3, branch=cfg.branch)
+                           for _ in range(3))
+    with mock.patch.object(snn.os, "sched_getaffinity", lambda pid: cpus, create=True), \
+            mock.patch.dict(snn._STACKED_VERDICTS, clear=True):
+        histories = [train(data, model, arch, lif_cfg, cfg) for model in (first, second)]
+    with training._model_call(data, want, cfg.branch, "training"):
+        assert histories == [_ref_train(data, want, arch, lif_cfg, cfg)] * 2
+    for name, p in want.flat().items():
+        assert np.array_equal(first.flat()[name], p), name
+        assert np.array_equal(second.flat()[name], p), name
 
 
 def test_diverged_loss_raises():
